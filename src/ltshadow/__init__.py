@@ -9,7 +9,6 @@ non-determinism seen by local agents.
 __version__ = "0.1.0"
 
 from .blocks import (
-    BlockBasis,
     BlockCoordinates,
     antisymmetric_basis,
     build_block_basis,
@@ -53,7 +52,6 @@ from .processes import (
     block_matrix,
     conjugation_process,
     effect_functional,
-    effect_local_positivity_census,
     epsilon_functional,
     identity_process,
     is_locally_positive,

@@ -1,28 +1,32 @@
-"""Orthonormal block bases for bipartite operator space.
+"""The grading basis of operator space: the one basis the package uses.
 
-The operator space of a bipartite system splits, under the trace inner
-product, into four orthogonal blocks built from symmetric (s) and
-antisymmetric (a) one-factor operators:
+The operator space of a product system splits, under the trace inner
+product, into orthogonal blocks built from symmetric (s) and antisymmetric
+(a) one-factor operators.  For two factors:
 
     ss = sym(A) x sym(B),   sa = sym(A) x anti(B),
     as = anti(A) x sym(B),  aa = anti(A) x anti(B).
 
 The ss and aa blocks together span the symmetric matrices on the composite;
-sa and as span the antisymmetric ones.  Basis ordering is fixed and
-documented (see :func:`symmetric_basis` / :func:`antisymmetric_basis` and the
-lexicographic factor ordering below) so coordinates are reproducible across
-runs and platforms.
+sa and as span the antisymmetric ones.  The grading basis of a factor list
+(d_1, ..., d_n) concatenates, in binary pattern order (s < a per factor),
+the Kronecker products of one-factor basis elements, lexicographic within
+each block (see :func:`symmetric_basis` / :func:`antisymmetric_basis`), so
+coordinates are reproducible across runs and platforms.  Block coordinates
+here and process matrices in :mod:`ltshadow.processes` share this basis.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+import itertools
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import kron, trace_inner
+from .linalg import kron
 
 BLOCK_NAMES = ("ss", "sa", "as", "aa")
 
@@ -60,79 +64,115 @@ def antisymmetric_basis(dim: int) -> list[np.ndarray]:
     return out
 
 
-def _frozen(arrays: list[np.ndarray]) -> tuple[np.ndarray, ...]:
-    for a in arrays:
-        a.flags.writeable = False
-    return tuple(arrays)
-
-
-def _stack(arrays: tuple[np.ndarray, ...], dim: int) -> np.ndarray:
-    if not arrays:
-        return np.zeros((0, dim * dim))
-    return np.stack([a.ravel() for a in arrays])
+def grading_patterns(n_factors: int) -> tuple[str, ...]:
+    """Pattern strings over {s, a} in binary order, e.g. (ss, sa, as, aa)."""
+    return tuple(
+        "".join(bits) for bits in itertools.product("sa", repeat=n_factors)
+    )
 
 
 @dataclass(frozen=True)
-class BlockBasis:
-    """The four orthonormal block bases of a bipartite operator space.
+class GradingBasis:
+    """The orthonormal grading basis of a product operator space.
 
-    Each basis element is a Kronecker product of one-factor basis elements,
-    ordered lexicographically by (factor-A index, factor-B index).  The
-    stacked coefficient matrices (one row per element) are precomputed for
-    fast decomposition.
+    ``stacked`` holds one vectorized basis element per row, blocks in
+    pattern order; ``slices`` maps each pattern to its rows.  Every per-block
+    view (:meth:`rows`, :meth:`block`, :attr:`basis_aa`) is a read-only slice
+    of that one array.
     """
 
-    dim_a: int
-    dim_b: int
-    basis_ss: tuple[np.ndarray, ...]
-    basis_sa: tuple[np.ndarray, ...]
-    basis_as: tuple[np.ndarray, ...]
-    basis_aa: tuple[np.ndarray, ...]
-    _stacks: dict = field(repr=False, compare=False, default_factory=dict)
+    dims: tuple[int, ...]
+    patterns: tuple[str, ...]
+    slices: dict
+    stacked: np.ndarray  # (n_elements, D^2) vectorized orthonormal basis
 
     @property
     def dim(self) -> int:
-        return self.dim_a * self.dim_b
+        return math.prod(self.dims)
+
+    @property
+    def size(self) -> int:
+        return self.stacked.shape[0]
 
     @property
     def sizes(self) -> dict[str, int]:
-        return {name: len(self.block(name)) for name in BLOCK_NAMES}
+        return {p: s.stop - s.start for p, s in self.slices.items()}
 
-    def block(self, name: str) -> tuple[np.ndarray, ...]:
-        if name not in BLOCK_NAMES:
-            raise ValueError(f"unknown block {name!r}; expected one of {BLOCK_NAMES}")
-        return getattr(self, f"basis_{name}")
+    def pattern_slice(self, pattern: str) -> slice:
+        return self.slices[pattern]
 
-    def stacked(self, name: str) -> np.ndarray:
-        """(n_elements, dim^2) matrix of vectorized basis elements."""
-        if name not in self._stacks:
-            self._stacks[name] = _stack(self.block(name), self.dim)
-        return self._stacks[name]
+    def rows(self, pattern: str) -> np.ndarray:
+        """(n_elements, D^2) rows of the named block."""
+        if pattern not in self.slices:
+            raise ValueError(f"unknown block {pattern!r}; expected one of {self.patterns}")
+        return self.stacked[self.slices[pattern]]
 
-    def all_elements(self) -> list[np.ndarray]:
-        out: list[np.ndarray] = []
-        for name in BLOCK_NAMES:
-            out.extend(self.block(name))
-        return out
+    def block(self, pattern: str) -> np.ndarray:
+        """(n_elements, D, D) basis elements of the named block."""
+        return self.rows(pattern).reshape(-1, self.dim, self.dim)
+
+    @property
+    def basis_aa(self) -> np.ndarray:
+        """The shadow kernel basis of a two-factor space."""
+        return self.block("aa")
+
+    @property
+    def shadow_pattern(self) -> str:
+        return "s" * len(self.dims)
+
+    @property
+    def kernel_patterns(self) -> tuple[str, ...]:
+        """Even-antisymmetric patterns other than all-s: the shadow kernel."""
+        return tuple(
+            p for p in self.patterns
+            if p.count("a") >= 2 and p.count("a") % 2 == 0
+        )
+
+    @property
+    def odd_patterns(self) -> tuple[str, ...]:
+        """Patterns spanning the antisymmetric part of the global space."""
+        return tuple(p for p in self.patterns if p.count("a") % 2 == 1)
+
+    def indices(self, patterns) -> np.ndarray:
+        idx: list[int] = []
+        for p in patterns:
+            s = self.slices[p]
+            idx.extend(range(s.start, s.stop))
+        return np.asarray(idx, dtype=int)
 
 
 @functools.lru_cache(maxsize=None)
-def build_block_basis(dim_a: int, dim_b: int) -> BlockBasis:
-    """Construct (and cache) the block basis for factor dimensions (dim_a, dim_b)."""
-    if dim_a < 1 or dim_b < 1:
-        raise DimensionMismatch("factor dimensions must be >= 1")
-    sym_a = symmetric_basis(dim_a)
-    sym_b = symmetric_basis(dim_b)
-    ant_a = antisymmetric_basis(dim_a)
-    ant_b = antisymmetric_basis(dim_b)
-    return BlockBasis(
-        dim_a=dim_a,
-        dim_b=dim_b,
-        basis_ss=_frozen([kron(x, y) for x in sym_a for y in sym_b]),
-        basis_sa=_frozen([kron(x, y) for x in sym_a for y in ant_b]),
-        basis_as=_frozen([kron(x, y) for x in ant_a for y in sym_b]),
-        basis_aa=_frozen([kron(x, y) for x in ant_a for y in ant_b]),
+def grading_basis(dims: tuple[int, ...]) -> GradingBasis:
+    """Construct (and cache) the grading basis for factor dimensions dims."""
+    dims = tuple(int(d) for d in dims)
+    if not dims or any(d < 1 for d in dims):
+        raise DimensionMismatch(f"factor dimensions must be >= 1, got {dims}")
+    patterns = grading_patterns(len(dims))
+    elements: list[np.ndarray] = []
+    slices: dict[str, slice] = {}
+    for pattern in patterns:
+        start = len(elements)
+        factor_bases = [
+            symmetric_basis(d) if c == "s" else antisymmetric_basis(d)
+            for d, c in zip(dims, pattern)
+        ]
+        for combo in itertools.product(*factor_bases):
+            acc = combo[0]
+            for f in combo[1:]:
+                acc = kron(acc, f)
+            elements.append(acc)
+        slices[pattern] = slice(start, len(elements))
+    d = math.prod(dims)
+    stacked = (
+        np.stack([e.ravel() for e in elements]) if elements else np.zeros((0, d * d))
     )
+    stacked.flags.writeable = False
+    return GradingBasis(dims=dims, patterns=patterns, slices=slices, stacked=stacked)
+
+
+def build_block_basis(dim_a: int, dim_b: int) -> GradingBasis:
+    """The grading basis for two factors: blocks ss, sa, as, aa."""
+    return grading_basis((dim_a, dim_b))
 
 
 @dataclass(frozen=True)
@@ -156,17 +196,17 @@ class BlockCoordinates:
         return float(sum(np.dot(self.coeffs(n), self.coeffs(n)) for n in BLOCK_NAMES))
 
 
-def _check_dim(w: np.ndarray, basis: BlockBasis) -> np.ndarray:
+def _check_dim(w: np.ndarray, basis: GradingBasis) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     if w.shape != (basis.dim, basis.dim):
         raise DimensionMismatch(
             f"operator shape {w.shape} does not match basis dimension "
-            f"{basis.dim}x{basis.dim} for factors ({basis.dim_a}, {basis.dim_b})"
+            f"{basis.dim}x{basis.dim} for factors {basis.dims}"
         )
     return w
 
 
-def decompose(w: np.ndarray, basis: BlockBasis) -> BlockCoordinates:
+def decompose(w: np.ndarray, basis: GradingBasis) -> BlockCoordinates:
     """Coefficients trace_inner(W, element) over all four blocks.
 
     Parseval: the squared coefficients sum to trace_inner(W, W) when W lies
@@ -175,20 +215,20 @@ def decompose(w: np.ndarray, basis: BlockBasis) -> BlockCoordinates:
     w = _check_dim(w, basis)
     vec = w.ravel()
     return BlockCoordinates(
-        coeffs_ss=basis.stacked("ss") @ vec,
-        coeffs_sa=basis.stacked("sa") @ vec,
-        coeffs_as=basis.stacked("as") @ vec,
-        coeffs_aa=basis.stacked("aa") @ vec,
+        coeffs_ss=basis.rows("ss") @ vec,
+        coeffs_sa=basis.rows("sa") @ vec,
+        coeffs_as=basis.rows("as") @ vec,
+        coeffs_aa=basis.rows("aa") @ vec,
     )
 
 
-def recompose(coords: BlockCoordinates, basis: BlockBasis) -> np.ndarray:
+def recompose(coords: BlockCoordinates, basis: GradingBasis) -> np.ndarray:
     """Linear combination of basis elements; inverse of :func:`decompose`."""
     d = basis.dim
     vec = np.zeros(d * d)
     for name in BLOCK_NAMES:
         c = np.asarray(coords.coeffs(name), dtype=float)
-        stacked = basis.stacked(name)
+        stacked = basis.rows(name)
         if c.shape != (stacked.shape[0],):
             raise DimensionMismatch(
                 f"coefficient vector for block {name} has length {c.shape}, "
@@ -199,19 +239,14 @@ def recompose(coords: BlockCoordinates, basis: BlockBasis) -> np.ndarray:
     return vec.reshape(d, d)
 
 
-def project_block(w: np.ndarray, basis: BlockBasis, block: str) -> np.ndarray:
+def project_block(w: np.ndarray, basis: GradingBasis, block: str) -> np.ndarray:
     """Orthogonal projection of W onto the named block."""
     w = _check_dim(w, basis)
-    stacked = basis.stacked(block)
+    stacked = basis.rows(block)
     if stacked.shape[0] == 0:
         return np.zeros_like(w)
     vec = stacked.T @ (stacked @ w.ravel())
     return vec.reshape(w.shape)
-
-
-def block_support_defect(w: np.ndarray, basis: BlockBasis, block: str) -> float:
-    """Max-norm of the component of W outside the named block."""
-    return float(np.max(np.abs(w - project_block(w, basis, block)))) if np.size(w) else 0.0
 
 
 def expected_sizes(dim_a: int, dim_b: int) -> dict[str, int]:
@@ -229,17 +264,11 @@ def expected_sizes(dim_a: int, dim_b: int) -> dict[str, int]:
 def random_ss_matrix(dim_a: int, dim_b: int, rng: np.random.Generator) -> np.ndarray:
     """Random symmetric matrix supported on the ss block (iid normal coefficients)."""
     basis = build_block_basis(dim_a, dim_b)
-    c = rng.standard_normal(len(basis.basis_ss))
+    c = rng.standard_normal(basis.sizes["ss"])
     d = basis.dim
-    return (c @ basis.stacked("ss")).reshape(d, d)
+    return (c @ basis.rows("ss")).reshape(d, d)
 
 
-def gram_matrix(basis: BlockBasis) -> np.ndarray:
+def gram_matrix(basis: GradingBasis) -> np.ndarray:
     """Gram matrix of the concatenated basis (identity iff orthonormal)."""
-    elements = basis.all_elements()
-    n = len(elements)
-    g = np.empty((n, n))
-    for i, x in enumerate(elements):
-        for j, y in enumerate(elements):
-            g[i, j] = trace_inner(x, y)
-    return g
+    return basis.stacked @ basis.stacked.T

@@ -10,9 +10,10 @@ Subcommands:
 
 All input and output is JSON (see serialize).  Stochastic subcommands
 require an explicit seed and echo it in the output.  Exit codes: 0 success,
-2 malformed input, 3 dimension mismatch, 4 infeasible or undecided where a
-decision was required, 5 internal numeric failure.  Output is byte-identical
-across runs for identical (input, flags, seed).
+1 a check of ``examples`` failed, 2 malformed input, 3 dimension mismatch,
+4 infeasible or undecided where a decision was required, 5 internal numeric
+failure.  Output is byte-identical across runs for identical (input, flags,
+seed).
 """
 
 from __future__ import annotations

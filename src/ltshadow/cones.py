@@ -22,15 +22,13 @@ an honest outcome for the incomplete oracles.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import nnls
 
 from .blocks import build_block_basis, project_block
-from .errors import DimensionMismatch, SupportViolation
+from .errors import DimensionMismatch
 from .linalg import (
     max_norm,
     min_eigenvalue,
@@ -38,12 +36,11 @@ from .linalg import (
     sym_part,
     trace_inner,
 )
+from .shadow import require_shadow_support
 
 MEMBER = "member"
 NON_MEMBER = "non_member"
 UNDECIDED = "undecided"
-
-SS_SUPPORT_TOL = 1e-9
 
 # Range-criterion guard band: the best product overlap with range(M) must
 # fall below 1 - RANGE_CRITERION_DELTA before entanglement is declared, so
@@ -97,39 +94,14 @@ def _as_bipartite(dims) -> tuple[int, int]:
     return dims
 
 
-def require_ss_support(m: np.ndarray, dims, tol: float = SS_SUPPORT_TOL) -> np.ndarray:
+def require_ss_support(m: np.ndarray, dims) -> np.ndarray:
     """Validate that M is symmetric and supported on the ss block."""
     dims = _as_bipartite(dims)
     m = np.asarray(m, dtype=float)
     d = dims[0] * dims[1]
     if m.shape != (d, d):
         raise DimensionMismatch(f"matrix shape {m.shape} does not match dims {dims}")
-    basis = build_block_basis(*dims)
-    defect = max_norm(m - project_block(m, basis, "ss"))
-    if defect > tol * (1 + max_norm(m)):
-        raise SupportViolation(
-            f"matrix has components outside the ss block (defect {defect:.3e})"
-        )
-    return m
-
-
-def _thread_cap() -> int:
-    env = os.environ.get("LT_SHADOW_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            return 1
-    return os.cpu_count() or 1
-
-
-def _run_restarts(fn, n: int) -> list:
-    """Evaluate fn(0..n-1), possibly on a thread pool; order is preserved."""
-    cap = min(_thread_cap(), n)
-    if cap <= 1:
-        return [fn(k) for k in range(n)]
-    with ThreadPoolExecutor(max_workers=cap) as pool:
-        return list(pool.map(fn, range(n)))
+    return require_shadow_support(m, dims)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +154,7 @@ def product_form_extremum(m: np.ndarray, dims, params: FeasibilityParams,
         y0 /= np.linalg.norm(y0)
         return _alternating_extremum(m4, da, db, y0, minimize, iters)
 
-    results = _run_restarts(one_restart, params.restarts)
+    results = [one_restart(k) for k in range(params.restarts)]
     if minimize:
         best = min(range(len(results)), key=lambda k: (results[k][0], k))
     else:
@@ -210,11 +182,6 @@ def in_positive_ss_cone(m: np.ndarray, dims, tol: float = 1e-8) -> ConeMembershi
 # ---------------------------------------------------------------------------
 # Boxtimes cone (shadows of positive global states)
 # ---------------------------------------------------------------------------
-
-
-def _aa_stack(dims) -> np.ndarray:
-    basis = build_block_basis(*dims)
-    return basis.stacked("aa")
 
 
 def replay_boxtimes_member(m: np.ndarray, dims, k: np.ndarray,
@@ -362,7 +329,7 @@ def in_boxtimes_cone(m: np.ndarray, dims, params: FeasibilityParams,
 
 def _boxtimes_projection(m: np.ndarray, dims, params: FeasibilityParams) -> ConeMembershipResult:
     basis = build_block_basis(*dims)
-    q = basis.stacked("aa")
+    q = basis.rows("aa")
     tol = params.tol
     stall = 1e-13 * (1 + max_norm(m))
     a = m.copy()
@@ -473,7 +440,7 @@ def in_min_cone(m: np.ndarray, dims, params: FeasibilityParams,
                  pursuit: best-aligned product atoms + NNLS refit);
     non_member - M is not PSD (trivially outside), or the range criterion
                  fires (no product vector in range(M));
-    undecided  - neither search concluded.
+    undecided  - neither search concluded, or the NNLS refit failed.
     """
     m = require_ss_support(m, dims)
     dims = _as_bipartite(dims)
@@ -502,7 +469,12 @@ def in_min_cone(m: np.ndarray, dims, params: FeasibilityParams,
         ys.append(y)
         cols.append(np.kron(np.outer(x, x), np.outer(y, y)).ravel())
         dictionary = np.stack(cols, axis=1)
-        weights, residual = nnls(dictionary, np.asarray(m, dtype=float).ravel())
+        try:
+            weights, residual = nnls(dictionary, np.asarray(m, dtype=float).ravel())
+        except RuntimeError:
+            # scipy's NNLS stops at its iteration cap on some dictionaries;
+            # report the last finite residual and the atoms tried so far.
+            return ConeMembershipResult(UNDECIDED, None, atom + 1, float(residual))
         if residual <= params.tol:
             cert = {
                 "weights": weights,
@@ -520,18 +492,7 @@ def in_min_cone(m: np.ndarray, dims, params: FeasibilityParams,
 # ---------------------------------------------------------------------------
 
 
-def effect_in_shadow_cone(f: np.ndarray, dims, tol: float = 1e-8) -> ConeMembershipResult:
-    """Shadow effects are exactly the positive operators inside the ss block.
-
-    Entangled such operators exist (see the unextendible-product-basis
-    state), which is how the boxtimes cone is separated from the maximal
-    cone.
-    """
-    f = require_ss_support(f, dims)
-    w, v = np.linalg.eigh(sym_part(f))
-    lam = float(w[0])
-    if lam >= -tol:
-        return ConeMembershipResult(MEMBER, {"eigenvalues": w, "eigenvectors": v}, 1,
-                                    max(0.0, -lam))
-    cert = {"witness_vector": v[:, 0], "eigenvalue": lam}
-    return ConeMembershipResult(NON_MEMBER, cert, 1, -lam)
+# Shadow effects are exactly the positive operators inside the ss block.
+# Entangled such operators exist (see the unextendible-product-basis state),
+# which is how the boxtimes cone is separated from the maximal cone.
+effect_in_shadow_cone = in_positive_ss_cone

@@ -3,8 +3,7 @@
 Everything else in the package is built on the operations here: the trace
 inner product Tr(a b^T), the symmetric/antisymmetric splitting of a real
 matrix, Kronecker products, a symmetric eigensolver, and seeded random
-matrices.  Operators are plain float64 numpy arrays; callers that accept
-untrusted input should validate through :func:`as_operator`.
+matrices.  Operators are plain float64 numpy arrays.
 
 All randomness flows through :func:`rng_from_seed`, which builds a Philox
 (counter-based) generator from an explicit 64-bit seed, so every stochastic
@@ -23,32 +22,11 @@ from .errors import DimensionMismatch, EigenConvergenceError
 # ||M - M^T||_max <= SYMMETRY_RTOL * (1 + ||M||_max).
 SYMMETRY_RTOL = 1e-10
 
-# Eigendecomposition contract tolerance (reconstruction and orthonormality).
-EIG_TOL = 1e-10
-
-
-def as_operator(m) -> np.ndarray:
-    """Validate and convert input to a square float64 matrix.
-
-    Rejects non-square shapes and non-finite entries; accepts anything
-    np.asarray understands (nested lists, integer matrices, ...).
-    """
-    a = np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
-    return a
-
 
 def max_norm(m: np.ndarray) -> float:
     """Entrywise max-abs norm; 0.0 for empty input."""
     m = np.asarray(m)
     return float(np.max(np.abs(m))) if m.size else 0.0
-
-
-def frobenius_norm(m: np.ndarray) -> float:
-    return float(np.linalg.norm(np.asarray(m, dtype=float)))
 
 
 def trace_inner(a: np.ndarray, b: np.ndarray) -> float:
@@ -82,10 +60,6 @@ def symmetry_defect(a: np.ndarray) -> float:
 
 def is_symmetric(a: np.ndarray, rtol: float = SYMMETRY_RTOL) -> bool:
     return symmetry_defect(a) <= rtol * (1 + max_norm(a))
-
-
-def is_antisymmetric(a: np.ndarray, rtol: float = SYMMETRY_RTOL) -> bool:
-    return max_norm(a + a.T) <= rtol * (1 + max_norm(a))
 
 
 def require_symmetric(a: np.ndarray, what: str = "matrix") -> np.ndarray:
@@ -145,12 +119,6 @@ def is_psd(m: np.ndarray, tol: float = 1e-9) -> bool:
     return min_eigenvalue(m) >= -tol
 
 
-def psd_clip(m: np.ndarray) -> np.ndarray:
-    """Nearest positive semidefinite matrix (negative eigenvalues zeroed)."""
-    w, v = np.linalg.eigh(sym_part(np.asarray(m, dtype=float)))
-    return (v * np.clip(w, 0.0, None)) @ v.T
-
-
 def trace_norm(m: np.ndarray) -> float:
     """Sum of absolute eigenvalues of a symmetric matrix."""
     m = np.asarray(m, dtype=float)
@@ -188,12 +156,3 @@ def random_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-ish random orthogonal matrix via sign-fixed QR."""
     q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
     return q * np.sign(np.diag(r))
-
-
-def random_unit_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
-    v = rng.standard_normal(dim)
-    n = np.linalg.norm(v)
-    while n < 1e-12:  # pragma: no cover - essentially impossible
-        v = rng.standard_normal(dim)
-        n = np.linalg.norm(v)
-    return v / n

@@ -1,10 +1,8 @@
 """Linear processes on operator space and their shadows.
 
 A process is stored as a real matrix over the grading coordinates of its
-input and output operator spaces.  The grading basis of a factor list
-(d_1, ..., d_n) concatenates, in binary pattern order (s < a per factor),
-the Kronecker products of one-factor symmetric/antisymmetric basis elements;
-for two factors this is the familiar ss, sa, as, aa ordering and the
+input and output operator spaces (the grading basis of
+:mod:`ltshadow.blocks`; for two factors the ss, sa, as, aa ordering).  The
 coordinates are orthonormal, so matrix transpose is the trace-inner-product
 adjoint.
 
@@ -17,20 +15,12 @@ then the shadow-to-shadow block.
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import (
-    antisymmetric_basis,
-    build_block_basis,
-    project_block,
-    random_ss_matrix,
-    symmetric_basis,
-)
+from .blocks import grading_basis
 from .cones import FeasibilityParams
 from .errors import DimensionMismatch, NotLocallyPositive
 from .linalg import (
@@ -38,93 +28,13 @@ from .linalg import (
     max_norm,
     min_eigenvalue,
     random_orthogonal,
-    random_symmetric,
     rng_from_seed,
     sym_part,
 )
 from .shadow import local_shadow_matrix
 
 _STREAM_POSITIVITY = 11
-_STREAM_CENSUS = 12
 _STREAM_GENERATOR = 13
-
-
-def grading_patterns(n_factors: int) -> tuple[str, ...]:
-    """Pattern strings over {s, a} in binary order, e.g. (ss, sa, as, aa)."""
-    return tuple(
-        "".join(bits) for bits in itertools.product("sa", repeat=n_factors)
-    )
-
-
-@dataclass(frozen=True)
-class GradingBasis:
-    dims: tuple[int, ...]
-    patterns: tuple[str, ...]
-    slices: dict
-    stacked: np.ndarray  # (n_elements, D^2) vectorized orthonormal basis
-
-    @property
-    def dim(self) -> int:
-        return math.prod(self.dims)
-
-    @property
-    def size(self) -> int:
-        return self.stacked.shape[0]
-
-    def pattern_slice(self, pattern: str) -> slice:
-        return self.slices[pattern]
-
-    @property
-    def shadow_pattern(self) -> str:
-        return "s" * len(self.dims)
-
-    @property
-    def kernel_patterns(self) -> tuple[str, ...]:
-        """Even-antisymmetric patterns other than all-s: the shadow kernel."""
-        return tuple(
-            p for p in self.patterns
-            if p.count("a") >= 2 and p.count("a") % 2 == 0
-        )
-
-    @property
-    def odd_patterns(self) -> tuple[str, ...]:
-        """Patterns spanning the antisymmetric part of the global space."""
-        return tuple(p for p in self.patterns if p.count("a") % 2 == 1)
-
-    def indices(self, patterns) -> np.ndarray:
-        idx: list[int] = []
-        for p in patterns:
-            s = self.slices[p]
-            idx.extend(range(s.start, s.stop))
-        return np.asarray(idx, dtype=int)
-
-
-@functools.lru_cache(maxsize=None)
-def grading_basis(dims: tuple[int, ...]) -> GradingBasis:
-    dims = tuple(int(d) for d in dims)
-    if not dims or any(d < 1 for d in dims):
-        raise DimensionMismatch(f"factor dimensions must be >= 1, got {dims}")
-    patterns = grading_patterns(len(dims))
-    elements: list[np.ndarray] = []
-    slices: dict[str, slice] = {}
-    for pattern in patterns:
-        start = len(elements)
-        factor_bases = [
-            symmetric_basis(d) if c == "s" else antisymmetric_basis(d)
-            for d, c in zip(dims, pattern)
-        ]
-        for combo in itertools.product(*factor_bases):
-            acc = combo[0]
-            for f in combo[1:]:
-                acc = kron(acc, f)
-            elements.append(acc)
-        slices[pattern] = slice(start, len(elements))
-    d = math.prod(dims)
-    stacked = (
-        np.stack([e.ravel() for e in elements]) if elements else np.zeros((0, d * d))
-    )
-    stacked.flags.writeable = False
-    return GradingBasis(dims=dims, patterns=patterns, slices=slices, stacked=stacked)
 
 
 def to_coords(x: np.ndarray, dims) -> np.ndarray:
@@ -379,7 +289,7 @@ def shadow_of_map(proc: LinearProcess) -> LinearProcess:
 
 
 # ---------------------------------------------------------------------------
-# Positivity of maps (heuristic) and effect census
+# Positivity of maps (heuristic)
 # ---------------------------------------------------------------------------
 
 POSITIVE = "positive"
@@ -433,39 +343,6 @@ def is_positive_map_heuristic(proc: LinearProcess,
     if best_val < -tol / 2:
         return PositiveMapVerdict(UNDECIDED, best_val, best_x)
     return PositiveMapVerdict(POSITIVE, best_val)
-
-
-def effect_local_positivity_census(dims, n_samples: int, seed: int,
-                                   shadow_only: bool = False) -> float:
-    """Fraction of random effects (PSD, <= identity) that are locally positive.
-
-    Random spectra are continuous, so effects with an exactly vanishing
-    kernel component form a measure-zero set: the fraction is 0.0 unless
-    sampling is restricted to shadow-supported effects, where it is 1.0 by
-    construction.
-    """
-    dims = tuple(int(d) for d in dims)
-    da, db = dims
-    d = da * db
-    basis = build_block_basis(da, db)
-    rng = rng_from_seed(seed, _STREAM_CENSUS)
-    hits = 0
-    for _ in range(n_samples):
-        m = random_ss_matrix(da, db, rng) if shadow_only else random_symmetric(d, rng)
-        w = np.linalg.eigvalsh(m)
-        span = float(w[-1] - w[0])
-        if span < 1e-12:
-            f = np.eye(d) / 2
-        else:
-            f = (m - w[0] * np.eye(d)) / span
-        if effect_is_locally_positive(f, basis):
-            hits += 1
-    return hits / n_samples
-
-
-def effect_is_locally_positive(f: np.ndarray, basis) -> bool:
-    defect = max_norm(project_block(np.asarray(f, dtype=float), basis, "aa"))
-    return defect <= 1e-12 * (1 + max_norm(f))
 
 
 # ---------------------------------------------------------------------------

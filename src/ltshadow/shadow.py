@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocks import build_block_basis, project_block, symmetric_basis
+from .blocks import build_block_basis, symmetric_basis
 from .errors import DimensionMismatch, SupportViolation
-from .linalg import kron, max_norm
+from .linalg import kron, max_norm, sym_part
 
 INDISTINGUISHABILITY_TOL = 1e-9
 SHADOW_SUPPORT_TOL = 1e-9
@@ -71,6 +71,21 @@ def shadow_support_defect(m: np.ndarray, dims) -> float:
     return max_norm(np.asarray(m, dtype=float) - local_shadow_matrix(m, dims))
 
 
+def require_shadow_support(m: np.ndarray, dims) -> np.ndarray:
+    """M as a float array, or SupportViolation if it leaves the shadow subspace.
+
+    The package's one shadow-support test: the defect may be at most
+    SHADOW_SUPPORT_TOL * (1 + ||M||_max).
+    """
+    m = np.asarray(m, dtype=float)
+    defect = shadow_support_defect(m, dims)
+    if defect > SHADOW_SUPPORT_TOL * (1 + max_norm(m)):
+        raise SupportViolation(
+            f"matrix is not supported on the shadow subspace (defect {defect:.3e})"
+        )
+    return m
+
+
 def kernel_component_norm(w: np.ndarray, dims) -> float:
     """Frobenius norm of the part of W invisible to local agents."""
     diff = np.asarray(w, dtype=float) - local_shadow_matrix(w, dims)
@@ -93,12 +108,7 @@ class ShadowState:
     def __post_init__(self):
         dims = _check_dims(self.op, self.dims)
         object.__setattr__(self, "dims", dims)
-        op = np.asarray(self.op, dtype=float)
-        defect = shadow_support_defect(op, dims)
-        if defect > SHADOW_SUPPORT_TOL * (1 + max_norm(op)):
-            raise SupportViolation(
-                f"matrix is not supported on the shadow subspace (defect {defect:.3e})"
-            )
+        op = require_shadow_support(self.op, dims)
         op.flags.writeable = False
         object.__setattr__(self, "op", op)
 
@@ -170,10 +180,14 @@ def kron_all(factors) -> np.ndarray:
 
 def locally_indistinguishable(w1: np.ndarray, w2: np.ndarray, dims,
                               tol: float = INDISTINGUISHABILITY_TOL) -> bool:
-    """True iff the two states have the same shadow within tol (max-norm)."""
+    """True iff the two states have the same shadow within tol.
+
+    The tolerance is relative to the larger input (max-norm), so the answer
+    does not change when both states are scaled by the same factor.
+    """
     s1 = local_shadow_matrix(w1, dims)
     s2 = local_shadow_matrix(w2, dims)
-    return max_norm(s1 - s2) <= tol
+    return max_norm(s1 - s2) <= tol * max(max_norm(w1), max_norm(w2))
 
 
 def fiber_basis(dims) -> list[np.ndarray]:
@@ -190,9 +204,10 @@ def fiber_basis(dims) -> list[np.ndarray]:
 
 
 def aa_projection(w: np.ndarray, dims) -> np.ndarray:
-    """Component of a bipartite operator in the shadow kernel (aa block)."""
-    dims = _check_dims(w, dims)
-    if len(dims) != 2:
-        raise DimensionMismatch("aa_projection is defined for two factors")
-    basis = build_block_basis(dims[0], dims[1])
-    return project_block(np.asarray(w, dtype=float), basis, "aa")
+    """Component of W in the shadow kernel: its symmetric part minus its shadow.
+
+    For two factors this is the aa block; for more, every block with an even,
+    nonzero number of antisymmetric factors.
+    """
+    shadow = local_shadow_matrix(w, dims)
+    return sym_part(w) - shadow

@@ -16,7 +16,7 @@ import numpy as np
 
 from .cones import FeasibilityParams, product_form_extremum
 from .errors import DimensionMismatch
-from .linalg import kron, trace_inner
+from .linalg import kron
 
 _STREAM_MARGIN = 21
 
@@ -124,9 +124,3 @@ def separating_max_cone_form(family: ProductVectorFamily | None = None,
     x = family.span_projector() - (1 - safety) * margin * np.eye(da * db)
     rho = upb_state(family)
     return x, rho, margin
-
-
-def separation_pairing(family: ProductVectorFamily | None = None,
-                       seed: int = 0, safety: float = 0.1) -> float:
-    x, rho, _ = separating_max_cone_form(family, seed, safety)
-    return trace_inner(rho, x)

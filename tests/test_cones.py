@@ -1,8 +1,11 @@
 """Cone oracles: verdicts, certificates, replay, and the inclusion chain."""
 
+import json
+
 import numpy as np
 import pytest
 
+from ltshadow import cli
 from ltshadow.blocks import random_ss_matrix
 from ltshadow.cones import (
     MEMBER,
@@ -247,6 +250,32 @@ def test_min_cone_entangled_pure_state():
 def test_min_cone_maximally_mixed_is_separable():
     res = in_min_cone(np.eye(4) / 4, (2, 2), PARAMS)
     assert res.verdict == MEMBER
+
+
+def nnls_stall_mixture():
+    """Three-atom separable (2,2) mixture on which scipy's NNLS refit hits
+    its iteration cap during the matching pursuit."""
+    rng = np.random.default_rng(5)
+    m = np.zeros((4, 4))
+    for _ in range(3):
+        x = rng.standard_normal(2)
+        x /= np.linalg.norm(x)
+        y = rng.standard_normal(2)
+        y /= np.linalg.norm(y)
+        m += rng.uniform(0.2, 1) * np.kron(np.outer(x, x), np.outer(y, y))
+    return m / np.trace(m)
+
+
+def test_min_cone_nnls_failure_is_undecided(tmp_path, capsys):
+    m = nnls_stall_mixture()
+    res = in_min_cone(m, (2, 2), FeasibilityParams(seed=0))
+    assert res.verdict == UNDECIDED
+    assert np.isfinite(res.residual) and res.iterations >= 1
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"dims": [2, 2], "rows": m.tolist()}))
+    code = cli.main(["cone", "--cone", "min", "--seed", "0", "-i", str(path)])
+    assert code == 4
+    assert json.loads(capsys.readouterr().out)["verdict"] == UNDECIDED
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,188 @@
+"""Metamorphic properties: merged code paths agree, and oracle verdicts
+respect the symmetries of the cones (positive scaling, local orthogonal
+conjugation O_A x O_B, factor swap).
+
+The oracles' tol is absolute, so inputs are built with a margin m to the
+cone boundary and scaled by c in [1e-3, 1e3] with c * m far above tol: the
+properties test the symmetries, not the tolerance band.
+"""
+
+import numpy as np
+from hypothesis import assume, given, settings, strategies as st
+from scipy.optimize import minimize_scalar
+
+from ltshadow.blocks import build_block_basis, project_block, random_ss_matrix
+from ltshadow.cones import (
+    MEMBER,
+    NON_MEMBER,
+    FeasibilityParams,
+    in_boxtimes_cone,
+    in_positive_ss_cone,
+    replay_boxtimes_member,
+    replay_separating_functional,
+    require_ss_support,
+)
+from ltshadow.errors import SupportViolation
+from ltshadow.linalg import kron, max_norm, min_eigenvalue, random_orthogonal, rng_from_seed
+from ltshadow.shadow import SHADOW_SUPPORT_TOL, ShadowState, aa_projection, fiber_basis, local_shadow_matrix
+
+DIMS = [(2, 2), (2, 3), (3, 3)]
+TOL = 1e-8
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+seeds = st.integers(0, 2**32 - 1)
+dims_st = st.sampled_from(DIMS)
+scales = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
+margins = st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(0.05, 1.0)).map(lambda p: p[0] * p[1])
+symmetries = st.sampled_from(["scale", "local", "swap"])
+
+
+def swap(m, dims):
+    """Conjugation by the tensor swap; the result lives on dims reversed."""
+    da, db = dims
+    return m.reshape(da, db, da, db).transpose(1, 0, 3, 2).reshape(da * db, da * db)
+
+
+def transform(m, dims, symmetry, c, rng):
+    """Apply one cone symmetry (always with the scaling by c)."""
+    m = c * m
+    if symmetry == "local":
+        o = kron(random_orthogonal(dims[0], rng), random_orthogonal(dims[1], rng))
+        return o @ m @ o.T, dims
+    if symmetry == "swap":
+        return swap(m, dims), dims[::-1]
+    return m, dims
+
+
+def assert_psd_ss_certificate_replays(m, res):
+    cert = res.certificate
+    if res.verdict == MEMBER:
+        w, v = cert["eigenvalues"], cert["eigenvectors"]
+        assert w[0] >= -TOL
+        assert max_norm((v * w) @ v.T - m) <= 1e-12 * (1 + max_norm(m))
+    else:
+        v = cert["witness_vector"]
+        assert abs(np.linalg.norm(v) - 1) <= 1e-12
+        assert v @ m @ v < -TOL
+
+
+def assert_boxtimes_certificate_replays(m, dims, res):
+    if res.verdict == MEMBER:
+        assert replay_boxtimes_member(m, dims, res.certificate["kernel_offset"], psd_tol=TOL)
+    else:
+        ok, _, _ = replay_separating_functional(m, dims, res.certificate["separating_functional"], TOL)
+        assert ok
+
+
+def kernel_line_maximum(r):
+    """max over t of lambda_min(R + t K) on (2, 2), by bounded scalar search.
+
+    Independent of the oracle's own golden-section search; the function is
+    concave, so the bounded Brent search finds the maximum.
+    """
+    (k,) = fiber_basis((2, 2))
+    bound = 16.0 * (max_norm(r) + 1.0)
+    opt = minimize_scalar(lambda t: -min_eigenvalue(r + t * k), bounds=(-bound, bound),
+                          method="bounded", options={"xatol": 1e-12})
+    return -opt.fun
+
+
+# ---------------------------------------------------------------------------
+# merged paths
+# ---------------------------------------------------------------------------
+
+
+@PROPERTY
+@given(seed=seeds, dims=dims_st)
+def test_aa_projection_matches_basis_projection(seed, dims):
+    d = dims[0] * dims[1]
+    w = rng_from_seed(seed).standard_normal((d, d))
+    expected = project_block(w, build_block_basis(*dims), "aa")
+    assert max_norm(aa_projection(w, dims) - expected) <= 1e-13
+
+
+@PROPERTY
+@given(seed=seeds, dims=dims_st, exponent=st.floats(-14.0, -4.0))
+def test_support_checks_agree(seed, dims, exponent):
+    """require_ss_support and ShadowState accept and reject the same inputs,
+    and agree with the basis projection away from the threshold."""
+    rng = rng_from_seed(seed)
+    d = dims[0] * dims[1]
+    off = rng.standard_normal((d, d))
+    off -= project_block(off, build_block_basis(*dims), "ss")
+    m = random_ss_matrix(*dims, rng) + 10.0**exponent * off / max_norm(off)
+
+    def accepts(check):
+        try:
+            check()
+        except SupportViolation:
+            return False
+        return True
+
+    by_cones = accepts(lambda: require_ss_support(m, dims))
+    by_state = accepts(lambda: ShadowState(op=m, dims=dims))
+    assert by_cones == by_state
+    defect = max_norm(m - project_block(m, build_block_basis(*dims), "ss"))
+    threshold = SHADOW_SUPPORT_TOL * (1 + max_norm(m))
+    if defect < threshold / 2:
+        assert by_cones
+    if defect > 2 * threshold:
+        assert not by_cones
+
+
+@PROPERTY
+@given(seed=seeds, dims=dims_st)
+def test_shadow_is_idempotent_and_kernel_invariant(seed, dims):
+    rng = rng_from_seed(seed)
+    d = dims[0] * dims[1]
+    w = rng.standard_normal((d, d))
+    s = local_shadow_matrix(w, dims)
+    assert max_norm(local_shadow_matrix(s, dims) - s) <= 1e-15 * (1 + max_norm(s))
+    k = sum(float(c) * kb for c, kb in zip(rng.standard_normal(d * d), fiber_basis(dims)))
+    assert max_norm(local_shadow_matrix(w + k, dims) - s) <= 1e-13 * (1 + max_norm(k))
+
+
+# ---------------------------------------------------------------------------
+# oracle symmetries and certificate replay
+# ---------------------------------------------------------------------------
+
+
+@PROPERTY
+@given(seed=seeds, dims=dims_st, margin=margins, c=scales, symmetry=symmetries)
+def test_positive_ss_verdict_respects_symmetries(seed, dims, margin, c, symmetry):
+    rng = rng_from_seed(seed)
+    r = random_ss_matrix(*dims, rng)
+    m = r + (margin - min_eigenvalue(r)) * np.eye(r.shape[0])  # lambda_min(m) = margin
+    expected = MEMBER if margin > 0 else NON_MEMBER
+    res = in_positive_ss_cone(m, dims, tol=TOL)
+    assert res.verdict == expected
+    assert_psd_ss_certificate_replays(m, res)
+    mt, dims_t = transform(m, dims, symmetry, c, rng)
+    res_t = in_positive_ss_cone(mt, dims_t, tol=TOL)
+    assert res_t.verdict == expected
+    assert_psd_ss_certificate_replays(mt, res_t)
+
+
+@settings(PROPERTY, max_examples=25)
+@given(seed=seeds, margin=margins, c=scales, symmetry=symmetries)
+def test_boxtimes_verdict_respects_symmetries(seed, margin, c, symmetry):
+    # A non-member's separating functional comes from the projection gap,
+    # whose pairing with M is about -(c * margin)^2; its replay against the
+    # absolute tol needs c * |margin| well above sqrt(tol).
+    assume(c * abs(margin) >= 1e-3)
+    dims = (2, 2)
+    rng = rng_from_seed(seed)
+    # the shadow of a rank-2 state: often not PSD, so the line search runs
+    a = rng.standard_normal((4, 2))
+    r = local_shadow_matrix(a @ a.T, dims)
+    m = r + (margin - kernel_line_maximum(r)) * np.eye(4)  # best offset has lambda_min = margin
+    expected = MEMBER if margin > 0 else NON_MEMBER
+    params = FeasibilityParams(seed=seed, tol=TOL)
+    res = in_boxtimes_cone(m, dims, params)
+    assert res.verdict == expected
+    assert_boxtimes_certificate_replays(m, dims, res)
+    mt, dims_t = transform(m, dims, symmetry, c, rng)
+    res_t = in_boxtimes_cone(mt, dims_t, params)
+    assert res_t.verdict == expected
+    assert_boxtimes_certificate_replays(mt, dims_t, res_t)

@@ -1,4 +1,4 @@
-"""Process block matrices, local positivity, shadows of maps, census."""
+"""Process block matrices, local positivity, shadows of maps."""
 
 import numpy as np
 import pytest
@@ -17,7 +17,6 @@ from ltshadow.processes import (
     block_matrix,
     conjugation_process,
     effect_functional,
-    effect_local_positivity_census,
     epsilon_functional,
     from_coords,
     grading_basis,
@@ -246,14 +245,6 @@ def test_trace_unit_process_blocks():
     assert max_norm(blocks.phi_sa) == 0.0
     assert max_norm(blocks.phi_aa) == 0.0
     np.testing.assert_allclose(proc.apply(np.eye(4)), np.eye(4), atol=1e-12)
-
-
-def test_census_continuous_sampling_never_locally_positive():
-    assert effect_local_positivity_census((2, 2), 1000, seed=61) == 0.0
-
-
-def test_census_shadow_supported_always_locally_positive():
-    assert effect_local_positivity_census((2, 2), 200, seed=62, shadow_only=True) == 1.0
 
 
 def test_unit_effect_is_locally_positive():

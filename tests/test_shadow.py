@@ -139,6 +139,16 @@ def test_locally_indistinguishable():
     assert not locally_indistinguishable(kron(px, py), kron(py, px), (2, 2))
 
 
+@pytest.mark.parametrize("scale", [1e-9, 1.0, 1e10])
+def test_locally_indistinguishable_is_scale_invariant(scale):
+    rng = rng_from_seed(29)
+    rho = random_density(9, rng)
+    k = sum(float(c) * kb for c, kb in zip(rng.standard_normal(4), fiber_basis((3, 3))))
+    t = 0.5 * float(np.linalg.eigvalsh(rho)[0]) / max_norm(k)
+    assert locally_indistinguishable(scale * rho, scale * (rho + t * k), (3, 3))
+    assert not locally_indistinguishable(scale * rho, 2 * scale * rho, (3, 3))
+
+
 def test_fiber_basis_dimensions():
     (el,) = fiber_basis((2, 2))
     target = kron(J, J) / 2
