@@ -10,10 +10,10 @@ Subcommands:
 
 All input and output is JSON (see serialize).  Stochastic subcommands
 require an explicit seed and echo it in the output.  Exit codes: 0 success,
-1 a check of ``examples`` failed, 2 malformed input, 3 dimension mismatch,
-4 infeasible or undecided where a decision was required, 5 internal numeric
-failure.  Output is byte-identical across runs for identical (input, flags,
-seed).
+1 a check of ``examples`` failed, 2 malformed input, 3 dimension mismatch
+or a factor above 9, 4 infeasible or undecided where a decision was
+required, 5 internal numeric failure.  Output is byte-identical across runs
+for identical (input, flags, seed).
 """
 
 from __future__ import annotations
@@ -67,6 +67,9 @@ EXIT_DIMENSION = 3
 EXIT_UNDECIDED = 4
 EXIT_NUMERIC = 5
 
+# Largest supported factor dimension; larger factors exit EXIT_DIMENSION.
+MAX_FACTOR_DIM = 9
+
 
 def _parse_dims(text: str) -> tuple[int, ...]:
     try:
@@ -112,6 +115,10 @@ def _resolve_dims(file_dims, arg_dims, dim: int) -> tuple[int, ...]:
     if math.prod(dims) != dim:
         raise DimensionMismatch(
             f"dims {list(dims)} have product {math.prod(dims)}, matrix has dimension {dim}"
+        )
+    if any(d > MAX_FACTOR_DIM for d in dims):
+        raise DimensionMismatch(
+            f"dims {list(dims)}: factors above {MAX_FACTOR_DIM} are not supported"
         )
     return dims
 

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .blocks import build_block_basis, project_block
 from .errors import DimensionMismatch
@@ -349,7 +348,9 @@ def _boxtimes_projection(m: np.ndarray, dims, params: FeasibilityParams) -> Cone
             break
         a = a_next
     if gap is not None:
-        ok, fh, pairing = replay_separating_functional(m, dims, gap, tol)
+        # Unit trace makes the pairing scale like M rather than like M^2, so
+        # the replay's absolute tol does not reject certificates at small scale.
+        ok, fh, pairing = replay_separating_functional(m, dims, gap / np.trace(gap), tol)
         if ok:
             return ConeMembershipResult(
                 NON_MEMBER, {"separating_functional": fh, "pairing": pairing}, it, -pairing
@@ -442,6 +443,10 @@ def in_min_cone(m: np.ndarray, dims, params: FeasibilityParams,
                  fires (no product vector in range(M));
     undecided  - neither search concluded, or the NNLS refit failed.
     """
+    # Imported here: loading scipy.optimize takes longer than the rest of
+    # `import ltshadow.cli`, and only this oracle uses it.
+    from scipy.optimize import nnls
+
     m = require_ss_support(m, dims)
     dims = _as_bipartite(dims)
 

@@ -7,10 +7,16 @@ shadows measures how non-deterministic that process looks locally;
 locally positive maps collapse the pushed set to a point, anything else
 spreads it.
 
-The sampler is hit-and-run inside the fiber: random kernel directions, exact
-feasible-segment endpoints by concave root bracketing of the minimum
-eigenvalue along the line, uniform draw on the segment.  Coverage, not a
-certified uniform law, is the goal; the spread summaries (trace-norm
+The sampler is hit-and-run inside the fiber: a random kernel direction D,
+the exact feasible segment through the current point x, and a uniform draw
+on it.  With x = V diag(w) V^T and R = V diag(w)^{-1/2}, the point x + aD is
+positive exactly when I + a R^T D R is, so the extreme eigenvalues mu_min <
+0 < mu_max of R^T D R give both ends at once, a in [-1/mu_max, -1/mu_min]:
+two eigensolves per step.  Eigenvalues of x below a floor (EIG_FLOOR times
+the scale of the start point) are raised to the floor, which stands in for
+a null-space test on rank-deficient x: a direction that leaves a face of the
+cone gets a step of order the floor, so pure states stay rigid.  Coverage,
+not a certified uniform law, is the goal; the spread summaries (trace-norm
 diameter and mean pairwise distance) are pragmatic choices, not canonical
 ones.
 """
@@ -23,7 +29,7 @@ import numpy as np
 
 from .cones import FeasibilityParams, in_boxtimes_cone, MEMBER
 from .errors import InfeasibleShadow
-from .linalg import max_norm, min_eigenvalue, rng_from_seed, trace_norm
+from .linalg import max_norm, min_eigenvalue, rng_from_seed, sym_part
 from .processes import LinearProcess
 from .shadow import ShadowState, fiber_basis, local_shadow_matrix
 
@@ -31,6 +37,10 @@ DET_TOL = 1e-7
 REP_PSD_TOL = 1e-9
 REP_TRACE_TOL = 1e-9
 REP_SHADOW_TOL = 1e-8
+# Eigenvalue floor of the hit-and-run endpoint formula, relative to the scale
+# of the start point: it bounds both the step a direction leaving a face of
+# the cone can take and how far one step can push an eigenvalue below zero.
+EIG_FLOOR = 1e-12
 
 _STREAM_HIT_AND_RUN = 31
 
@@ -82,35 +92,26 @@ def _feasible_start(shadow: ShadowState, params: FeasibilityParams) -> np.ndarra
     return shadow.op + result.certificate["kernel_offset"]
 
 
-def _segment_endpoint(x: np.ndarray, direction: np.ndarray, sign: float,
-                      scale: float) -> float:
-    """Largest alpha >= 0 with lambda_min(x + sign*alpha*direction) >= 0.
+def _feasible_interval(x: np.ndarray, direction: np.ndarray,
+                       floor: float) -> tuple[float, float]:
+    """(a_minus, a_plus) with x + alpha*direction PSD for -a_minus <= alpha <= a_plus.
 
-    The minimum eigenvalue is concave along the line, so the feasible set is
-    an interval; expand exponentially to bracket the boundary, then bisect.
+    With x = V diag(w) V^T and R = V diag(max(w, floor))^{-1/2}, the matrix
+    x + alpha*D is congruent to I + alpha*R^T D R, so the interval ends are
+    -1/mu_min and 1/mu_max of mu = eig(R^T D R) (Smith's hit-and-run).
+    Eigenvalues below ``floor`` are raised to it: a direction that leaves a
+    face of the cone gets a step of order ``floor``, and every point of the
+    interval has lambda_min >= min(lambda_min(x), 0) - floor.  Both ends are
+    0 when x itself is not positive within REP_PSD_TOL.
     """
-    def lam(alpha: float) -> float:
-        return min_eigenvalue(x + sign * alpha * direction)
-
-    if lam(0.0) < -REP_PSD_TOL:
-        return 0.0
-    hi = 0.25 * scale
-    for _ in range(60):
-        if lam(hi) < 0.0:
-            break
-        hi *= 2.0
-    else:  # pragma: no cover - the trace-1 slice of the PSD cone is bounded
-        return hi
-    lo = 0.0
-    for _ in range(80):
-        mid = (lo + hi) / 2
-        if lam(mid) >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12 * scale:
-            break
-    return lo
+    w, v = np.linalg.eigh(sym_part(x))
+    if w[0] < -REP_PSD_TOL:
+        return 0.0, 0.0
+    r = v / np.sqrt(np.maximum(w, floor))
+    mu = np.linalg.eigvalsh(sym_part(r.T @ direction @ r))
+    # D is a nonzero traceless kernel element; R^T D R is congruent to it, so
+    # (Sylvester's law of inertia) mu has both signs.
+    return 1.0 / float(mu[-1]), -1.0 / float(mu[0])
 
 
 def sample_fiber(shadow: ShadowState, n: int, seed: int,
@@ -139,8 +140,10 @@ def sample_fiber(shadow: ShadowState, n: int, seed: int,
                            n_requested=n, n_accepted=1, kernel_dim=0)
 
     start = _feasible_start(shadow, params)
+    kernel = np.stack(kernel)
     rng = rng_from_seed(seed, _STREAM_HIT_AND_RUN)
     scale = 1.0 + max_norm(start)
+    floor = EIG_FLOOR * scale
     x = start
     reps: list[np.ndarray] = []
     rejected = 0
@@ -148,9 +151,8 @@ def sample_fiber(shadow: ShadowState, n: int, seed: int,
     for step in range(total_steps):
         direction = rng.standard_normal(k)
         direction /= np.linalg.norm(direction)
-        d_mat = sum(float(c) * kb for c, kb in zip(direction, kernel))
-        a_plus = _segment_endpoint(x, d_mat, +1.0, scale)
-        a_minus = _segment_endpoint(x, d_mat, -1.0, scale)
+        d_mat = np.tensordot(direction, kernel, axes=1)
+        a_minus, a_plus = _feasible_interval(x, d_mat, floor)
         alpha = rng.uniform(-a_minus, a_plus)
         x = x + alpha * d_mat
         if step < burn_in:
@@ -197,15 +199,16 @@ def push_and_spread(sample: FiberSample, proc: LinearProcess,
     if n == 0:
         return SpreadReport(n=0, diameter=0.0, mean_pairwise=0.0,
                             deterministic=True, excluded=excluded)
+    stack = np.stack(shadows)
+    stack = (stack + stack.transpose(0, 2, 1)) / 2
     diameter = 0.0
     total = 0.0
-    pairs = 0
-    for i in range(n):
-        for j in range(i):
-            d = trace_norm(shadows[i] - shadows[j])
-            diameter = max(diameter, d)
-            total += d
-            pairs += 1
+    for i in range(1, n):
+        # One stacked solve per row keeps memory at n matrices, not n^2.
+        norms = np.abs(np.linalg.eigvalsh(stack[i] - stack[:i])).sum(axis=-1)
+        diameter = max(diameter, float(norms.max()))
+        total += float(norms.sum())
+    pairs = n * (n - 1) // 2
     mean = total / pairs if pairs else 0.0
     return SpreadReport(n=n, diameter=diameter, mean_pairwise=mean,
                         deterministic=diameter <= det_tol, excluded=excluded)

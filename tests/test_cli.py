@@ -38,6 +38,14 @@ def test_version():
     assert proc.stdout.strip() == "0.1.0"
 
 
+def test_cli_import_leaves_scipy_optimize_out():
+    code = "import sys, ltshadow.cli; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_shadow_command_epr(tmp_path):
     proc = run_cli(["shadow", "--dims", "2,2"], stdin_text=epr_json())
     assert proc.returncode == 0, proc.stderr
@@ -90,6 +98,17 @@ def test_malformed_json_exit_2():
 def test_dimension_mismatch_exit_3():
     proc = run_cli(["decompose", "--dims", "3,3"], stdin_text=epr_json())
     assert proc.returncode == 3
+
+
+def test_factor_above_nine_exit_3():
+    m = np.eye(20) / 20
+    proc = run_cli(["shadow"], stdin_text=dumps(matrix_to_json(m, dims=(10, 2))))
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    proc = run_cli(["shadow", "--dims", "2,10"], stdin_text=dumps(matrix_to_json(m)))
+    assert proc.returncode == 3
+    proc = run_cli(["shadow"], stdin_text=dumps(matrix_to_json(np.eye(18) / 18, dims=(9, 2))))
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_missing_dims_exit_3():

@@ -160,6 +160,22 @@ def test_boxtimes_kernel_free_dims():
     assert max_norm(res.certificate["kernel_offset"]) == 0.0
 
 
+@pytest.mark.parametrize("c", [1e-2, 1e-3, 1e-4, 1e-5])
+def test_boxtimes_separating_functional_scales_linearly(c):
+    """The separating functional has unit trace, so its pairing with c*M is
+    c times the pairing with M and replays far below c = sqrt(tol)."""
+    r = random_ss_matrix(2, 2, rng_from_seed(0))
+    m = r + (-0.05 - min_eigenvalue(r)) * np.eye(4)
+    res = in_boxtimes_cone(c * m, (2, 2), FeasibilityParams(seed=0))
+    assert res.verdict == NON_MEMBER
+    f = res.certificate["separating_functional"]
+    assert abs(np.trace(f) - 1.0) <= 1e-12
+    # the best kernel offset of m has lambda_min -9.44e-3
+    assert res.certificate["pairing"] == pytest.approx(-9.44e-3 * c, rel=1e-3)
+    ok, _, _ = replay_separating_functional(c * m, (2, 2), f)
+    assert ok
+
+
 # ---------------------------------------------------------------------------
 # max cone
 # ---------------------------------------------------------------------------

@@ -2,18 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ltshadow.cones import FeasibilityParams
 from ltshadow.errors import InfeasibleShadow
-from ltshadow.fiber import push_and_spread, sample_fiber
-from ltshadow.linalg import kron, max_norm, min_eigenvalue, rng_from_seed, trace_norm
+from ltshadow.fiber import EIG_FLOOR, _feasible_interval, push_and_spread, sample_fiber
+from ltshadow.linalg import kron, max_norm, min_eigenvalue, random_density, rng_from_seed, trace_norm
 from ltshadow.processes import (
     identity_process,
     random_kernel_leaking_process,
     random_locally_positive_process,
     is_locally_positive,
 )
-from ltshadow.shadow import ShadowState, aa_projection, local_shadow_matrix, lt_state
+from ltshadow.shadow import ShadowState, aa_projection, fiber_basis, local_shadow_matrix, lt_state
 
 PARAMS = FeasibilityParams(seed=401)
 
@@ -78,8 +79,6 @@ def test_sampler_never_leaves_the_fiber():
     for dims, seed in (((2, 2), 9), ((2, 3), 10)):
         d = dims[0] * dims[1]
         rng = rng_from_seed(72, d)
-        from ltshadow.linalg import random_density
-
         w = random_density(d, rng)
         state = lt_state(w, dims)
         sample = sample_fiber(state, n=30, seed=seed)
@@ -124,3 +123,81 @@ def test_determinism_equivalence_with_local_positivity():
         assert push_and_spread(sample, good).deterministic
         assert not is_locally_positive(bad).locally_positive
         assert not push_and_spread(sample, bad).deterministic
+
+
+# ---------------------------------------------------------------------------
+# exact hit-and-run endpoints
+# ---------------------------------------------------------------------------
+
+
+def kernel_direction(dims, rng):
+    """Random unit combination of the kernel basis, as the sampler draws it."""
+    kernel = np.stack(fiber_basis(dims))
+    c = rng.standard_normal(len(kernel))
+    return np.tensordot(c / np.linalg.norm(c), kernel, axes=1)
+
+
+def state_of_rank(d, rank, rng):
+    a = rng.standard_normal((d, rank))
+    x = a @ a.T
+    return x / np.trace(x)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), dims=st.sampled_from([(2, 2), (2, 3), (3, 3)]))
+def test_interval_ends_are_on_the_cone_boundary(seed, dims):
+    rng = rng_from_seed(seed)
+    d = dims[0] * dims[1]
+    x = state_of_rank(d, 2 * d, rng)  # positive definite
+    direction = kernel_direction(dims, rng)
+    scale = 1.0 + max_norm(x)
+    a_minus, a_plus = _feasible_interval(x, direction, EIG_FLOOR * scale)
+    assert a_minus > 0 and a_plus > 0
+    for end in (a_plus, -a_minus):
+        assert abs(min_eigenvalue(x + end * direction)) <= 1e-10 * scale
+        assert min_eigenvalue(x + (1 + 1e-6) * end * direction) < 0
+
+
+@pytest.mark.parametrize("dims,rank", [((2, 2), 1), ((2, 3), 1), ((3, 3), 1),
+                                       ((2, 3), 2), ((3, 3), 2)])
+def test_interval_is_a_point_at_low_rank_states(dims, rank):
+    """At these ranks every kernel direction is indefinite on the null space
+    of x, so the fiber through x is x alone.  (A rank-2 state at (2, 2) can
+    lie on a genuine segment: its 2-dimensional null space may see the one
+    kernel direction as definite.)"""
+    d = dims[0] * dims[1]
+    for k in range(20):
+        rng = rng_from_seed(74, d, rank, k)
+        x = state_of_rank(d, rank, rng)
+        a_minus, a_plus = _feasible_interval(x, kernel_direction(dims, rng),
+                                             EIG_FLOOR * (1.0 + max_norm(x)))
+        assert 0 <= a_minus + a_plus <= 1e-9
+
+
+def test_push_and_spread_matches_pairwise_loop():
+    state = lt_state(random_density(6, rng_from_seed(75)), (2, 3))
+    sample = sample_fiber(state, n=30, seed=17)
+    proc = random_kernel_leaking_process((2, 3), seed=18)
+    report = push_and_spread(sample, proc)
+    shadows = [local_shadow_matrix(proc.apply(rep), (2, 3)) for rep in sample.representatives]
+    dists = [trace_norm(shadows[i] - shadows[j])
+             for i in range(len(shadows)) for j in range(i)]
+    assert report.n == len(shadows) == 30
+    assert abs(report.diameter - max(dists)) <= 1e-12
+    assert abs(report.mean_pairwise - sum(dists) / len(dists)) <= 1e-12
+
+
+def test_sample_fiber_eigensolves_per_step(monkeypatch):
+    calls = {"n": 0}
+    for name in ("eigh", "eigvalsh"):
+        solve = getattr(np.linalg, name)
+
+        def counted(*args, _solve=solve, **kwargs):
+            calls["n"] += 1
+            return _solve(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    state = lt_state(random_density(9, rng_from_seed(76)), (3, 3))
+    sample = sample_fiber(state, n=50, seed=19, burn_in=100)
+    assert sample.n_accepted == 50
+    assert calls["n"] <= 4 * 150

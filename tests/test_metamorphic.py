@@ -3,8 +3,9 @@ respect the symmetries of the cones (positive scaling, local orthogonal
 conjugation O_A x O_B, factor swap).
 
 The oracles' tol is absolute, so inputs are built with a margin m to the
-cone boundary and scaled by c in [1e-3, 1e3] with c * m far above tol: the
-properties test the symmetries, not the tolerance band.
+cone boundary and scaled by c in [1e-3, 1e3] (boxtimes: [1e-6, 1e3] with
+c * |m| >= 10 tol) with c * m above tol: the properties test the symmetries,
+not the tolerance band.
 """
 
 import numpy as np
@@ -34,6 +35,7 @@ PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=N
 seeds = st.integers(0, 2**32 - 1)
 dims_st = st.sampled_from(DIMS)
 scales = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
+boxtimes_scales = st.floats(-6.0, 3.0).map(lambda e: 10.0**e)
 margins = st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(0.05, 1.0)).map(lambda p: p[0] * p[1])
 symmetries = st.sampled_from(["scale", "local", "swap"])
 
@@ -164,13 +166,13 @@ def test_positive_ss_verdict_respects_symmetries(seed, dims, margin, c, symmetry
     assert_psd_ss_certificate_replays(mt, res_t)
 
 
-@settings(PROPERTY, max_examples=25)
-@given(seed=seeds, margin=margins, c=scales, symmetry=symmetries)
+@settings(PROPERTY, max_examples=60)
+@given(seed=seeds, margin=margins, c=boxtimes_scales, symmetry=symmetries)
 def test_boxtimes_verdict_respects_symmetries(seed, margin, c, symmetry):
-    # A non-member's separating functional comes from the projection gap,
-    # whose pairing with M is about -(c * margin)^2; its replay against the
-    # absolute tol needs c * |margin| well above sqrt(tol).
-    assume(c * abs(margin) >= 1e-3)
+    # A non-member's separating functional is the unit-trace projection gap,
+    # whose pairing with M is about c * margin; below tol the absolute
+    # tolerance band, not the symmetry, decides the verdict.
+    assume(c * abs(margin) >= 10 * TOL)
     dims = (2, 2)
     rng = rng_from_seed(seed)
     # the shadow of a rank-2 state: often not PSD, so the line search runs
