@@ -116,11 +116,25 @@ def _resolve_dims(file_dims, arg_dims, dim: int) -> tuple[int, ...]:
         raise DimensionMismatch(
             f"dims {list(dims)} have product {math.prod(dims)}, matrix has dimension {dim}"
         )
-    if any(d > MAX_FACTOR_DIM for d in dims):
+    _check_factor_limit(dims)
+    return dims
+
+
+def _check_factor_limit(dims) -> None:
+    if any(int(d) > MAX_FACTOR_DIM for d in dims):
         raise DimensionMismatch(
             f"dims {list(dims)}: factors above {MAX_FACTOR_DIM} are not supported"
         )
-    return dims
+
+
+def _read_process(path: str):
+    # The factor limit is checked before process_from_json builds the grading
+    # bases of the dims, whose size grows like the fourth power of the factors.
+    obj = _read_json(path)
+    if isinstance(obj, dict):
+        for key in ("in_dims", "out_dims"):
+            _check_factor_limit(obj.get(key, ()))
+    return process_from_json(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +199,7 @@ def cmd_cone(args) -> tuple[dict, int]:
 
 
 def cmd_map(args) -> tuple[dict, int]:
-    proc = process_from_json(_read_json(args.input))
+    proc = _read_process(args.input)
     payload = {
         "in_dims": list(proc.in_dims),
         "out_dims": list(proc.out_dims),
@@ -234,7 +248,7 @@ def cmd_fiber(args) -> tuple[dict, int]:
         "rejected": sample.rejected,
     }
     if args.map is not None:
-        proc = process_from_json(_read_json(args.map))
+        proc = _read_process(args.map)
         report = push_and_spread(sample, proc)
         payload["spread"] = {
             "n": report.n,

@@ -7,21 +7,23 @@ as
 
 where the boxtimes cone is the set of shadows of positive global states,
 i.e. the ss-supported matrices M admitting a kernel offset K (aa-supported)
-with M + K positive semidefinite.  The maximal cone consists of forms
-nonnegative on all product effects; the dual of the boxtimes cone is the set
-of positive operators inside the ss block (see
-:func:`effect_in_shadow_cone`).
+with M + K positive semidefinite.  Its oracle is exact up to a band of
+width tol at the boundary: a small semidefinite program, solved by a
+log-barrier Newton method, returns the offset K or a separating functional.
+The maximal cone consists of forms nonnegative on all product effects; the
+dual of the boxtimes cone is the set of positive operators inside the ss
+block (see :func:`effect_in_shadow_cone`).
 
 Every ``member`` verdict carries a certificate that replays independently of
 the search that produced it; ``non_member`` verdicts carry a witness (a
 violating eigenvector, a product-effect pair, or a separating functional).
 Heuristic verdicts are flagged as such in the certificate.  ``undecided`` is
-an honest outcome for the incomplete oracles.
+an honest outcome for the incomplete oracles (min, and boxtimes inside its
+tolerance band).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +48,11 @@ UNDECIDED = "undecided"
 # optimizer noise cannot trip the criterion.
 RANGE_CRITERION_DELTA = 0.01
 
+# Newton-step cap of the boxtimes barrier solver, and the factor by which its
+# barrier weight grows after each re-centring step.
+BOXTIMES_NEWTON_STEPS = 100
+BARRIER_GROWTH = 50.0
+
 # Internal stream tags so each stochastic sub-search draws an independent,
 # reproducible stream from the caller's seed.
 _STREAM_MAX_CONE = 1
@@ -59,12 +66,9 @@ class FeasibilityParams:
 
     seed: int
     tol: float = 1e-8
-    max_iter: int = 5000
     restarts: int = 32
 
     def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
         if self.restarts < 1:
@@ -214,70 +218,25 @@ def replay_separating_functional(m: np.ndarray, dims, f: np.ndarray,
     return pairing + slack < -tol, fh, pairing
 
 
-def _boxtimes_line_search(m: np.ndarray, dims, tol: float):
-    """Exact 1-D oracle for a one-dimensional kernel (dims (2, 2)).
-
-    lambda_min(M + t K) is a minimum of linear functions of t, hence concave;
-    golden-section maximization over a bracket that provably contains the
-    optimum decides membership exactly (up to tol).
-    """
-    basis = build_block_basis(*dims)
-    k = basis.basis_aa[0]
-
-    def f(t: float) -> float:
-        return min_eigenvalue(m + t * k)
-
-    d = m.shape[0]
-    span = 8.0 * d * (max_norm(m) + 1.0)
-    a, b = -span, span
-    gr = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - gr * (b - a)
-    e = a + gr * (b - a)
-    fc, fe = f(c), f(e)
-    evals = 2
-    while b - a > 1e-13 * span and evals < 400:
-        if fc > fe:
-            b, e, fe = e, c, fc
-            c = b - gr * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, e, fe
-            e = a + gr * (b - a)
-            fe = f(e)
-        evals += 1
-    t_star = (a + b) / 2
-    return f(t_star), t_star, evals
-
-
-def in_boxtimes_cone(m: np.ndarray, dims, params: FeasibilityParams,
-                     method: str = "auto") -> ConeMembershipResult:
+def in_boxtimes_cone(m: np.ndarray, dims, params: FeasibilityParams) -> ConeMembershipResult:
     """Does some kernel offset K (aa-supported) make M + K positive?
 
-    Methods:
-      * ``line`` - exact concave 1-D search, available when the kernel is
-        one-dimensional (both factors of dimension 2);
-      * ``projection`` - alternating projections between the PSD cone and
-        the affine slice M + span(aa).  A feasible affine iterate yields the
-        member certificate K; if the iteration stalls at a positive gap, the
-        gap vector (negative part of the affine iterate, PSD by
-        construction and ss-supported in the limit) is replayed as a
-        separating functional.  Verdicts never claim non-membership from a
-        failed projection run alone: either the separation replays or the
-        result is ``undecided``.
-      * ``auto`` - ``line`` when available, else ``projection``.
+    Decides the sign of the optimum of the small semidefinite program
+
+        t* = max t  subject to  M + sum_i c_i K_i - t I >= 0
+
+    over the orthonormal aa basis K_i (Vandenberghe & Boyd, SIAM Rev. 1996),
+    solved by :func:`_boxtimes_barrier`.  One solve yields either
+    certificate: the offset K = sum_i c_i K_i with lambda_min(M + K) >=
+    -tol/100 (``member``), or a unit-trace dual point, PSD and orthogonal to
+    every K_i, as the separating functional (``non_member``, replayed by
+    :func:`replay_separating_functional`).  ``undecided`` remains only for
+    t* in the band [-tol, -tol/100), or when roundoff stops the solver first.
+    Negative trace and lambda_min(M) >= -tol are decided before the solver.
     """
     dims = _as_bipartite(dims)
     m = require_ss_support(m, dims)
     tol = params.tol
-    basis = build_block_basis(*dims)
-    kernel_dim = len(basis.basis_aa)
-
-    if method == "auto":
-        method = "line" if kernel_dim == 1 else "projection"
-    if method == "line" and kernel_dim != 1:
-        raise ValueError("line method requires a one-dimensional kernel (dims (2, 2))")
-    if method not in ("line", "projection"):
-        raise ValueError(f"unknown method {method!r}")
 
     # Negative trace rules out any PSD completion outright: Tr K = 0 for all
     # kernel offsets, so the identity is already a separating functional.
@@ -291,72 +250,75 @@ def in_boxtimes_cone(m: np.ndarray, dims, params: FeasibilityParams,
             -tr,
         )
 
-    # M itself positive: the zero offset is already the cheapest certificate
-    # (this is also the projection method's first iterate).
+    # M itself positive: the zero offset is already the cheapest certificate.
     lam0 = min_eigenvalue(m)
     if lam0 >= -tol:
         return ConeMembershipResult(MEMBER, {"kernel_offset": np.zeros_like(m)}, 1,
                                     max(0.0, -lam0))
-
-    if kernel_dim == 0:
-        w, v = np.linalg.eigh(sym_part(m))
-        return ConeMembershipResult(
-            NON_MEMBER,
-            {"separating_functional": np.outer(v[:, 0], v[:, 0]), "pairing": float(w[0])},
-            1,
-            -lam0,
-        )
-
-    if method == "line":
-        f_star, t_star, evals = _boxtimes_line_search(m, dims, tol)
-        k = t_star * basis.basis_aa[0]
-        if f_star >= -tol:
-            return ConeMembershipResult(MEMBER, {"kernel_offset": k}, evals,
-                                        max(0.0, -f_star))
-        # The concave maximum is negative: certify with a separating
-        # functional (sound replay), falling back to the projection method's
-        # gap vector to construct it.
-        result = _boxtimes_projection(m, dims, params)
-        if result.verdict == NON_MEMBER:
-            result.iterations += evals
-            return result
-        cert = {"line_maximum": f_star, "argmax_offset": k}
-        return ConeMembershipResult(UNDECIDED, cert, evals + result.iterations, -f_star)
-
-    return _boxtimes_projection(m, dims, params)
+    return _boxtimes_barrier(m, dims, lam0, tol)
 
 
-def _boxtimes_projection(m: np.ndarray, dims, params: FeasibilityParams) -> ConeMembershipResult:
-    basis = build_block_basis(*dims)
-    q = basis.rows("aa")
-    tol = params.tol
-    stall = 1e-13 * (1 + max_norm(m))
-    a = m.copy()
-    gap = None
-    it = 0
-    for it in range(1, params.max_iter + 1):
-        w, v = np.linalg.eigh(sym_part(a))
-        if w[0] >= -tol:
-            k = a - m
-            return ConeMembershipResult(MEMBER, {"kernel_offset": k}, it,
-                                        max(0.0, -float(w[0])))
-        p = (v * np.clip(w, 0.0, None)) @ v.T
-        gap = p - a
-        a_next = m + (q.T @ (q @ p.ravel())).reshape(m.shape)
-        if max_norm(a_next - a) <= stall:
-            a = a_next
-            break
-        a = a_next
-    if gap is not None:
-        # Unit trace makes the pairing scale like M rather than like M^2, so
-        # the replay's absolute tol does not reject certificates at small scale.
-        ok, fh, pairing = replay_separating_functional(m, dims, gap / np.trace(gap), tol)
-        if ok:
-            return ConeMembershipResult(
-                NON_MEMBER, {"separating_functional": fh, "pairing": pairing}, it, -pairing
-            )
-    residual = float(np.linalg.norm(gap)) if gap is not None else float("nan")
-    return ConeMembershipResult(UNDECIDED, None, it, residual)
+def _boxtimes_barrier(m: np.ndarray, dims, lam0: float, tol: float) -> ConeMembershipResult:
+    """Log-barrier path following for max t s.t. S = M + sum_i c_i K_i - t I >= 0.
+
+    Minimizes -tau t - log det S over x = (c, t) for growing tau.  Write
+    S = M + sum_a x_a A_a with A_a = K_a and A_k = -I.  With S = V diag(w) V^T
+    and R = V diag(w)^-1/2, the gradient of -log det S is -Tr(R^T A_a R) and
+    its Hessian is <R^T A_a R, R^T A_b R>, so each Newton step costs one eigh.
+    A step with Newton decrement below 1 stays inside S > 0 and is taken in
+    full, after which tau grows by BARRIER_GROWTH.  A longer step is cut back
+    along the line, where log det S is known from the eigenvalues mu of
+    R^T dS R (one eigvalsh).  At the full steps Z = R (I - R^T dS R) R^T / tau
+    is PSD, has unit trace and is orthogonal to every K_i, so <Z, M> >= t*,
+    with a gap of about D / tau (Boyd & Vandenberghe, Convex Optimization,
+    ch. 11).
+    """
+    d = m.shape[0]
+    kernel = build_block_basis(*dims).basis_aa
+    k = len(kernel)
+    a = np.concatenate([kernel, -np.eye(d)[None]])
+    scale = max_norm(m)
+    x = np.zeros(k + 1)
+    x[k] = lam0 - scale  # S = M - t I >= ||M||_max I at the start
+    tau = 1.0 / scale
+    for step in range(1, BOXTIMES_NEWTON_STEPS + 1):
+        w, v = np.linalg.eigh(m + np.tensordot(x, a, axes=1))
+        lower = x[k] + float(w[0])  # lambda_min(M + K) <= t*
+        # The margin tol/100 also pins down K when M + K must be singular.
+        if lower >= -0.01 * tol:
+            offset = np.tensordot(x[:k], kernel, axes=1)
+            return ConeMembershipResult(MEMBER, {"kernel_offset": offset}, step,
+                                        max(0.0, -lower))
+        if w[0] <= 0.0:
+            break  # roundoff has reached the smallest eigenvalue of S
+        r = v / np.sqrt(w)
+        b = r.T @ a @ r
+        grad = -np.trace(b, axis1=1, axis2=2)
+        grad[k] -= tau
+        flat = b.reshape(k + 1, -1)
+        dx = -np.linalg.solve(flat @ flat.T, grad)
+        slope = float(grad @ dx)  # minus the squared Newton decrement
+        step_b = np.tensordot(dx, b, axes=1)  # R^T dS R
+        if slope > -1.0:
+            z = r @ (np.eye(d) - step_b) @ r.T / tau
+            pairing = trace_inner(z, m)
+            # Wait for a small gap so that the reported pairing is close to t*.
+            if pairing < -tol and d / tau <= 1e-4 * -pairing:
+                ok, fh, pairing = replay_separating_functional(m, dims, z, tol)
+                if ok:
+                    return ConeMembershipResult(
+                        NON_MEMBER, {"separating_functional": fh, "pairing": pairing}, step,
+                        -pairing,
+                    )
+            x += dx
+            tau *= BARRIER_GROWTH
+            continue
+        mu = np.linalg.eigvalsh(step_b)
+        alpha = 1.0 if mu[0] >= -1.0 else -0.9 / float(mu[0])
+        while -tau * alpha * dx[k] - np.sum(np.log1p(alpha * mu)) > 0.25 * alpha * slope:
+            alpha *= 0.5
+        x += alpha * dx
+    return ConeMembershipResult(UNDECIDED, None, step, -lower)
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +389,7 @@ def _range_criterion(m, dims, params):
 def _best_atom(residual, dims, params, atom_index):
     """Product projector most aligned with the residual (matching pursuit step)."""
     sub = FeasibilityParams(seed=params.seed, tol=params.tol,
-                            max_iter=params.max_iter, restarts=max(4, params.restarts // 4))
+                            restarts=max(4, params.restarts // 4))
     return product_form_extremum(residual, dims, sub, minimize=False,
                                  stream=_STREAM_MIN_ATOMS * 1000 + atom_index)
 

@@ -7,23 +7,26 @@ shadows measures how non-deterministic that process looks locally;
 locally positive maps collapse the pushed set to a point, anything else
 spreads it.
 
-The sampler is hit-and-run inside the fiber: a random kernel direction D,
-the exact feasible segment through the current point x, and a uniform draw
-on it.  With x = V diag(w) V^T and R = V diag(w)^{-1/2}, the point x + aD is
-positive exactly when I + a R^T D R is, so the extreme eigenvalues mu_min <
-0 < mu_max of R^T D R give both ends at once, a in [-1/mu_max, -1/mu_min]:
-two eigensolves per step.  Eigenvalues of x below a floor (EIG_FLOOR times
-the scale of the start point) are raised to the floor, which stands in for
-a null-space test on rank-deficient x: a direction that leaves a face of the
-cone gets a step of order the floor, so pure states stay rigid.  Coverage,
-not a certified uniform law, is the goal; the spread summaries (trace-norm
-diameter and mean pairwise distance) are pragmatic choices, not canonical
-ones.
+The walk starts at the offset certified with the shadow, if any, or else at
+the completion M + K returned by the boxtimes oracle, which decides every
+shadow of a positive state (its optimum is >= 0, outside the tolerance
+band).  The sampler is hit-and-run inside the fiber: a random kernel
+direction D, the exact feasible segment through the current point x, and a
+uniform draw on it.  With x = V diag(w) V^T and R = V diag(w)^{-1/2}, the
+point x + aD is positive exactly when I + a R^T D R is, so the extreme
+eigenvalues mu_min < 0 < mu_max of R^T D R give both ends at once, a in
+[-1/mu_max, -1/mu_min]: two eigensolves per step.  Eigenvalues of x below a
+floor (EIG_FLOOR times the scale of the start point) are raised to the
+floor, which stands in for a null-space test on rank-deficient x: a
+direction that leaves a face of the cone gets a step of order the floor, so
+pure states stay rigid.  Coverage, not a certified uniform law, is the
+goal; the spread summaries (trace-norm diameter and mean pairwise distance)
+are pragmatic choices, not canonical ones.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -75,16 +78,15 @@ class SpreadReport:
 
 def _feasible_start(shadow: ShadowState, params: FeasibilityParams) -> np.ndarray:
     """A positive point on the affine slice, from the shadow's certificate or
-    from the membership oracle (run at representative tolerance)."""
+    from the boxtimes oracle's kernel offset (tol at most 1e-10, so the
+    point is positive within tol/100)."""
     cert = shadow.certified.get("boxtimes")
     if cert is not None:
         candidate = shadow.op + np.asarray(cert, dtype=float)
         if min_eigenvalue(candidate) >= -REP_PSD_TOL:
             return candidate
-    tight = FeasibilityParams(seed=params.seed, tol=min(params.tol, 1e-10),
-                              max_iter=max(params.max_iter, 20000),
-                              restarts=params.restarts)
-    result = in_boxtimes_cone(shadow.op, shadow.dims, tight, method="projection")
+    tight = replace(params, tol=min(params.tol, 1e-10))
+    result = in_boxtimes_cone(shadow.op, shadow.dims, tight)
     if result.verdict != MEMBER:
         raise InfeasibleShadow(
             f"no positive state projects to this shadow (oracle verdict: {result.verdict})"

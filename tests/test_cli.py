@@ -111,6 +111,16 @@ def test_factor_above_nine_exit_3():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_map_factor_above_nine_exit_3():
+    size = {(2, 2): 16, (10, 2): 400, (2, 10): 400}  # grading coordinates per dims
+    for in_dims, out_dims in (((10, 2), (2, 2)), ((2, 2), (2, 10))):
+        matrix = np.zeros((size[out_dims], size[in_dims]))
+        text = dumps({"in_dims": in_dims, "out_dims": out_dims, "matrix": matrix})
+        proc = run_cli(["map", "--check", "local-positive"], stdin_text=text)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stdout == ""
+
+
 def test_missing_dims_exit_3():
     bare = dumps(matrix_to_json(epr_projector()))
     proc = run_cli(["shadow"], stdin_text=bare)
@@ -159,6 +169,20 @@ def test_fiber_command_with_map(tmp_path):
     assert out["kernel_dim"] == 1
     assert out["n_accepted"] >= 15
     assert out["spread"]["deterministic"] is True
+
+
+def test_fiber_command_middle_rank_shadow(tmp_path):
+    """The shadow of a rank-4 (3,3) state has a positive completion (the
+    state itself), so the sampler must find a start point and fill its fiber."""
+    from ltshadow.shadow import lt_state
+
+    a = np.random.default_rng(0).standard_normal((9, 4))
+    rho = a @ a.T / np.trace(a @ a.T)
+    shadow_file = tmp_path / "shadow.json"
+    shadow_file.write_text(dumps(matrix_to_json(lt_state(rho, (3, 3)).op, dims=(3, 3))))
+    proc = run_cli(["fiber", "--shadow", str(shadow_file), "--n", "100", "--seed", "1"])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["n_accepted"] == 100
 
 
 def test_examples_exit_zero_and_byte_identical(tmp_path):

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from boxtimes_reference import line_maximum
 
 from ltshadow import cli
 from ltshadow.blocks import random_ss_matrix
@@ -113,25 +114,25 @@ def test_boxtimes_negative_trace_non_member():
 
 
 def test_boxtimes_methods_agree_on_random_ss():
-    """Projection verdicts match the exact 1-D search at (2, 2)."""
+    """Barrier verdicts match the exact 1-D search at (2, 2)."""
     n_checked = 0
     for k in range(60):
         rng = rng_from_seed(33, k)
         m = random_ss_matrix(2, 2, rng)
         if rng.random() < 0.5:
             m = m + float(np.abs(rng.standard_normal())) * 1.5 * np.eye(4)
-        exact = in_boxtimes_cone(m, (2, 2), PARAMS, method="line")
-        proj = in_boxtimes_cone(m, (2, 2), PARAMS, method="projection")
-        if proj.verdict == UNDECIDED:
+        f_star = line_maximum(m)
+        res = in_boxtimes_cone(m, (2, 2), PARAMS)
+        if res.verdict == UNDECIDED:
             # only allowed in the tolerance band around the boundary
-            assert exact.residual <= 2 * PARAMS.tol
+            assert abs(f_star) <= 2 * PARAMS.tol
             continue
-        assert proj.verdict == exact.verdict
-        if proj.verdict == MEMBER:
-            assert replay_boxtimes_member(m, (2, 2), proj.certificate["kernel_offset"])
+        assert res.verdict == (MEMBER if f_star >= -PARAMS.tol else NON_MEMBER)
+        if res.verdict == MEMBER:
+            assert replay_boxtimes_member(m, (2, 2), res.certificate["kernel_offset"])
         else:
             ok, _, _ = replay_separating_functional(
-                m, (2, 2), proj.certificate["separating_functional"]
+                m, (2, 2), res.certificate["separating_functional"]
             )
             assert ok
         n_checked += 1
@@ -158,6 +159,21 @@ def test_boxtimes_kernel_free_dims():
     res = in_boxtimes_cone(m, (1, 3), PARAMS)
     assert res.verdict == MEMBER
     assert max_norm(res.certificate["kernel_offset"]) == 0.0
+
+
+@pytest.mark.parametrize("dims,rank", [((2, 3), r) for r in range(2, 6)]
+                         + [((3, 3), r) for r in range(2, 9)])
+def test_boxtimes_decides_middle_rank_shadows(dims, rank, eigensolves):
+    """Shadows of Wishart states of middle rank are members with a replaying
+    offset, decided within a fixed eigensolve budget."""
+    d = dims[0] * dims[1]
+    a = rng_from_seed(36, d, rank).standard_normal((d, rank))
+    m = local_shadow_matrix(a @ a.T / np.trace(a @ a.T), dims)
+    eigensolves["n"] = 0
+    res = in_boxtimes_cone(m, dims, PARAMS)
+    assert eigensolves["n"] <= 150
+    assert res.verdict == MEMBER
+    assert replay_boxtimes_member(m, dims, res.certificate["kernel_offset"])
 
 
 @pytest.mark.parametrize("c", [1e-2, 1e-3, 1e-4, 1e-5])

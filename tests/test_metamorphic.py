@@ -10,7 +10,6 @@ not the tolerance band.
 
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
-from scipy.optimize import minimize_scalar
 
 from ltshadow.blocks import build_block_basis, project_block, random_ss_matrix
 from ltshadow.cones import (
@@ -77,17 +76,26 @@ def assert_boxtimes_certificate_replays(m, dims, res):
         assert ok
 
 
-def kernel_line_maximum(r):
-    """max over t of lambda_min(R + t K) on (2, 2), by bounded scalar search.
+def boxtimes_boundary_matrix(dims, rng):
+    """An ss matrix M with lambda_min(M) < 0 and max_K lambda_min(M + K) = 0 exactly.
 
-    Independent of the oracle's own golden-section search; the function is
-    concave, so the bounded Brent search finds the maximum.
+    X is PSD with range orthogonal to p random product vectors z_j, so
+    F = sum_j z_j z_j^T is PSD, ss-supported (orthogonal to every kernel
+    offset) and <F, X> = 0.  M = shadow(X) has the completion X, so the
+    optimum is >= 0, and <F, M> = <F, X> = 0 bounds it by 0 from above.
+    Returns None when lambda_min(M) is too close to 0 to rescale.
     """
-    (k,) = fiber_basis((2, 2))
-    bound = 16.0 * (max_norm(r) + 1.0)
-    opt = minimize_scalar(lambda t: -min_eigenvalue(r + t * k), bounds=(-bound, bound),
-                          method="bounded", options={"xatol": 1e-12})
-    return -opt.fun
+    d = dims[0] * dims[1]
+    p = int(rng.integers(1, 3))
+    z = np.stack([np.kron(rng.standard_normal(dims[0]), rng.standard_normal(dims[1]))
+                  for _ in range(p)], axis=1)
+    complement = np.linalg.qr(z, mode="complete")[0][:, p:]
+    b = complement @ rng.standard_normal((d - p, d - p))
+    m = local_shadow_matrix(b @ b.T, dims)
+    lam = min_eigenvalue(m)
+    if lam >= -1e-3 * max_norm(m):
+        return None
+    return m / -lam
 
 
 # ---------------------------------------------------------------------------
@@ -167,18 +175,16 @@ def test_positive_ss_verdict_respects_symmetries(seed, dims, margin, c, symmetry
 
 
 @settings(PROPERTY, max_examples=60)
-@given(seed=seeds, margin=margins, c=boxtimes_scales, symmetry=symmetries)
-def test_boxtimes_verdict_respects_symmetries(seed, margin, c, symmetry):
-    # A non-member's separating functional is the unit-trace projection gap,
-    # whose pairing with M is about c * margin; below tol the absolute
-    # tolerance band, not the symmetry, decides the verdict.
+@given(seed=seeds, dims=dims_st, margin=margins, c=boxtimes_scales, symmetry=symmetries)
+def test_boxtimes_verdict_respects_symmetries(seed, dims, margin, c, symmetry):
+    # A non-member's separating functional has unit trace, so its pairing
+    # with M is about c * margin; below tol the absolute tolerance band, not
+    # the symmetry, decides the verdict.
     assume(c * abs(margin) >= 10 * TOL)
-    dims = (2, 2)
     rng = rng_from_seed(seed)
-    # the shadow of a rank-2 state: often not PSD, so the line search runs
-    a = rng.standard_normal((4, 2))
-    r = local_shadow_matrix(a @ a.T, dims)
-    m = r + (margin - kernel_line_maximum(r)) * np.eye(4)  # best offset has lambda_min = margin
+    r = boxtimes_boundary_matrix(dims, rng)
+    assume(r is not None)
+    m = r + margin * np.eye(r.shape[0])  # best offset has lambda_min = margin
     expected = MEMBER if margin > 0 else NON_MEMBER
     params = FeasibilityParams(seed=seed, tol=TOL)
     res = in_boxtimes_cone(m, dims, params)
