@@ -81,6 +81,13 @@ def _parse_dims(text: str) -> tuple[int, ...]:
     return dims
 
 
+def _parse_tol(text: str) -> float:
+    tol = float(text)
+    if not (math.isfinite(tol) and tol > 0):
+        raise argparse.ArgumentTypeError(f"tol must be finite and positive, got {text!r}")
+    return tol
+
+
 def _read_json(path: str):
     try:
         if path == "-":
@@ -170,7 +177,7 @@ def cmd_shadow(args) -> tuple[dict, int]:
     return payload, EXIT_OK
 
 
-_CONE_NEEDS_SEED = {"min", "max", "boxtimes"}
+_CONE_NEEDS_SEED = {"min", "max"}
 
 
 def cmd_cone(args) -> tuple[dict, int]:
@@ -183,7 +190,9 @@ def cmd_cone(args) -> tuple[dict, int]:
     elif args.cone == "effect":
         result = effect_in_shadow_cone(m, dims, tol=args.tol)
     else:
-        params = FeasibilityParams(seed=args.seed, tol=args.tol)
+        # The boxtimes oracle draws no random numbers, so any seed will do.
+        seed = 0 if args.seed is None else args.seed
+        params = FeasibilityParams(seed=seed, tol=args.tol)
         if args.cone == "boxtimes":
             result = in_boxtimes_cone(m, dims, params)
         elif args.cone == "max":
@@ -296,9 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--cone", required=True,
                    choices=("min", "psd-ss", "boxtimes", "max", "effect"))
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_parse_tol, default=1e-8)
     p.add_argument("--seed", type=int, default=None,
-                   help="required for min/max/boxtimes")
+                   help="required for min/max")
     p.set_defaults(func=cmd_cone)
 
     p = sub.add_parser("map", help="checks on a linear process")
@@ -306,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", "-o", default="-")
     p.add_argument("--check", required=True,
                    choices=("local-positive", "positive", "shadow"))
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_parse_tol, default=1e-8)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_map)
 

@@ -53,6 +53,9 @@ RANGE_CRITERION_DELTA = 0.01
 BOXTIMES_NEWTON_STEPS = 100
 BARRIER_GROWTH = 50.0
 
+# Sweep cap of each restart of the alternating product-form search.
+PRODUCT_FORM_SWEEPS = 120
+
 # Internal stream tags so each stochastic sub-search draws an independent,
 # reproducible stream from the caller's seed.
 _STREAM_MAX_CONE = 1
@@ -108,7 +111,8 @@ def require_ss_support(m: np.ndarray, dims) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Product-form quadratic optimization (shared by max cone / range criterion)
+# Product-form quadratic optimization (max cone, range criterion, pursuit
+# atoms, unextendibility margin, map positivity)
 # ---------------------------------------------------------------------------
 
 
@@ -119,50 +123,47 @@ def product_quadratic_value(m: np.ndarray, dims, x: np.ndarray, y: np.ndarray) -
     return float(np.einsum("ijkl,i,j,k,l->", m4, x, y, x, y))
 
 
-def _alternating_extremum(m4, da, db, y0, minimize, iters):
-    idx = 0 if minimize else -1
-    y = y0
-    x = None
-    prev = None
-    for _ in range(iters):
-        ay = np.einsum("ijkl,j,l->ik", m4, y, y)
-        w, u = np.linalg.eigh((ay + ay.T) / 2)
-        x = u[:, idx]
-        bx = np.einsum("ijkl,i,k->jl", m4, x, x)
-        w2, u2 = np.linalg.eigh((bx + bx.T) / 2)
-        y = u2[:, idx]
-        val = float(w2[idx])
-        if prev is not None and abs(val - prev) <= 1e-14 * (1 + abs(val)):
-            break
-        prev = val
-    val = float(np.einsum("ijkl,i,j,k,l->", m4, x, y, x, y))
-    return val, x, y
-
-
 def product_form_extremum(m: np.ndarray, dims, params: FeasibilityParams,
-                          minimize: bool = True, stream: int = _STREAM_MAX_CONE,
-                          iters: int = 120):
+                          minimize: bool = True, stream: int = _STREAM_MAX_CONE):
     """Heuristic extremum of q(x, y) over unit product vectors.
 
     Alternating exact eigenvector steps (fix y, optimize x; fix x, optimize
-    y), multi-restart with per-restart derived seeds.  Returns
-    (value, x, y); the value is recomputed from the returned pair.
+    y) from params.restarts random starts, restart k drawn from
+    params.rng(stream, k).  All restarts still moving are stepped together,
+    one stacked eigh per half-sweep; a restart stops when its extreme
+    eigenvalue changes by at most 1e-14 (1 + |value|), or after
+    PRODUCT_FORM_SWEEPS sweeps.  Returns (value, x, y) of the best restart,
+    the lowest index on ties; the value is recomputed from the returned pair.
     """
     da, db = _as_bipartite(dims)
     m4 = np.asarray(m, dtype=float).reshape(da, db, da, db)
+    idx = 0 if minimize else -1
 
-    def one_restart(k: int):
-        rng = params.rng(stream, k)
-        y0 = rng.standard_normal(db)
-        y0 /= np.linalg.norm(y0)
-        return _alternating_extremum(m4, da, db, y0, minimize, iters)
+    def start(k: int) -> np.ndarray:
+        y0 = params.rng(stream, k).standard_normal(db)
+        return y0 / np.linalg.norm(y0)
 
-    results = [one_restart(k) for k in range(params.restarts)]
-    if minimize:
-        best = min(range(len(results)), key=lambda k: (results[k][0], k))
-    else:
-        best = max(range(len(results)), key=lambda k: (results[k][0], -k))
-    return results[best]
+    y = np.stack([start(k) for k in range(params.restarts)])
+    x = np.empty((params.restarts, da))
+    prev = np.full(params.restarts, np.nan)
+    live = np.arange(params.restarts)
+    for _ in range(PRODUCT_FORM_SWEEPS):
+        yl = y[live]
+        ay = np.einsum("ijkl,rj,rl->rik", m4, yl, yl)
+        xl = np.linalg.eigh((ay + ay.transpose(0, 2, 1)) / 2)[1][:, :, idx]
+        bx = np.einsum("ijkl,ri,rk->rjl", m4, xl, xl)
+        w, u = np.linalg.eigh((bx + bx.transpose(0, 2, 1)) / 2)
+        x[live] = xl
+        y[live] = u[:, :, idx]
+        val = w[:, idx]
+        done = np.abs(val - prev[live]) <= 1e-14 * (1 + np.abs(val))
+        prev[live] = val
+        live = live[~done]
+        if not live.size:
+            break
+    q = np.einsum("ijkl,ri,rj,rk,rl->r", m4, x, y, x, y)
+    best = int(np.argmin(q) if minimize else np.argmax(q))
+    return float(q[best]), x[best], y[best]
 
 
 # ---------------------------------------------------------------------------

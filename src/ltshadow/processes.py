@@ -21,15 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import grading_basis
-from .cones import FeasibilityParams
+from .cones import FeasibilityParams, product_form_extremum
 from .errors import DimensionMismatch, NotLocallyPositive
 from .linalg import (
-    kron,
     max_norm,
     min_eigenvalue,
     random_orthogonal,
     rng_from_seed,
-    sym_part,
 )
 from .shadow import local_shadow_matrix
 
@@ -80,9 +78,6 @@ class LinearProcess:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return from_coords(self.matrix @ to_coords(x, self.in_dims), self.out_dims)
-
-    def apply_adjoint(self, y: np.ndarray) -> np.ndarray:
-        return from_coords(self.matrix.T @ to_coords(y, self.out_dims), self.in_dims)
 
     def compose(self, inner: "LinearProcess") -> "LinearProcess":
         """self after inner."""
@@ -305,44 +300,40 @@ class PositiveMapVerdict:
     heuristic: bool = True
 
 
+def choi_matrix(proc: LinearProcess) -> np.ndarray:
+    """C = sum_ik Phi(E_ik) o E_ik on the factors (output, input).
+
+    v^T Phi(x x^T) v = (v o x)^T C (v o x) (Jamiolkowski, Rep. Math. Phys. 3,
+    1972), so Phi is positive iff this product form is nonnegative.
+    """
+    gin = grading_basis(proc.in_dims)
+    gout = grading_basis(proc.out_dims)
+    dout, din = gout.dim, gin.dim
+    phi = gout.stacked.T @ proc.matrix @ gin.stacked  # vec Phi(X) = phi @ vec X
+    return phi.reshape(dout, dout, din, din).transpose(0, 2, 1, 3).reshape(
+        dout * din, dout * din)
+
+
 def is_positive_map_heuristic(proc: LinearProcess,
                               params: FeasibilityParams) -> PositiveMapVerdict:
     """Search for a unit vector x with Phi(x x^T) not positive.
 
-    Minimizes v^T Phi(x x^T) v by alternating exact eigenvector updates in x
-    and v, with multi-restart.  A value below -tol is a certified
-    non-positivity witness; within the band [-tol, -tol/2] the verdict is
-    undecided; otherwise positive (heuristic: no witness found).
+    Minimizes v^T Phi(x x^T) v, the product form of the Choi matrix, with
+    :func:`~ltshadow.cones.product_form_extremum` from random starts x.  The
+    reported value is lambda_min(Phi(x x^T)) for the x it returns.  A value
+    below -tol is a certified non-positivity witness; within the band
+    [-tol, -tol/2] the verdict is undecided; otherwise positive (heuristic:
+    no witness found).
     """
-    din = grading_basis(proc.in_dims).dim
-    tol = params.tol
-
-    def one_restart(k: int):
-        rng = rng_from_seed(params.seed, _STREAM_POSITIVITY, k)
-        x = rng.standard_normal(din)
-        x /= np.linalg.norm(x)
-        prev = None
-        for _ in range(80):
-            y = sym_part(proc.apply(np.outer(x, x)))
-            w, u = np.linalg.eigh(y)
-            v = u[:, 0]
-            g = sym_part(proc.apply_adjoint(np.outer(v, v)))
-            wx, ux = np.linalg.eigh(g)
-            x = ux[:, 0]
-            val = float(wx[0])
-            if prev is not None and abs(val - prev) <= 1e-14 * (1 + abs(val)):
-                break
-            prev = val
-        return float(min_eigenvalue(proc.apply(np.outer(x, x)))), x
-
-    results = [one_restart(k) for k in range(params.restarts)]
-    best_k = min(range(len(results)), key=lambda k: (results[k][0], k))
-    best_val, best_x = results[best_k]
-    if best_val < -tol:
-        return PositiveMapVerdict(NOT_POSITIVE, best_val, best_x, heuristic=False)
-    if best_val < -tol / 2:
-        return PositiveMapVerdict(UNDECIDED, best_val, best_x)
-    return PositiveMapVerdict(POSITIVE, best_val)
+    dims = (grading_basis(proc.out_dims).dim, grading_basis(proc.in_dims).dim)
+    _, _, x = product_form_extremum(choi_matrix(proc), dims, params,
+                                    stream=_STREAM_POSITIVITY)
+    value = min_eigenvalue(proc.apply(np.outer(x, x)))
+    if value < -params.tol:
+        return PositiveMapVerdict(NOT_POSITIVE, value, x, heuristic=False)
+    if value < -params.tol / 2:
+        return PositiveMapVerdict(UNDECIDED, value, x)
+    return PositiveMapVerdict(POSITIVE, value)
 
 
 # ---------------------------------------------------------------------------
@@ -350,13 +341,16 @@ def is_positive_map_heuristic(proc: LinearProcess,
 # ---------------------------------------------------------------------------
 
 
-def random_locally_positive_process(dims, seed: int, params=None) -> LinearProcess:
+def random_locally_positive_process(dims, seed: int) -> LinearProcess:
     """Random positive map with vanishing kernel-to-shadow block.
 
-    Draws random shadow->shadow, kernel->kernel, and shadow->kernel blocks,
-    zeroes the kernel->shadow block, then mixes in just enough of the
-    depolarizing sink for the positivity heuristic to pass.  A generator,
-    not a characterization of the locally positive maps.
+    Draws random shadow->shadow, kernel->kernel, and shadow->kernel blocks
+    m, zeroes the kernel->shadow block, then adds D ||m||_2 of the
+    depolarizing sink X -> Tr(X) I / D.  For unit x and v the grading
+    coordinates of x x^T and v v^T are unit vectors, so m contributes at
+    least -||m||_2 to v^T Phi(x x^T) v while the sink adds exactly ||m||_2:
+    the map is positive by construction.  A generator, not a
+    characterization of the locally positive maps.
     """
     dims = tuple(int(d) for d in dims)
     g = grading_basis(dims)
@@ -368,17 +362,8 @@ def random_locally_positive_process(dims, seed: int, params=None) -> LinearProce
     if kernel.size:
         m[np.ix_(kernel, kernel)] = rng.standard_normal((kernel.size, kernel.size))
         m[np.ix_(kernel, shadow)] = rng.standard_normal((kernel.size, shadow.size))
-    base = LinearProcess(dims, dims, m)
-    sink = trace_unit_process(dims)
-    if params is None:
-        params = FeasibilityParams(seed=seed, tol=1e-9, restarts=8)
-    lam = float(np.linalg.norm(m, 2))
-    for _ in range(40):
-        candidate = LinearProcess(dims, dims, base.matrix + lam * sink.matrix)
-        if is_positive_map_heuristic(candidate, params).verdict == POSITIVE:
-            return candidate
-        lam *= 2.0
-    raise RuntimeError("failed to boost generated map to positivity")  # pragma: no cover
+    lam = g.dim * float(np.linalg.norm(m, 2))
+    return LinearProcess(dims, dims, m + lam * trace_unit_process(dims).matrix)
 
 
 def random_kernel_leaking_process(dims, seed: int, min_defect: float = 1e-4) -> LinearProcess:

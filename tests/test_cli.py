@@ -7,9 +7,11 @@ import sys
 import numpy as np
 import pytest
 
+from ltshadow import cli
 from ltshadow.linalg import kron, sym_part
 from ltshadow.processes import swap_process
 from ltshadow.serialize import dumps, matrix_to_json, process_to_json
+from ltshadow.shadow import local_shadow_matrix
 
 
 def run_cli(args, stdin_text=None):
@@ -30,6 +32,13 @@ def epr_projector():
 
 def epr_json():
     return dumps(matrix_to_json(epr_projector(), dims=(2, 2)))
+
+
+def epr_shadow_file(tmp_path):
+    path = tmp_path / "w.json"
+    path.write_text(dumps(matrix_to_json(local_shadow_matrix(epr_projector(), (2, 2)),
+                                         dims=(2, 2))))
+    return path
 
 
 def test_version():
@@ -84,9 +93,41 @@ def test_cone_command_boxtimes_member(tmp_path):
 
 
 def test_cone_command_requires_seed():
-    proc = run_cli(["cone", "--cone", "boxtimes"], stdin_text=epr_json())
+    proc = run_cli(["cone", "--cone", "max"], stdin_text=epr_json())
     assert proc.returncode == 2
     assert "seed" in proc.stderr
+
+
+def test_cone_boxtimes_needs_no_seed(tmp_path, capsys):
+    """The barrier oracle draws no random numbers: without --seed the
+    output is the with-seed output minus the echoed seed."""
+    path = epr_shadow_file(tmp_path)
+    assert cli.main(["cone", "--cone", "boxtimes", "-i", str(path)]) == 0
+    without = json.loads(capsys.readouterr().out)
+    assert cli.main(["cone", "--cone", "boxtimes", "--seed", "7", "-i", str(path)]) == 0
+    seeded = json.loads(capsys.readouterr().out)
+    assert seeded.pop("seed") == 7
+    assert "seed" not in without and without == seeded
+
+
+@pytest.mark.parametrize("cone", ["min", "psd-ss", "boxtimes", "max", "effect"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+def test_cone_tol_must_be_finite_and_positive(tmp_path, capsys, cone, tol):
+    path = epr_shadow_file(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["cone", "--cone", cone, "--seed", "1", "--tol", tol, "-i", str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].endswith(f"argument --tol: tol must be finite and positive, "
+                                         f"got {tol!r}")
+
+
+def test_map_tol_must_be_finite_and_positive(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["map", "--check", "positive", "--seed", "3", "--tol", "inf"])
+    assert exc.value.code == 2
+    assert "tol must be finite and positive" in capsys.readouterr().err
 
 
 def test_malformed_json_exit_2():

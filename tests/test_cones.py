@@ -2,6 +2,7 @@
 
 import json
 
+import extremum_reference
 import numpy as np
 import pytest
 from boxtimes_reference import line_maximum
@@ -18,6 +19,7 @@ from ltshadow.cones import (
     in_max_cone,
     in_min_cone,
     in_positive_ss_cone,
+    product_form_extremum,
     product_quadratic_value,
     replay_boxtimes_member,
     replay_separating_functional,
@@ -190,6 +192,48 @@ def test_boxtimes_separating_functional_scales_linearly(c):
     assert res.certificate["pairing"] == pytest.approx(-9.44e-3 * c, rel=1e-3)
     ok, _, _ = replay_separating_functional(c * m, (2, 2), f)
     assert ok
+
+
+# ---------------------------------------------------------------------------
+# product-form search
+# ---------------------------------------------------------------------------
+
+
+def assert_same_extremum(got, want):
+    assert got[0] == want[0]
+    assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_product_form_extremum_matches_serial_reference(dims):
+    """Stepping the restarts together changes no bit of the result."""
+    d = dims[0] * dims[1]
+    rng = rng_from_seed(38, *dims)
+    for trial in range(4):
+        a = rng.standard_normal((d, d))
+        m = a + a.T
+        for minimize in (True, False):
+            for restarts in (1, 4, 32):
+                params = FeasibilityParams(seed=trial, restarts=restarts)
+                assert_same_extremum(
+                    product_form_extremum(m, dims, params, minimize=minimize),
+                    extremum_reference.product_form_extremum(m, dims, params,
+                                                             minimize=minimize))
+
+
+def test_product_form_extremum_ties_go_to_restart_zero():
+    """Equal values go to the lowest restart index.  On M = I every restart
+    ends on the same pair; on diag(1, 2, 2, 1) the restarts split between
+    two pairs of equal value, 1 for the minimum and 2 for the maximum."""
+    params = FeasibilityParams(seed=5, restarts=8)
+    for m, dims in ((np.eye(6), (2, 3)), (np.diag([1.0, 2.0, 2.0, 1.0]), (2, 2))):
+        for minimize in (True, False):
+            restarts = extremum_reference.restart_results(m, dims, params, minimize)
+            assert len({r[0] for r in restarts}) == 1
+            got = product_form_extremum(m, dims, params, minimize=minimize)
+            assert_same_extremum(got, restarts[0])
+            if m.shape == (4, 4):
+                assert any(not np.array_equal(r[1], got[1]) for r in restarts[1:])
 
 
 # ---------------------------------------------------------------------------

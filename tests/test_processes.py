@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from ltshadow.cones import MEMBER, FeasibilityParams, in_boxtimes_cone, replay_boxtimes_member
+from ltshadow.cones import (
+    MEMBER,
+    FeasibilityParams,
+    in_boxtimes_cone,
+    product_quadratic_value,
+    replay_boxtimes_member,
+)
 from ltshadow.errors import NotLocallyPositive
 from ltshadow.linalg import (
     kron,
@@ -15,6 +21,7 @@ from ltshadow.linalg import (
 from ltshadow.processes import (
     LinearProcess,
     block_matrix,
+    choi_matrix,
     conjugation_process,
     effect_functional,
     epsilon_functional,
@@ -24,6 +31,7 @@ from ltshadow.processes import (
     is_locally_positive,
     is_positive_map_heuristic,
     preparation_process,
+    process_from_function,
     random_kernel_leaking_process,
     random_locally_positive_process,
     shadow_block_process,
@@ -225,6 +233,62 @@ def test_positive_map_heuristic_identity_and_negation():
     assert verdict.verdict == "not_positive"
     x = verdict.witness
     assert np.linalg.eigvalsh(neg.apply(np.outer(x, x)))[0] < -PARAMS.tol
+
+
+def unit(rng, d):
+    x = rng.standard_normal(d)
+    return x / np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("in_dims, out_dims", [((2, 2), (2, 2)), ((2, 3), (3, 2)),
+                                                ((2, 2), (1,)), ((1,), (2, 3))])
+def test_choi_product_form_is_v_phi_v(in_dims, out_dims):
+    """v^T Phi(x x^T) v is the product form of the Choi matrix on (v, x)."""
+    rng = rng_from_seed(61, len(in_dims), len(out_dims))
+    gin, gout = grading_basis(in_dims), grading_basis(out_dims)
+    proc = LinearProcess(in_dims, out_dims, rng.standard_normal((gout.size, gin.size)))
+    c = choi_matrix(proc)
+    for _ in range(10):
+        x, v = unit(rng, gin.dim), unit(rng, gout.dim)
+        direct = v @ proc.apply(np.outer(x, x)) @ v
+        form = product_quadratic_value(c, (gout.dim, gin.dim), v, x)
+        assert abs(direct - form) <= 1e-12 * (1 + proc.norm())
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+def test_generated_maps_are_positive_without_a_search(dims, eigensolves):
+    rng = rng_from_seed(62, *dims)
+    for seed in range(3):
+        eigensolves["n"] = 0
+        proc = random_locally_positive_process(dims, seed=seed)
+        assert eigensolves["n"] == 0
+        assert is_locally_positive(proc).locally_positive
+        d = grading_basis(dims).dim
+        for _ in range(200):
+            x = unit(rng, d)
+            lam = np.linalg.eigvalsh(proc.apply(np.outer(x, x)))[0]
+            assert lam >= -1e-12 * (1 + proc.norm())
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+def test_not_positive_witness_replays(dims):
+    """Partial transposition, conjugated by an orthogonal Q, sends an
+    entangled x x^T to a matrix with a negative eigenvalue."""
+    da, db = dims
+    q = random_orthogonal(da * db, rng_from_seed(64, *dims))
+
+    def twisted_partial_transpose(x):
+        xt = x.reshape(da, db, da, db).transpose(0, 3, 2, 1).reshape(da * db, da * db)
+        return q @ xt @ q.T
+
+    proc = process_from_function(twisted_partial_transpose, dims, dims)
+    verdict = is_positive_map_heuristic(proc, PARAMS)
+    assert verdict.verdict == "not_positive" and verdict.heuristic is False
+    x = verdict.witness
+    assert abs(np.linalg.norm(x) - 1.0) <= 1e-12
+    lam = np.linalg.eigvalsh(proc.apply(np.outer(x, x)))[0]
+    assert lam < -PARAMS.tol
+    assert abs(lam - verdict.value) <= 1e-12
 
 
 def test_transpose_map_is_positive():
