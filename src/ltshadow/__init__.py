@@ -30,17 +30,13 @@ from .cones import (
 )
 from .errors import (
     DimensionMismatch,
-    EigenConvergenceError,
     InfeasibleShadow,
     NotLocallyPositive,
     SupportViolation,
 )
 from .fiber import FiberSample, SpreadReport, push_and_spread, sample_fiber
 from .linalg import (
-    EigenDecomposition,
     antisym_part,
-    eig_sym,
-    is_psd,
     kron,
     rng_from_seed,
     sym_part,

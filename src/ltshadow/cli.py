@@ -10,10 +10,12 @@ Subcommands:
 
 All input and output is JSON (see serialize).  Stochastic subcommands
 require an explicit seed and echo it in the output.  Exit codes: 0 success,
-1 a check of ``examples`` failed, 2 malformed input, 3 dimension mismatch
-or a factor above 9, 4 infeasible or undecided where a decision was
-required, 5 internal numeric failure.  Output is byte-identical across runs
-for identical (input, flags, seed).
+1 a check of ``examples`` failed, 2 malformed input (entries above 1e150 in
+magnitude, ``fiber --n`` above MAX_FIBER_N), 3 dimension mismatch or a
+factor above 9, 4 infeasible or undecided where a decision was required,
+5 internal numeric failure (``LinAlgError``, or a non-finite number in the
+output).  Output is byte-identical across runs for identical (input,
+flags, seed).
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .cones import (
 )
 from .errors import (
     DimensionMismatch,
-    EigenConvergenceError,
     InfeasibleShadow,
     NotLocallyPositive,
     SupportViolation,
@@ -69,15 +70,17 @@ EXIT_NUMERIC = 5
 
 # Largest supported factor dimension; larger factors exit EXIT_DIMENSION.
 MAX_FACTOR_DIM = 9
+# Largest fiber sample: sampling is linear in n, push_and_spread quadratic.
+MAX_FIBER_N = 10_000
 
 
 def _parse_dims(text: str) -> tuple[int, ...]:
     try:
         dims = tuple(int(part) for part in text.split(","))
     except ValueError as exc:
-        raise ValueError(f"cannot parse dims {text!r}; expected e.g. 2,2") from exc
+        raise argparse.ArgumentTypeError(f"cannot parse dims {text!r}; expected e.g. 2,2") from exc
     if not dims or any(d < 1 for d in dims):
-        raise ValueError(f"dims must be positive integers, got {text!r}")
+        raise argparse.ArgumentTypeError(f"dims must be positive integers, got {text!r}")
     return dims
 
 
@@ -244,6 +247,8 @@ def cmd_map(args) -> tuple[dict, int]:
 
 
 def cmd_fiber(args) -> tuple[dict, int]:
+    if args.n > MAX_FIBER_N:
+        raise _BadInput(f"--n {args.n} is above the limit of {MAX_FIBER_N}")
     m, file_dims = matrix_from_json(_read_json(args.shadow))
     dims = _resolve_dims(file_dims, args.dims, m.shape[0])
     shadow = ShadowState(op=m, dims=dims)
@@ -323,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shadow", required=True, help="shadow matrix JSON file")
     p.add_argument("--output", "-o", default="-")
     p.add_argument("--dims", type=_parse_dims, default=None)
-    p.add_argument("--n", type=int, default=100)
+    p.add_argument("--n", type=int, default=100, help=f"sample size, at most {MAX_FIBER_N}")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--map", default=None, help="optional process JSON to push through")
     p.set_defaults(func=cmd_fiber)
@@ -355,13 +360,14 @@ def main(argv=None) -> int:
             return EXIT_UNDECIDED
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except EigenConvergenceError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     except np.linalg.LinAlgError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    _write(payload, getattr(args, "output", "-"))
+    try:
+        _write(payload, getattr(args, "output", "-"))
+    except ValueError as exc:  # dumps refuses a non-finite number
+        print(f"numeric failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     return code
 
 

@@ -31,6 +31,8 @@ import numpy as np
 from .blocks import build_block_basis, project_block
 from .errors import DimensionMismatch
 from .linalg import (
+    eigh,
+    eigvalsh,
     max_norm,
     min_eigenvalue,
     rng_from_seed,
@@ -150,9 +152,9 @@ def product_form_extremum(m: np.ndarray, dims, params: FeasibilityParams,
     for _ in range(PRODUCT_FORM_SWEEPS):
         yl = y[live]
         ay = np.einsum("ijkl,rj,rl->rik", m4, yl, yl)
-        xl = np.linalg.eigh((ay + ay.transpose(0, 2, 1)) / 2)[1][:, :, idx]
+        xl = eigh(ay)[1][:, :, idx]
         bx = np.einsum("ijkl,ri,rk->rjl", m4, xl, xl)
-        w, u = np.linalg.eigh((bx + bx.transpose(0, 2, 1)) / 2)
+        w, u = eigh(bx)
         x[live] = xl
         y[live] = u[:, :, idx]
         val = w[:, idx]
@@ -174,7 +176,7 @@ def product_form_extremum(m: np.ndarray, dims, params: FeasibilityParams,
 def in_positive_ss_cone(m: np.ndarray, dims, tol: float = 1e-8) -> ConeMembershipResult:
     """Membership in the cone of positive operators supported on the ss block."""
     m = require_ss_support(m, dims)
-    w, v = np.linalg.eigh(sym_part(m))
+    w, v = eigh(m)
     lam = float(w[0])
     if lam >= -tol:
         cert = {"eigenvalues": w, "eigenvectors": v}
@@ -275,19 +277,20 @@ def _boxtimes_barrier(m: np.ndarray, dims, lam0: float, tol: float) -> ConeMembe
     ch. 11).
     """
     d = m.shape[0]
-    kernel = build_block_basis(*dims).basis_aa
+    kernel = build_block_basis(*dims).rows("aa")
     k = len(kernel)
-    a = np.concatenate([kernel, -np.eye(d)[None]])
+    a_flat = np.concatenate([kernel, -np.eye(d).reshape(1, -1)])
+    a = a_flat.reshape(k + 1, d, d)
     scale = max_norm(m)
     x = np.zeros(k + 1)
     x[k] = lam0 - scale  # S = M - t I >= ||M||_max I at the start
     tau = 1.0 / scale
     for step in range(1, BOXTIMES_NEWTON_STEPS + 1):
-        w, v = np.linalg.eigh(m + np.tensordot(x, a, axes=1))
+        w, v = eigh(m + (x @ a_flat).reshape(d, d))
         lower = x[k] + float(w[0])  # lambda_min(M + K) <= t*
         # The margin tol/100 also pins down K when M + K must be singular.
         if lower >= -0.01 * tol:
-            offset = np.tensordot(x[:k], kernel, axes=1)
+            offset = (x[:k] @ kernel).reshape(d, d)
             return ConeMembershipResult(MEMBER, {"kernel_offset": offset}, step,
                                         max(0.0, -lower))
         if w[0] <= 0.0:
@@ -299,7 +302,7 @@ def _boxtimes_barrier(m: np.ndarray, dims, lam0: float, tol: float) -> ConeMembe
         flat = b.reshape(k + 1, -1)
         dx = -np.linalg.solve(flat @ flat.T, grad)
         slope = float(grad @ dx)  # minus the squared Newton decrement
-        step_b = np.tensordot(dx, b, axes=1)  # R^T dS R
+        step_b = (dx @ flat).reshape(d, d)  # R^T dS R
         if slope > -1.0:
             z = r @ (np.eye(d) - step_b) @ r.T / tau
             pairing = trace_inner(z, m)
@@ -314,7 +317,7 @@ def _boxtimes_barrier(m: np.ndarray, dims, lam0: float, tol: float) -> ConeMembe
             x += dx
             tau *= BARRIER_GROWTH
             continue
-        mu = np.linalg.eigvalsh(step_b)
+        mu = eigvalsh(step_b)
         alpha = 1.0 if mu[0] >= -1.0 else -0.9 / float(mu[0])
         while -tau * alpha * dx[k] - np.sum(np.log1p(alpha * mu)) > 0.25 * alpha * slope:
             alpha *= 0.5
@@ -366,7 +369,7 @@ def _range_criterion(m, dims, params):
     heuristic, so the criterion only fires below 1 - RANGE_CRITERION_DELTA.
     Returns (fired, info).
     """
-    w, v = np.linalg.eigh(sym_part(m))
+    w, v = eigh(m)
     lam_max = float(w[-1])
     rank_tol = 1e-10 * max(1.0, lam_max)
     support = w > rank_tol
@@ -415,7 +418,7 @@ def in_min_cone(m: np.ndarray, dims, params: FeasibilityParams,
 
     lam = min_eigenvalue(m)
     if lam < -params.tol:
-        w, v = np.linalg.eigh(sym_part(m))
+        w, v = eigh(m)
         cert = {"criterion": "not_psd", "witness_vector": v[:, 0], "eigenvalue": lam}
         return ConeMembershipResult(NON_MEMBER, cert, 0, -lam)
 

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package; eigensolves raise numpy's LinAlgError."""
 
 
 class DimensionMismatch(ValueError):
@@ -7,10 +7,6 @@ class DimensionMismatch(ValueError):
 
 class SupportViolation(ValueError):
     """A matrix has components outside the operator-space block an operation requires."""
-
-
-class EigenConvergenceError(RuntimeError):
-    """The symmetric eigensolver failed to converge (numerically pathological input)."""
 
 
 class NotLocallyPositive(ValueError):

@@ -32,7 +32,7 @@ import numpy as np
 
 from .cones import FeasibilityParams, in_boxtimes_cone, MEMBER
 from .errors import InfeasibleShadow
-from .linalg import max_norm, min_eigenvalue, rng_from_seed, sym_part
+from .linalg import eigh, eigvalsh, max_norm, min_eigenvalue, rng_from_seed
 from .processes import LinearProcess
 from .shadow import ShadowState, fiber_basis, local_shadow_matrix
 
@@ -106,11 +106,11 @@ def _feasible_interval(x: np.ndarray, direction: np.ndarray,
     interval has lambda_min >= min(lambda_min(x), 0) - floor.  Both ends are
     0 when x itself is not positive within REP_PSD_TOL.
     """
-    w, v = np.linalg.eigh(sym_part(x))
+    w, v = eigh(x)
     if w[0] < -REP_PSD_TOL:
         return 0.0, 0.0
     r = v / np.sqrt(np.maximum(w, floor))
-    mu = np.linalg.eigvalsh(sym_part(r.T @ direction @ r))
+    mu = eigvalsh(r.T @ direction @ r)
     # D is a nonzero traceless kernel element; R^T D R is congruent to it, so
     # (Sylvester's law of inertia) mu has both signs.
     return 1.0 / float(mu[-1]), -1.0 / float(mu[0])
@@ -142,7 +142,7 @@ def sample_fiber(shadow: ShadowState, n: int, seed: int,
                            n_requested=n, n_accepted=1, kernel_dim=0)
 
     start = _feasible_start(shadow, params)
-    kernel = np.stack(kernel)
+    kernel = np.stack(kernel).reshape(k, -1)
     rng = rng_from_seed(seed, _STREAM_HIT_AND_RUN)
     scale = 1.0 + max_norm(start)
     floor = EIG_FLOOR * scale
@@ -153,7 +153,7 @@ def sample_fiber(shadow: ShadowState, n: int, seed: int,
     for step in range(total_steps):
         direction = rng.standard_normal(k)
         direction /= np.linalg.norm(direction)
-        d_mat = np.tensordot(direction, kernel, axes=1)
+        d_mat = (direction @ kernel).reshape(start.shape)
         a_minus, a_plus = _feasible_interval(x, d_mat, floor)
         alpha = rng.uniform(-a_minus, a_plus)
         x = x + alpha * d_mat
@@ -202,12 +202,11 @@ def push_and_spread(sample: FiberSample, proc: LinearProcess,
         return SpreadReport(n=0, diameter=0.0, mean_pairwise=0.0,
                             deterministic=True, excluded=excluded)
     stack = np.stack(shadows)
-    stack = (stack + stack.transpose(0, 2, 1)) / 2
     diameter = 0.0
     total = 0.0
     for i in range(1, n):
         # One stacked solve per row keeps memory at n matrices, not n^2.
-        norms = np.abs(np.linalg.eigvalsh(stack[i] - stack[:i])).sum(axis=-1)
+        norms = np.abs(eigvalsh(stack[i] - stack[:i])).sum(axis=-1)
         diameter = max(diameter, float(norms.max()))
         total += float(norms.sum())
     pairs = n * (n - 1) // 2

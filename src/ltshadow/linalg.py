@@ -2,8 +2,13 @@
 
 Everything else in the package is built on the operations here: the trace
 inner product Tr(a b^T), the symmetric/antisymmetric splitting of a real
-matrix, Kronecker products, a symmetric eigensolver, and seeded random
-matrices.  Operators are plain float64 numpy arrays.
+matrix, Kronecker products, the package's only symmetric eigensolver, and
+seeded random matrices.  Operators are plain float64 numpy arrays.
+
+:func:`eigh` and :func:`eigvalsh` decompose the symmetric part of a matrix,
+or of every matrix of an (R, d, d) stack, so callers never symmetrize by
+hand.  They look numpy's solver up at call time and let
+``numpy.linalg.LinAlgError`` propagate (the CLI maps it to exit 5).
 
 All randomness flows through :func:`rng_from_seed`, which builds a Philox
 (counter-based) generator from an explicit 64-bit seed, so every stochastic
@@ -12,15 +17,9 @@ result in the package is reproducible from the seeds recorded in its output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import DimensionMismatch, EigenConvergenceError
-
-# Relative symmetry tolerance: a matrix M counts as symmetric when
-# ||M - M^T||_max <= SYMMETRY_RTOL * (1 + ||M||_max).
-SYMMETRY_RTOL = 1e-10
+from .errors import DimensionMismatch
 
 
 def max_norm(m: np.ndarray) -> float:
@@ -43,9 +42,10 @@ def trace_inner(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def sym_part(a: np.ndarray) -> np.ndarray:
-    """Orthogonal projection onto symmetric matrices: (a + a^T)/2."""
+    """Orthogonal projection onto symmetric matrices: (a + a^T)/2, per matrix
+    of a stack."""
     a = np.asarray(a, dtype=float)
-    return (a + a.T) / 2
+    return (a + a.swapaxes(-1, -2)) / 2
 
 
 def antisym_part(a: np.ndarray) -> np.ndarray:
@@ -54,75 +54,29 @@ def antisym_part(a: np.ndarray) -> np.ndarray:
     return (a - a.T) / 2
 
 
-def symmetry_defect(a: np.ndarray) -> float:
-    return max_norm(a - a.T)
-
-
-def is_symmetric(a: np.ndarray, rtol: float = SYMMETRY_RTOL) -> bool:
-    return symmetry_defect(a) <= rtol * (1 + max_norm(a))
-
-
-def require_symmetric(a: np.ndarray, what: str = "matrix") -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    if not is_symmetric(a):
-        raise ValueError(f"{what} is not symmetric (defect {symmetry_defect(a):.3e})")
-    return a
-
-
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product.  Tr((a@b)(c@d)^T) = Tr(a c^T) Tr(b d^T)."""
     return np.kron(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Spectral decomposition M = V diag(w) V^T with ascending eigenvalues."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.T
-
-    def reconstruction_error(self, m: np.ndarray) -> float:
-        return max_norm(np.asarray(m, dtype=float) - self.reconstruct())
-
-    def orthonormality_defect(self) -> float:
-        v = self.eigenvectors
-        return max_norm(v.T @ v - np.eye(v.shape[1]))
+def eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and orthonormal eigenvectors of the symmetric
+    part of a matrix, or of each matrix of an (R, d, d) stack."""
+    return np.linalg.eigh(sym_part(m))
 
 
-def eig_sym(m: np.ndarray) -> EigenDecomposition:
-    """Eigendecomposition of a symmetric matrix, eigenvalues ascending.
-
-    The input is symmetrized (within the symmetry tolerance) before the
-    solve so that the decomposition invariants hold exactly as stated.
-    """
-    m = require_symmetric(np.asarray(m, dtype=float), "eig_sym input")
-    try:
-        w, v = np.linalg.eigh(sym_part(m))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - pathological input
-        raise EigenConvergenceError(f"symmetric eigensolver failed: {exc}") from exc
-    return EigenDecomposition(eigenvalues=w, eigenvectors=v)
+def eigvalsh(m: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric part, as :func:`eigh`."""
+    return np.linalg.eigvalsh(sym_part(m))
 
 
 def min_eigenvalue(m: np.ndarray) -> float:
-    m = np.asarray(m, dtype=float)
-    try:
-        return float(np.linalg.eigvalsh(sym_part(m))[0])
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise EigenConvergenceError(f"symmetric eigensolver failed: {exc}") from exc
-
-
-def is_psd(m: np.ndarray, tol: float = 1e-9) -> bool:
-    """True iff the minimum eigenvalue of the (symmetric) input is >= -tol."""
-    return min_eigenvalue(m) >= -tol
+    return float(eigvalsh(m)[0])
 
 
 def trace_norm(m: np.ndarray) -> float:
-    """Sum of absolute eigenvalues of a symmetric matrix."""
-    m = np.asarray(m, dtype=float)
-    return float(np.sum(np.abs(np.linalg.eigvalsh(sym_part(m)))))
+    """Sum of absolute eigenvalues of the symmetric part."""
+    return float(np.sum(np.abs(eigvalsh(m))))
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,11 @@ Wire formats:
   process  {"in_dims": [...], "out_dims": [...], "matrix": [[...], ...]}
            over the documented grading-coordinate ordering.
 
-Floats are emitted with 17 significant digits, which round-trips IEEE
-doubles exactly; emission is a pure function of the value, so identical
-inputs produce byte-identical output.
+Readers reject entries above MAX_ENTRY in magnitude (and non-finite ones),
+so squares and sums over the entries of the largest supported operators
+stay finite.  Floats are emitted with 17 significant digits, which
+round-trips IEEE doubles exactly; emission is a pure function of the value,
+so identical inputs produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ import math
 import numpy as np
 
 from .errors import DimensionMismatch
+
+MAX_ENTRY = 1e150
 
 
 def _format_float(x: float) -> str:
@@ -102,8 +106,8 @@ def matrix_from_json(obj) -> tuple[np.ndarray, tuple[int, ...] | None]:
     m = np.asarray(rows, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"matrix rows have shape {m.shape}; expected square")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must be finite")
+    if not np.all(np.abs(m) <= MAX_ENTRY):
+        raise ValueError(f"matrix entries must be finite and at most {MAX_ENTRY:g} in magnitude")
     declared = obj.get("dim")
     if declared is not None and int(declared) != m.shape[0]:
         raise DimensionMismatch(
@@ -137,8 +141,8 @@ def process_from_json(obj):
         if key not in obj:
             raise ValueError(f'process JSON must contain "{key}"')
     matrix = np.asarray(obj["matrix"], dtype=float)
-    if matrix.ndim != 2 or not np.all(np.isfinite(matrix)):
-        raise ValueError("process matrix must be a finite 2-D array")
+    if matrix.ndim != 2 or not np.all(np.abs(matrix) <= MAX_ENTRY):
+        raise ValueError(f"process matrix must be 2-D, entries at most {MAX_ENTRY:g} in magnitude")
     return LinearProcess(
         in_dims=tuple(int(d) for d in obj["in_dims"]),
         out_dims=tuple(int(d) for d in obj["out_dims"]),

@@ -23,7 +23,7 @@ import numpy as np
 
 from .blocks import build_block_basis, symmetric_basis
 from .errors import DimensionMismatch, SupportViolation
-from .linalg import kron, max_norm, sym_part
+from .linalg import kron, max_norm, min_eigenvalue, sym_part
 
 INDISTINGUISHABILITY_TOL = 1e-9
 SHADOW_SUPPORT_TOL = 1e-9
@@ -139,7 +139,7 @@ def lt_multipartite(w: np.ndarray, dims) -> ShadowState:
     if (
         len(dims) == 2
         and max_norm(w - w.T) <= 1e-12 * (1 + max_norm(w))
-        and float(np.linalg.eigvalsh(w)[0]) >= -1e-9
+        and min_eigenvalue(w) >= -1e-9
     ):
         # W itself is a positive completion of its shadow
         certified["boxtimes"] = w - shadow

@@ -29,6 +29,7 @@ from .cones import (
 )
 from .fiber import push_and_spread, sample_fiber
 from .linalg import (
+    eigh,
     kron,
     max_norm,
     min_eigenvalue,
@@ -90,7 +91,7 @@ def run_verification_report(seed: int = 7, include_upb: bool = False) -> dict:
     w_state = lt_state(zz, (2, 2))
     w = w_state.op
     closed = epr_shadow_closed_form()
-    eigvals, eigvecs = np.linalg.eigh(w)
+    eigvals, eigvecs = eigh(w)
     lam_min = float(eigvals[0])
     target = np.array([1.0, 0.0, 0.0, -1.0]) / np.sqrt(2.0)
     overlap = abs(float(eigvecs[:, 0] @ target))

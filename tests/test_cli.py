@@ -249,3 +249,61 @@ def test_examples_upb_flag():
     rho = np.asarray(report["upb_state"]["rows"])
     assert np.trace(rho) == pytest.approx(1.0, abs=1e-12)
     assert len(report["upb_vectors"]) == 5
+
+
+@pytest.mark.parametrize("text, message", [
+    ("2,x", "cannot parse dims '2,x'; expected e.g. 2,2"),
+    ("0,2", "dims must be positive integers, got '0,2'"),
+])
+def test_dims_parse_error_reaches_stderr(capsys, text, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["decompose", "--dims", text])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(f"argument --dims: {message}")
+
+
+def _hostile_calls(tmp_path):
+    """Every subcommand that reads input, on entries of magnitude 1e308."""
+    matrix = tmp_path / "big.json"
+    matrix.write_text(dumps(matrix_to_json(np.full((4, 4), 1e308), dims=(2, 2))))
+    process = tmp_path / "big-map.json"
+    process.write_text(dumps({"in_dims": [2, 2], "out_dims": [2, 2],
+                              "matrix": np.full((16, 16), -1e308)}))
+    calls = [["decompose", "-i", str(matrix)], ["shadow", "-i", str(matrix)],
+             ["fiber", "--shadow", str(matrix), "--n", "10", "--seed", "1"]]
+    calls += [["cone", "--cone", cone, "--seed", "1", "-i", str(matrix)]
+              for cone in ("min", "psd-ss", "boxtimes", "max", "effect")]
+    calls += [["map", "--check", check, "--seed", "1", "-i", str(process)]
+              for check in ("local-positive", "positive", "shadow")]
+    return calls
+
+
+def test_hostile_magnitudes_exit_2_without_warnings(tmp_path, capsys, recwarn):
+    for argv in _hostile_calls(tmp_path):
+        assert cli.main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), (argv, err)
+        assert "1e+150" in err
+    assert not recwarn.list, [str(w.message) for w in recwarn.list]
+
+
+def test_fiber_n_above_limit_exit_2_before_sampling(tmp_path, capsys, monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled despite the --n limit")
+
+    monkeypatch.setattr(cli, "sample_fiber", no_sampling)
+    path = epr_shadow_file(tmp_path)
+    argv = ["fiber", "--shadow", str(path), "--seed", "1", "--n", str(cli.MAX_FIBER_N + 1)]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: --n 10001 is above the limit of {cli.MAX_FIBER_N}\n"
+
+
+def test_non_finite_payload_exit_5(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(cli, "kernel_component_norm", lambda m, dims: float("inf"))
+    assert cli.main(["shadow", "-i", str(epr_shadow_file(tmp_path))]) == 5
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("numeric failure: cannot serialize non-finite float")

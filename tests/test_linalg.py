@@ -1,15 +1,19 @@
 """Operator-core contracts: trace pairing, splitting, kron, eigensolver."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import ltshadow
 from ltshadow.errors import DimensionMismatch
 from ltshadow.linalg import (
     antisym_part,
-    eig_sym,
-    is_psd,
+    eigh,
+    eigvalsh,
     kron,
     max_norm,
+    min_eigenvalue,
     random_symmetric,
     rng_from_seed,
     sym_part,
@@ -107,48 +111,75 @@ def test_kron_trace_multiplicative():
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
-def test_eig_sym_trivial():
-    np.testing.assert_allclose(eig_sym(np.eye(2)).eigenvalues, [1.0, 1.0])
-    np.testing.assert_allclose(eig_sym(np.diag([-1.0, 3.0])).eigenvalues, [-1.0, 3.0])
+def test_eigh_trivial():
+    np.testing.assert_allclose(eigh(np.eye(2))[0], [1.0, 1.0])
+    np.testing.assert_allclose(eigh(np.diag([-1.0, 3.0]))[0], [-1.0, 3.0])
 
 
-def test_eig_sym_rejects_nonsymmetric():
-    with pytest.raises(ValueError):
-        eig_sym(XY)
+def test_eigh_decomposes_symmetric_part():
+    # XY = x (.) y is not symmetric; its symmetric part has eigenvalues -1/2, 1/2.
+    w, v = eigh(XY)
+    np.testing.assert_array_equal(w, np.linalg.eigh(sym_part(XY))[0])
+    np.testing.assert_allclose(w, [-0.5, 0.5], atol=1e-15)
+    np.testing.assert_array_equal(eigvalsh(XY), w)
+    rng = rng_from_seed(7)
+    a = rng.standard_normal((5, 5))
+    np.testing.assert_array_equal(eigvalsh(a), eigvalsh(sym_part(a)))
+    np.testing.assert_array_equal(eigvalsh(J), [0.0, 0.0])
 
 
-def test_eig_sym_contract_on_random_matrices():
+def test_eigh_contract_on_random_matrices():
     """Reconstruction and orthonormality over 1000 random symmetric matrices."""
     count = 0
     for dim in range(2, 10):
         rng = rng_from_seed(5, dim)
         for _ in range(125):
             m = random_symmetric(dim, rng)
-            dec = eig_sym(m)
-            assert np.all(np.diff(dec.eigenvalues) >= 0)
-            assert dec.reconstruction_error(m) <= 1e-10 * dim
-            assert dec.orthonormality_defect() <= 1e-10
+            w, v = eigh(m)
+            assert np.all(np.diff(w) >= 0)
+            assert max_norm(m - (v * w) @ v.T) <= 1e-10 * dim
+            assert max_norm(v.T @ v - np.eye(dim)) <= 1e-10
             count += 1
     assert count == 1000
 
 
-def test_eig_sym_epr_shadow():
+def test_eigh_stack_matches_single_solves():
+    rng = rng_from_seed(8)
+    for dim in (2, 4, 9):
+        stack = rng.standard_normal((6, dim, dim))
+        w, v = eigh(stack)
+        ws = eigvalsh(stack)
+        for r in range(6):
+            wr, vr = eigh(stack[r])
+            np.testing.assert_array_equal(w[r], wr)
+            np.testing.assert_array_equal(v[r], vr)
+            np.testing.assert_array_equal(ws[r], eigvalsh(stack[r]))
+
+
+def test_eigh_epr_shadow():
     """The shadow of the real EPR state has the -1/4 eigenpair."""
     from ltshadow.shadow import local_shadow_matrix
 
     z = np.array([0.0, 1.0, 1.0, 0.0]) / np.sqrt(2)
     w = local_shadow_matrix(np.outer(z, z), (2, 2))
-    dec = eig_sym(w)
-    assert dec.eigenvalues[0] == pytest.approx(-0.25, abs=1e-12)
+    vals, vecs = eigh(w)
+    assert vals[0] == pytest.approx(-0.25, abs=1e-12)
     target = np.array([1.0, 0.0, 0.0, -1.0]) / np.sqrt(2)
-    assert abs(abs(dec.eigenvectors[:, 0] @ target) - 1.0) <= 1e-10
+    assert abs(abs(vecs[:, 0] @ target) - 1.0) <= 1e-10
 
 
 def test_is_psd():
-    assert is_psd(np.eye(4), 1e-9)
+    assert min_eigenvalue(np.eye(4)) >= -1e-9
     z = np.array([0.0, 1.0, 1.0, 0.0]) / np.sqrt(2)
-    assert is_psd(np.outer(z, z), 1e-9)
-    assert not is_psd(np.diag([1.0, -1e-3]), 1e-9)
+    assert min_eigenvalue(np.outer(z, z)) >= -1e-9
+    assert not min_eigenvalue(np.diag([1.0, -1e-3])) >= -1e-9
     from ltshadow.shadow import local_shadow_matrix
 
-    assert not is_psd(local_shadow_matrix(np.outer(z, z), (2, 2)), 1e-9)
+    assert not min_eigenvalue(local_shadow_matrix(np.outer(z, z), (2, 2))) >= -1e-9
+
+
+def test_linalg_is_the_only_eigensolver_caller():
+    package = Path(ltshadow.__file__).parent
+    callers = sorted(path.name for path in package.glob("*.py")
+                     if "np.linalg.eig" in path.read_text(encoding="utf-8"))
+    assert callers == ["linalg.py"]

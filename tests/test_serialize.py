@@ -9,6 +9,7 @@ from ltshadow.errors import DimensionMismatch
 from ltshadow.linalg import rng_from_seed
 from ltshadow.processes import swap_process
 from ltshadow.serialize import (
+    MAX_ENTRY,
     dumps,
     matrix_from_json,
     matrix_to_json,
@@ -66,6 +67,18 @@ def test_matrix_from_json_validation():
         matrix_from_json({"dims": [2, 2], "rows": [[1, 0], [0, 1]]})
     with pytest.raises(ValueError):
         matrix_from_json({"rows": [[1, float("inf")], [0, 1]]})
+
+
+def test_readers_bound_entry_magnitude():
+    edge = np.full((2, 2), -MAX_ENTRY)
+    np.testing.assert_array_equal(matrix_from_json({"rows": edge.tolist()})[0], edge)
+    back = process_from_json({"in_dims": [1], "out_dims": [1], "matrix": [[MAX_ENTRY]]})
+    assert back.matrix[0, 0] == MAX_ENTRY
+    for big in (1.01 * MAX_ENTRY, -1e308, float("nan")):
+        with pytest.raises(ValueError, match="magnitude"):
+            matrix_from_json({"rows": [[1.0, big], [big, 1.0]]})
+        with pytest.raises(ValueError, match="magnitude"):
+            process_from_json({"in_dims": [1], "out_dims": [1], "matrix": [[big]]})
 
 
 def test_process_round_trip():
