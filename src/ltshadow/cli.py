@@ -11,11 +11,11 @@ Subcommands:
 All input and output is JSON (see serialize).  Stochastic subcommands
 require an explicit seed and echo it in the output.  Exit codes: 0 success,
 1 a check of ``examples`` failed, 2 malformed input (entries above 1e150 in
-magnitude, ``fiber --n`` above MAX_FIBER_N), 3 dimension mismatch or a
-factor above 9, 4 infeasible or undecided where a decision was required,
-5 internal numeric failure (``LinAlgError``, or a non-finite number in the
-output).  Output is byte-identical across runs for identical (input,
-flags, seed).
+magnitude, ``fiber --n`` above MAX_FIBER_N) or an output file that cannot
+be written, 3 dimension mismatch or a factor above 9, 4 infeasible or
+undecided where a decision was required, 5 internal numeric failure
+(``LinAlgError``, or a non-finite number in the output).  Output is
+byte-identical across runs for identical (input, flags, seed).
 """
 
 from __future__ import annotations
@@ -363,11 +363,15 @@ def main(argv=None) -> int:
     except np.linalg.LinAlgError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    path = getattr(args, "output", "-")
     try:
-        _write(payload, getattr(args, "output", "-"))
+        _write(payload, path)
     except ValueError as exc:  # dumps refuses a non-finite number
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     return code
 
 

@@ -12,7 +12,10 @@ width tol at the boundary: a small semidefinite program, solved by a
 log-barrier Newton method, returns the offset K or a separating functional.
 The maximal cone consists of forms nonnegative on all product effects; the
 dual of the boxtimes cone is the set of positive operators inside the ss
-block (see :func:`effect_in_shadow_cone`).
+block (see :func:`effect_in_shadow_cone`).  The minimal cone is searched
+by a matching pursuit over product projectors whose weights are refit by
+:func:`nnls`, the package's own active-set nonnegative least squares, and
+bounded from outside by positivity and the range criterion.
 
 Every ``member`` verdict carries a certificate that replays independently of
 the search that produced it; ``non_member`` verdicts carry a witness (a
@@ -57,6 +60,10 @@ BARRIER_GROWTH = 50.0
 
 # Sweep cap of each restart of the alternating product-form search.
 PRODUCT_FORM_SWEEPS = 120
+
+# Cap on the passive least-squares solves of one NNLS refit, per dictionary
+# column (the 3n of Lawson & Hanson).
+NNLS_SOLVES_PER_COLUMN = 3
 
 # Internal stream tags so each stochastic sub-search draws an independent,
 # reproducible stream from the caller's seed.
@@ -361,20 +368,69 @@ def separable_certificate_error(m: np.ndarray, dims, weights, xs, ys) -> float:
     return float(np.linalg.norm(np.asarray(m, dtype=float) - acc))
 
 
-def _range_criterion(m, dims, params):
+def nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float, bool]:
+    """Nonnegative least squares: min ||a w - b|| over w >= 0.
+
+    The active-set method of Lawson & Hanson (Solving Least Squares Problems,
+    1974, ch. 23).  The column with the largest gradient a^T (b - a w) enters
+    the passive set, and the least-squares weights z of the passive columns
+    are solved from their Gram matrix.  While some z_j <= 0, w moves towards
+    z up to the first weight that reaches 0, whose column leaves the passive
+    set.  Stops when no gradient outside the passive set exceeds the bound
+    10 max(m, n) eps max_j ||a_j|| (||b|| + sum_j ||a_j|| w_j) on its
+    roundoff.  Returns (weights, residual, ok), the residual taken from a
+    directly; ok is False when NNLS_SOLVES_PER_COLUMN * n passive solves did
+    not reach the optimum, and the weights are then the last feasible
+    iterate.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    m, n = a.shape
+    gram = a.T @ a
+    atb = a.T @ b
+    norms = np.sqrt(gram.diagonal())
+    b_norm = np.linalg.norm(b)
+    roundoff = 10 * max(m, n) * np.finfo(float).eps * norms.max()
+    w = np.zeros(n)
+    passive = np.zeros(0, dtype=int)  # in order of entry
+    solves = 0
+    while True:
+        grad = atb - gram @ w
+        grad[passive] = -np.inf
+        t = grad.argmax()
+        if not grad[t] > roundoff * (b_norm + norms @ w):
+            return w, float(np.linalg.norm(a @ w - b)), True
+        passive = np.concatenate([passive, [t]])
+        while True:
+            if solves == NNLS_SOLVES_PER_COLUMN * n:
+                return w, float(np.linalg.norm(a @ w - b)), False
+            solves += 1
+            z = np.linalg.solve(gram[passive[:, None], passive], atb[passive])
+            blocked = z <= 0
+            if not blocked.any():
+                break
+            wp = w[passive]
+            ratio = wp[blocked] / (wp[blocked] - z[blocked])
+            wp += ratio.min() * (z - wp)
+            wp[np.flatnonzero(blocked)[ratio == ratio.min()]] = 0.0
+            w[passive] = np.maximum(wp, 0.0)
+            passive = passive[wp > 0]
+        w[passive] = z
+
+
+def _range_criterion(w, v, dims, params):
     """Best product overlap with range(M); fires when provably < 1.
 
     If no unit product vector lies in the range of a PSD matrix M != 0, then
     M cannot be a mixture of product states.  The overlap maximization is
     heuristic, so the criterion only fires below 1 - RANGE_CRITERION_DELTA.
-    Returns (fired, info).
+    Takes the eigendecomposition (w, v) of M; returns (fired, info).
     """
-    w, v = eigh(m)
     lam_max = float(w[-1])
     rank_tol = 1e-10 * max(1.0, lam_max)
     support = w > rank_tol
     rank = int(np.count_nonzero(support))
-    d = m.shape[0]
+    d = len(w)
     if rank == 0 or rank == d:
         return False, {"range_rank": rank, "max_product_overlap": 1.0}
     proj = v[:, support] @ v[:, support].T
@@ -404,25 +460,24 @@ def in_min_cone(m: np.ndarray, dims, params: FeasibilityParams,
 
     member     - a nonnegative product-state decomposition reconstructs M to
                  Frobenius residual <= tol (fully corrective matching
-                 pursuit: best-aligned product atoms + NNLS refit);
+                 pursuit: best-aligned product atoms, then a refit of all
+                 weights by :func:`nnls`);
     non_member - M is not PSD (trivially outside), or the range criterion
                  fires (no product vector in range(M));
-    undecided  - neither search concluded, or the NNLS refit failed.
+    undecided  - neither search concluded, or the refit reached its
+                 iteration cap.
+    One eigendecomposition of M serves both non-member tests.
     """
-    # Imported here: loading scipy.optimize takes longer than the rest of
-    # `import ltshadow.cli`, and only this oracle uses it.
-    from scipy.optimize import nnls
-
     m = require_ss_support(m, dims)
     dims = _as_bipartite(dims)
 
-    lam = min_eigenvalue(m)
+    w, v = eigh(m)
+    lam = float(w[0])
     if lam < -params.tol:
-        w, v = eigh(m)
         cert = {"criterion": "not_psd", "witness_vector": v[:, 0], "eigenvalue": lam}
         return ConeMembershipResult(NON_MEMBER, cert, 0, -lam)
 
-    fired, info = _range_criterion(m, dims, params)
+    fired, info = _range_criterion(w, v, dims, params)
     if fired:
         return ConeMembershipResult(NON_MEMBER, info, params.restarts,
                                     1.0 - info["max_product_overlap"])
@@ -431,31 +486,30 @@ def in_min_cone(m: np.ndarray, dims, params: FeasibilityParams,
     xs: list[np.ndarray] = []
     ys: list[np.ndarray] = []
     cols: list[np.ndarray] = []
-    weights = np.zeros(0)
-    residual_mat = np.asarray(m, dtype=float).copy()
-    residual = float(np.linalg.norm(residual_mat))
+    target = m.ravel()
+    residual_mat = m
+    residual = float(np.linalg.norm(m))
     for atom in range(max_atoms):
         _, x, y = _best_atom(residual_mat, dims, params, atom)
         xs.append(x)
         ys.append(y)
         cols.append(np.kron(np.outer(x, x), np.outer(y, y)).ravel())
         dictionary = np.stack(cols, axis=1)
-        try:
-            weights, residual = nnls(dictionary, np.asarray(m, dtype=float).ravel())
-        except RuntimeError:
-            # scipy's NNLS stops at its iteration cap on some dictionaries;
-            # report the last finite residual and the atoms tried so far.
-            return ConeMembershipResult(UNDECIDED, None, atom + 1, float(residual))
+        weights, refit, ok = nnls(dictionary, target)
+        if not ok:
+            # Report the last finite residual and the atoms tried so far.
+            return ConeMembershipResult(UNDECIDED, None, atom + 1, residual)
+        residual = refit
         if residual <= params.tol:
             cert = {
                 "weights": weights,
                 "vectors_a": xs,
                 "vectors_b": ys,
-                "residual_frobenius": float(residual),
+                "residual_frobenius": residual,
             }
-            return ConeMembershipResult(MEMBER, cert, atom + 1, float(residual))
-        residual_mat = np.asarray(m, dtype=float) - (dictionary @ weights).reshape(m.shape)
-    return ConeMembershipResult(UNDECIDED, None, max_atoms, float(residual))
+            return ConeMembershipResult(MEMBER, cert, atom + 1, residual)
+        residual_mat = m - (dictionary @ weights).reshape(m.shape)
+    return ConeMembershipResult(UNDECIDED, None, max_atoms, residual)
 
 
 # ---------------------------------------------------------------------------

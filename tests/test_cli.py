@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,12 +48,34 @@ def test_version():
     assert proc.stdout.strip() == "0.1.0"
 
 
-def test_cli_import_leaves_scipy_optimize_out():
-    code = "import sys, ltshadow.cli; print('scipy.optimize' in sys.modules)"
+def test_cli_import_leaves_scipy_optimize_out(tmp_path):
+    """No scipy module is loaded by the CLI, even by the min-cone refit."""
+    mixture = 0.5 * (kron(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+                     + kron(np.diag([0.0, 1.0]), np.diag([1.0, 0.0])))
+    path = tmp_path / "mixture.json"
+    path.write_text(dumps(matrix_to_json(mixture, dims=(2, 2))))
+    code = (
+        "import contextlib, io, sys\n"
+        "from ltshadow import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(['examples', '--seed', '7', '--upb']),\n"
+        f"             cli.main(['cone', '--cone', 'min', '--seed', '3', '-i', {str(path)!r}])]\n"
+        "print(codes, sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+    )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=600)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[0, 0] []"
+
+
+def test_no_scipy_in_source_or_dependencies():
+    package = Path(cli.__file__).parent
+    users = sorted(path.name for path in package.glob("*.py")
+                   if "scipy" in path.read_text(encoding="utf-8"))
+    assert users == []
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    dependencies = pyproject.split("dependencies = [", 1)[1].split("]", 1)[0]
+    assert "numpy" in dependencies and "scipy" not in dependencies
 
 
 def test_shadow_command_epr(tmp_path):
@@ -307,3 +330,13 @@ def test_non_finite_payload_exit_5(capsys, monkeypatch, tmp_path):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("numeric failure: cannot serialize non-finite float")
+
+
+def test_unwritable_output_exit_2(capsys, tmp_path):
+    target = tmp_path / "missing" / "out.json"
+    assert cli.main(["shadow", "-i", str(epr_shadow_file(tmp_path)), "-o", str(target)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert not target.exists()

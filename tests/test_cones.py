@@ -6,8 +6,10 @@ import extremum_reference
 import numpy as np
 import pytest
 from boxtimes_reference import line_maximum
+from hypothesis import given, settings, strategies as st
+from nnls_reference import brute_force_nnls
 
-from ltshadow import cli
+from ltshadow import cli, cones
 from ltshadow.blocks import random_ss_matrix
 from ltshadow.cones import (
     MEMBER,
@@ -19,6 +21,7 @@ from ltshadow.cones import (
     in_max_cone,
     in_min_cone,
     in_positive_ss_cone,
+    nnls,
     product_form_extremum,
     product_quadratic_value,
     replay_boxtimes_member,
@@ -329,8 +332,8 @@ def test_min_cone_maximally_mixed_is_separable():
 
 
 def nnls_stall_mixture():
-    """Three-atom separable (2,2) mixture on which scipy's NNLS refit hits
-    its iteration cap during the matching pursuit."""
+    """Three-atom separable (2,2) mixture on which the NNLS refit of the
+    matching pursuit reaches its iteration cap (at 36 atoms with seed 0)."""
     rng = np.random.default_rng(5)
     m = np.zeros((4, 4))
     for _ in range(3):
@@ -352,6 +355,131 @@ def test_min_cone_nnls_failure_is_undecided(tmp_path, capsys):
     code = cli.main(["cone", "--cone", "min", "--seed", "0", "-i", str(path)])
     assert code == 4
     assert json.loads(capsys.readouterr().out)["verdict"] == UNDECIDED
+
+
+def test_min_cone_decomposes_m_once(eigensolves, monkeypatch):
+    """One eigensolve of M serves the positivity test and the range
+    criterion; every other eigensolve belongs to the product-form search."""
+    searched = {"n": 0}
+    search = cones.product_form_extremum
+
+    def counted_search(*args, **kwargs):
+        before = eigensolves["n"]
+        out = search(*args, **kwargs)
+        searched["n"] += eigensolves["n"] - before
+        return out
+
+    monkeypatch.setattr(cones, "product_form_extremum", counted_search)
+    for m, dims, criterion in ((epr_shadow(), (2, 2), "not_psd"),
+                               (upb_state(), (3, 3), "range")):
+        eigensolves["n"] = searched["n"] = 0
+        res = in_min_cone(m, dims, PARAMS)
+        assert res.verdict == NON_MEMBER
+        assert res.certificate["criterion"] == criterion
+        assert eigensolves["n"] - searched["n"] == 1
+
+
+def test_min_cone_refit_at_its_cap_is_undecided(monkeypatch):
+    monkeypatch.setattr(cones, "NNLS_SOLVES_PER_COLUMN", 0)
+    m, _, _ = random_product_projector((2, 3), 42)
+    res = in_min_cone(m, (2, 3), PARAMS)
+    assert res.verdict == UNDECIDED and res.certificate is None
+    assert res.iterations == 1
+    assert res.residual == pytest.approx(np.linalg.norm(m), abs=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# nonnegative least squares (the min-cone refit)
+# ---------------------------------------------------------------------------
+
+NNLS_PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+def product_columns(dims, n, rng):
+    """n unit product projectors kron(xx^T, yy^T), flattened as columns."""
+    cols = []
+    for _ in range(n):
+        x = rng.standard_normal(dims[0]); x /= np.linalg.norm(x)
+        y = rng.standard_normal(dims[1]); y /= np.linalg.norm(y)
+        cols.append(kron(np.outer(x, x), np.outer(y, y)).ravel())
+    return np.stack(cols, axis=1)
+
+
+@NNLS_PROPERTY
+@given(kind=st.sampled_from(["gaussian", "product"]), rows=st.integers(1, 81),
+       dims=st.sampled_from([(2, 2), (2, 3), (3, 3)]), n=st.integers(1, 50),
+       seed=st.integers(0, 2**32 - 1), sparse=st.booleans())
+def test_nnls_meets_kkt_conditions(kind, rows, dims, n, seed, sparse):
+    """Up to the pursuit's size (81 x 50): w >= 0, the gradient
+    a^T (b - a w) is <= tol where w = 0 and ~ 0 where w > 0."""
+    rng = rng_from_seed(seed)
+    if kind == "gaussian":
+        a = rng.standard_normal((rows, n))
+    else:
+        a = product_columns(dims, n, rng)
+    if sparse:  # a few atoms plus noise, as in a pursuit's refit
+        weights = rng.uniform(0.1, 1.0, n) * (rng.random(n) < 0.3)
+        b = a @ weights + 1e-3 * rng.standard_normal(a.shape[0])
+    else:
+        b = rng.standard_normal(a.shape[0])
+    w, residual, ok = nnls(a, b)
+    assert ok
+    assert np.all(w >= 0)
+    assert residual == pytest.approx(np.linalg.norm(a @ w - b), rel=1e-12, abs=1e-14)
+    grad = a.T @ (b - a @ w)
+    tol = 1e-11 * np.linalg.norm(a, 2) * np.linalg.norm(b)
+    assert np.all(grad[w == 0] <= tol)
+    assert np.all(np.abs(grad[w > 0]) <= tol)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+def test_nnls_recovers_a_nonnegative_product_combination(dims):
+    rng = rng_from_seed(43, *dims)
+    a = product_columns(dims, 5, rng)
+    weights = rng.uniform(0.2, 1.0, 5)
+    weights[1] = 0.0
+    w, residual, ok = nnls(a, a @ weights)
+    assert ok
+    np.testing.assert_allclose(w, weights, rtol=0, atol=1e-10)
+    assert w[1] == 0.0
+    assert residual <= 1e-12
+
+
+def test_nnls_gives_zero_weights_without_a_positive_component():
+    rng = rng_from_seed(44)
+    a = product_columns((3, 3), 6, rng)
+    for b in (np.zeros(81), -(a @ rng.uniform(0.2, 1.0, 6))):
+        # Product projectors have a nonnegative Gram matrix, so a^T b <= 0.
+        assert np.all(a.T @ b <= 0)
+        w, residual, ok = nnls(a, b)
+        assert ok
+        assert np.array_equal(w, np.zeros(6))
+        assert residual == pytest.approx(np.linalg.norm(b), rel=1e-15)
+
+
+def test_nnls_reports_its_cap(monkeypatch):
+    rng = rng_from_seed(45)
+    a = rng.standard_normal((20, 8))
+    b = rng.standard_normal(20)
+    assert nnls(a, b)[2]
+    monkeypatch.setattr(cones, "NNLS_SOLVES_PER_COLUMN", 0)
+    w, residual, ok = nnls(a, b)
+    assert not ok
+    assert np.array_equal(w, np.zeros(8))
+    assert residual == pytest.approx(np.linalg.norm(b), rel=1e-15)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_nnls_matches_brute_force_over_every_active_set(n):
+    for k in range(20):
+        rng = rng_from_seed(46, n, k)
+        a = rng.standard_normal((n + 4, n)) if k % 2 else product_columns((2, 3), n, rng)
+        b = rng.standard_normal(a.shape[0])
+        ref_w, ref_r = brute_force_nnls(a, b)
+        w, residual, ok = nnls(a, b)
+        assert ok
+        np.testing.assert_allclose(w, ref_w, rtol=0, atol=1e-10)
+        assert abs(residual - ref_r) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
