@@ -8,15 +8,7 @@ non-determinism seen by local agents.
 
 __version__ = "0.1.0"
 
-from .blocks import (
-    BlockCoordinates,
-    antisymmetric_basis,
-    build_block_basis,
-    decompose,
-    project_block,
-    recompose,
-    symmetric_basis,
-)
+from .blocks import grading_basis, project_block
 from .cones import (
     ConeMembershipResult,
     FeasibilityParams,
@@ -60,7 +52,6 @@ from .processes import (
 )
 from .shadow import (
     ShadowState,
-    fiber_basis,
     local_shadow_matrix,
     locally_indistinguishable,
     lt_multipartite,

@@ -12,8 +12,11 @@ sa and as span the antisymmetric ones.  The grading basis of a factor list
 (d_1, ..., d_n) concatenates, in binary pattern order (s < a per factor),
 the Kronecker products of one-factor basis elements, lexicographic within
 each block (see :func:`symmetric_basis` / :func:`antisymmetric_basis`), so
-coordinates are reproducible across runs and platforms.  Block coordinates
-here and process matrices in :mod:`ltshadow.processes` share this basis.
+coordinates are reproducible across runs and platforms.
+
+Every other module reaches the basis through :func:`grading_basis`: the
+coefficients of an operator X in block p are ``g.rows(p) @ X.ravel()``, and
+process matrices in :mod:`ltshadow.processes` are written in this basis.
 """
 
 from __future__ import annotations
@@ -27,8 +30,6 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .linalg import kron
-
-BLOCK_NAMES = ("ss", "sa", "as", "aa")
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -77,8 +78,8 @@ class GradingBasis:
 
     ``stacked`` holds one vectorized basis element per row, blocks in
     pattern order; ``slices`` maps each pattern to its rows.  Every per-block
-    view (:meth:`rows`, :meth:`block`, :attr:`basis_aa`) is a read-only slice
-    of that one array.
+    view (:meth:`rows`, :meth:`block`) is a read-only slice of that one
+    array; for two factors the shadow kernel is ``block("aa")``.
     """
 
     dims: tuple[int, ...]
@@ -98,9 +99,6 @@ class GradingBasis:
     def sizes(self) -> dict[str, int]:
         return {p: s.stop - s.start for p, s in self.slices.items()}
 
-    def pattern_slice(self, pattern: str) -> slice:
-        return self.slices[pattern]
-
     def rows(self, pattern: str) -> np.ndarray:
         """(n_elements, D^2) rows of the named block."""
         if pattern not in self.slices:
@@ -110,11 +108,6 @@ class GradingBasis:
     def block(self, pattern: str) -> np.ndarray:
         """(n_elements, D, D) basis elements of the named block."""
         return self.rows(pattern).reshape(-1, self.dim, self.dim)
-
-    @property
-    def basis_aa(self) -> np.ndarray:
-        """The shadow kernel basis of a two-factor space."""
-        return self.block("aa")
 
     @property
     def shadow_pattern(self) -> str:
@@ -170,83 +163,16 @@ def grading_basis(dims: tuple[int, ...]) -> GradingBasis:
     return GradingBasis(dims=dims, patterns=patterns, slices=slices, stacked=stacked)
 
 
-def build_block_basis(dim_a: int, dim_b: int) -> GradingBasis:
-    """The grading basis for two factors: blocks ss, sa, as, aa."""
-    return grading_basis((dim_a, dim_b))
-
-
-@dataclass(frozen=True)
-class BlockCoordinates:
-    """Coefficient vectors of an operator over the four block bases."""
-
-    coeffs_ss: np.ndarray
-    coeffs_sa: np.ndarray
-    coeffs_as: np.ndarray
-    coeffs_aa: np.ndarray
-
-    def coeffs(self, name: str) -> np.ndarray:
-        if name not in BLOCK_NAMES:
-            raise ValueError(f"unknown block {name!r}")
-        return getattr(self, f"coeffs_{name}")
-
-    def norms(self) -> dict[str, float]:
-        return {name: float(np.linalg.norm(self.coeffs(name))) for name in BLOCK_NAMES}
-
-    def total_norm_squared(self) -> float:
-        return float(sum(np.dot(self.coeffs(n), self.coeffs(n)) for n in BLOCK_NAMES))
-
-
-def _check_dim(w: np.ndarray, basis: GradingBasis) -> np.ndarray:
+def project_block(w: np.ndarray, basis: GradingBasis, block: str) -> np.ndarray:
+    """Orthogonal projection of W onto the named block."""
     w = np.asarray(w, dtype=float)
     if w.shape != (basis.dim, basis.dim):
         raise DimensionMismatch(
             f"operator shape {w.shape} does not match basis dimension "
             f"{basis.dim}x{basis.dim} for factors {basis.dims}"
         )
-    return w
-
-
-def decompose(w: np.ndarray, basis: GradingBasis) -> BlockCoordinates:
-    """Coefficients trace_inner(W, element) over all four blocks.
-
-    Parseval: the squared coefficients sum to trace_inner(W, W) when W lies
-    in the spanned space (all of L(H x K)).
-    """
-    w = _check_dim(w, basis)
-    vec = w.ravel()
-    return BlockCoordinates(
-        coeffs_ss=basis.rows("ss") @ vec,
-        coeffs_sa=basis.rows("sa") @ vec,
-        coeffs_as=basis.rows("as") @ vec,
-        coeffs_aa=basis.rows("aa") @ vec,
-    )
-
-
-def recompose(coords: BlockCoordinates, basis: GradingBasis) -> np.ndarray:
-    """Linear combination of basis elements; inverse of :func:`decompose`."""
-    d = basis.dim
-    vec = np.zeros(d * d)
-    for name in BLOCK_NAMES:
-        c = np.asarray(coords.coeffs(name), dtype=float)
-        stacked = basis.rows(name)
-        if c.shape != (stacked.shape[0],):
-            raise DimensionMismatch(
-                f"coefficient vector for block {name} has length {c.shape}, "
-                f"expected {stacked.shape[0]}"
-            )
-        if c.size:
-            vec += c @ stacked
-    return vec.reshape(d, d)
-
-
-def project_block(w: np.ndarray, basis: GradingBasis, block: str) -> np.ndarray:
-    """Orthogonal projection of W onto the named block."""
-    w = _check_dim(w, basis)
     stacked = basis.rows(block)
-    if stacked.shape[0] == 0:
-        return np.zeros_like(w)
-    vec = stacked.T @ (stacked @ w.ravel())
-    return vec.reshape(w.shape)
+    return (stacked.T @ (stacked @ w.ravel())).reshape(w.shape)
 
 
 def expected_sizes(dim_a: int, dim_b: int) -> dict[str, int]:
@@ -263,12 +189,8 @@ def expected_sizes(dim_a: int, dim_b: int) -> dict[str, int]:
 
 def random_ss_matrix(dim_a: int, dim_b: int, rng: np.random.Generator) -> np.ndarray:
     """Random symmetric matrix supported on the ss block (iid normal coefficients)."""
-    basis = build_block_basis(dim_a, dim_b)
+    basis = grading_basis((dim_a, dim_b))
     c = rng.standard_normal(basis.sizes["ss"])
     d = basis.dim
     return (c @ basis.rows("ss")).reshape(d, d)
 
-
-def gram_matrix(basis: GradingBasis) -> np.ndarray:
-    """Gram matrix of the concatenated basis (identity iff orthonormal)."""
-    return basis.stacked @ basis.stacked.T

@@ -28,7 +28,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .blocks import build_block_basis, decompose as block_decompose
+from .blocks import grading_basis
 from .cones import (
     FeasibilityParams,
     UNDECIDED,
@@ -157,17 +157,11 @@ def cmd_decompose(args) -> tuple[dict, int]:
     dims = _resolve_dims(file_dims, args.dims, m.shape[0])
     if len(dims) != 2:
         raise DimensionMismatch("decompose expects a bipartite operator")
-    basis = build_block_basis(*dims)
-    coords = block_decompose(m, basis)
-    norms = coords.norms()
-    payload = {
-        "dims": list(dims),
-        "ss_norm": norms["ss"],
-        "sa_norm": norms["sa"],
-        "as_norm": norms["as"],
-        "aa_norm": norms["aa"],
-        "coords": {name: jsonable(coords.coeffs(name)) for name in ("ss", "sa", "as", "aa")},
-    }
+    g = grading_basis(dims)
+    coords = {p: g.rows(p) @ m.ravel() for p in g.patterns}
+    payload = {"dims": list(dims)}
+    payload.update({f"{p}_norm": float(np.linalg.norm(c)) for p, c in coords.items()})
+    payload["coords"] = {p: jsonable(c) for p, c in coords.items()}
     return payload, EXIT_OK
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import build_block_basis, project_block
+from .blocks import grading_basis, project_block
 from .errors import DimensionMismatch
 from .linalg import (
     eigh,
@@ -60,6 +60,9 @@ BARRIER_GROWTH = 50.0
 
 # Sweep cap of each restart of the alternating product-form search.
 PRODUCT_FORM_SWEEPS = 120
+
+# Atom cap of the matching pursuit in the minimal cone.
+MIN_CONE_ATOMS = 50
 
 # Cap on the passive least-squares solves of one NNLS refit, per dictionary
 # column (the 3n of Lawson & Hanson).
@@ -201,7 +204,7 @@ def replay_boxtimes_member(m: np.ndarray, dims, k: np.ndarray,
                            psd_tol: float = 1e-8, span_tol: float = 1e-9) -> bool:
     """Check a member certificate: K lies in the aa span and M + K is PSD."""
     dims = _as_bipartite(dims)
-    basis = build_block_basis(*dims)
+    basis = grading_basis(dims)
     k = np.asarray(k, dtype=float)
     off_span = max_norm(k - project_block(k, basis, "aa"))
     if off_span > span_tol * (1 + max_norm(k)):
@@ -220,7 +223,7 @@ def replay_separating_functional(m: np.ndarray, dims, f: np.ndarray,
     pairing).
     """
     dims = _as_bipartite(dims)
-    basis = build_block_basis(*dims)
+    basis = grading_basis(dims)
     fh = project_block(sym_part(np.asarray(f, dtype=float)), basis, "ss")
     lam = min_eigenvalue(fh)
     pairing = trace_inner(fh, np.asarray(m, dtype=float))
@@ -284,7 +287,7 @@ def _boxtimes_barrier(m: np.ndarray, dims, lam0: float, tol: float) -> ConeMembe
     ch. 11).
     """
     d = m.shape[0]
-    kernel = build_block_basis(*dims).rows("aa")
+    kernel = grading_basis(dims).rows("aa")
     k = len(kernel)
     a_flat = np.concatenate([kernel, -np.eye(d).reshape(1, -1)])
     a = a_flat.reshape(k + 1, d, d)
@@ -454,8 +457,7 @@ def _best_atom(residual, dims, params, atom_index):
                                  stream=_STREAM_MIN_ATOMS * 1000 + atom_index)
 
 
-def in_min_cone(m: np.ndarray, dims, params: FeasibilityParams,
-                max_atoms: int = 50) -> ConeMembershipResult:
+def in_min_cone(m: np.ndarray, dims, params: FeasibilityParams) -> ConeMembershipResult:
     """Separability oracle: sound but incomplete in both directions.
 
     member     - a nonnegative product-state decomposition reconstructs M to
@@ -464,8 +466,8 @@ def in_min_cone(m: np.ndarray, dims, params: FeasibilityParams,
                  weights by :func:`nnls`);
     non_member - M is not PSD (trivially outside), or the range criterion
                  fires (no product vector in range(M));
-    undecided  - neither search concluded, or the refit reached its
-                 iteration cap.
+    undecided  - neither search concluded within MIN_CONE_ATOMS atoms, or
+                 the refit reached its iteration cap.
     One eigendecomposition of M serves both non-member tests.
     """
     m = require_ss_support(m, dims)
@@ -489,7 +491,7 @@ def in_min_cone(m: np.ndarray, dims, params: FeasibilityParams,
     target = m.ravel()
     residual_mat = m
     residual = float(np.linalg.norm(m))
-    for atom in range(max_atoms):
+    for atom in range(MIN_CONE_ATOMS):
         _, x, y = _best_atom(residual_mat, dims, params, atom)
         xs.append(x)
         ys.append(y)
@@ -509,7 +511,7 @@ def in_min_cone(m: np.ndarray, dims, params: FeasibilityParams,
             }
             return ConeMembershipResult(MEMBER, cert, atom + 1, residual)
         residual_mat = m - (dictionary @ weights).reshape(m.shape)
-    return ConeMembershipResult(UNDECIDED, None, max_atoms, residual)
+    return ConeMembershipResult(UNDECIDED, None, MIN_CONE_ATOMS, residual)
 
 
 # ---------------------------------------------------------------------------

@@ -26,20 +26,24 @@ are pragmatic choices, not canonical ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
+from .blocks import grading_basis
 from .cones import FeasibilityParams, in_boxtimes_cone, MEMBER
-from .errors import InfeasibleShadow
+from .errors import DimensionMismatch, InfeasibleShadow
 from .linalg import eigh, eigvalsh, max_norm, min_eigenvalue, rng_from_seed
 from .processes import LinearProcess
-from .shadow import ShadowState, fiber_basis, local_shadow_matrix
+from .shadow import ShadowState, local_shadow_matrix
 
 DET_TOL = 1e-7
 REP_PSD_TOL = 1e-9
 REP_TRACE_TOL = 1e-9
 REP_SHADOW_TOL = 1e-8
+# Tolerance of the boxtimes oracle that finds the start point: its offset
+# makes the start positive within START_TOL / 100.
+START_TOL = 1e-10
 # Eigenvalue floor of the hit-and-run endpoint formula, relative to the scale
 # of the start point: it bounds both the step a direction leaving a face of
 # the cone can take and how far one step can push an eigenvalue below zero.
@@ -76,17 +80,16 @@ class SpreadReport:
             raise ValueError("diameter cannot be smaller than the mean pairwise distance")
 
 
-def _feasible_start(shadow: ShadowState, params: FeasibilityParams) -> np.ndarray:
+def _feasible_start(shadow: ShadowState) -> np.ndarray:
     """A positive point on the affine slice, from the shadow's certificate or
-    from the boxtimes oracle's kernel offset (tol at most 1e-10, so the
-    point is positive within tol/100)."""
+    from the kernel offset of the boxtimes oracle at tol START_TOL."""
     cert = shadow.certified.get("boxtimes")
     if cert is not None:
         candidate = shadow.op + np.asarray(cert, dtype=float)
         if min_eigenvalue(candidate) >= -REP_PSD_TOL:
             return candidate
-    tight = replace(params, tol=min(params.tol, 1e-10))
-    result = in_boxtimes_cone(shadow.op, shadow.dims, tight)
+    # The boxtimes oracle draws no random numbers, so any seed will do.
+    result = in_boxtimes_cone(shadow.op, shadow.dims, FeasibilityParams(seed=0, tol=START_TOL))
     if result.verdict != MEMBER:
         raise InfeasibleShadow(
             f"no positive state projects to this shadow (oracle verdict: {result.verdict})"
@@ -117,7 +120,6 @@ def _feasible_interval(x: np.ndarray, direction: np.ndarray,
 
 
 def sample_fiber(shadow: ShadowState, n: int, seed: int,
-                 params: FeasibilityParams | None = None,
                  burn_in: int = 100) -> FiberSample:
     """Hit-and-run sample of the fiber of a shadow.
 
@@ -125,14 +127,14 @@ def sample_fiber(shadow: ShadowState, n: int, seed: int,
     raises InfeasibleShadow otherwise.  With an empty kernel the fiber is a
     single point.  Every returned representative is validated: positive
     within 1e-9, unit trace within 1e-9, and shadow equal to the input
-    within 1e-8.
+    within 1e-8.  Defined for two factors, where the kernel is the aa block.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if params is None:
-        params = FeasibilityParams(seed=seed)
-    kernel = fiber_basis(shadow.dims)
-    k = len(kernel)
+    if len(shadow.dims) != 2:
+        raise DimensionMismatch(f"sample_fiber is defined for two factors, got {shadow.dims}")
+    kernel = grading_basis(shadow.dims).rows("aa")
+    k = kernel.shape[0]
     if k == 0:
         start = shadow.op.copy()
         if min_eigenvalue(start) < -REP_PSD_TOL:
@@ -141,8 +143,7 @@ def sample_fiber(shadow: ShadowState, n: int, seed: int,
         return FiberSample(shadow=shadow, representatives=reps, seed=seed,
                            n_requested=n, n_accepted=1, kernel_dim=0)
 
-    start = _feasible_start(shadow, params)
-    kernel = np.stack(kernel).reshape(k, -1)
+    start = _feasible_start(shadow)
     rng = rng_from_seed(seed, _STREAM_HIT_AND_RUN)
     scale = 1.0 + max_norm(start)
     floor = EIG_FLOOR * scale
@@ -179,24 +180,22 @@ def _valid_representative(x: np.ndarray, shadow: ShadowState) -> bool:
     return max_norm(local_shadow_matrix(x, shadow.dims) - shadow.op) <= REP_SHADOW_TOL
 
 
-def push_and_spread(sample: FiberSample, proc: LinearProcess,
-                    out_dims=None, det_tol: float = DET_TOL,
-                    psd_tol: float = REP_PSD_TOL) -> SpreadReport:
+def push_and_spread(sample: FiberSample, proc: LinearProcess) -> SpreadReport:
     """Push every representative through the process and measure shadow spread.
 
-    Representatives whose image fails positivity are excluded and counted.
-    ``deterministic`` is True when the trace-norm diameter of the output
-    shadows is at most det_tol — the locally positive case.
+    Representatives whose image fails positivity (lambda_min below
+    -REP_PSD_TOL) are excluded and counted.  ``deterministic`` is True when
+    the trace-norm diameter of the output shadows is at most DET_TOL — the
+    locally positive case.
     """
-    out_dims = tuple(out_dims) if out_dims is not None else proc.out_dims
     shadows: list[np.ndarray] = []
     excluded = 0
     for rep in sample.representatives:
         image = proc.apply(rep)
-        if min_eigenvalue(image) < -psd_tol:
+        if min_eigenvalue(image) < -REP_PSD_TOL:
             excluded += 1
             continue
-        shadows.append(local_shadow_matrix(image, out_dims))
+        shadows.append(local_shadow_matrix(image, proc.out_dims))
     n = len(shadows)
     if n == 0:
         return SpreadReport(n=0, diameter=0.0, mean_pairwise=0.0,
@@ -212,4 +211,4 @@ def push_and_spread(sample: FiberSample, proc: LinearProcess,
     pairs = n * (n - 1) // 2
     mean = total / pairs if pairs else 0.0
     return SpreadReport(n=n, diameter=diameter, mean_pairwise=mean,
-                        deterministic=diameter <= det_tol, excluded=excluded)
+                        deterministic=diameter <= DET_TOL, excluded=excluded)

@@ -187,11 +187,12 @@ class ProcessBlockMatrix:
     phi_aa: np.ndarray
 
 
-def block_matrix(proc: LinearProcess, grading_tol: float = 1e-10) -> ProcessBlockMatrix:
+def block_matrix(proc: LinearProcess) -> ProcessBlockMatrix:
     """Extract the operator blocks of the restriction to symmetric operators.
 
-    Raises ValueError when the map does not preserve the symmetric subspace
-    (checked on the shadow + kernel basis columns).
+    Raises ValueError when the map does not preserve the symmetric subspace:
+    the antisymmetric images of the shadow + kernel basis columns exceed
+    1e-10 (1 + ||matrix||_max).
     """
     gin = grading_basis(proc.in_dims)
     gout = grading_basis(proc.out_dims)
@@ -205,7 +206,7 @@ def block_matrix(proc: LinearProcess, grading_tol: float = 1e-10) -> ProcessBloc
     sym_cols = np.concatenate([in_shadow, in_kernel])
     if out_odd.size and sym_cols.size:
         leak = max_norm(proc.matrix[np.ix_(out_odd, sym_cols)])
-        if leak > grading_tol * scale:
+        if leak > 1e-10 * scale:
             raise ValueError(
                 "process does not preserve the symmetric subspace "
                 f"(antisymmetric leakage {leak:.3e})"
@@ -232,16 +233,17 @@ class LocalPositivityCheck:
         return self.locally_positive
 
 
-def is_locally_positive(proc: LinearProcess, tol: float | None = None) -> LocalPositivityCheck:
+def is_locally_positive(proc: LinearProcess) -> LocalPositivityCheck:
     """A map descends to shadow spaces iff its kernel-to-shadow block vanishes.
 
-    On failure the returned witness is a kernel element K (locally invisible
-    input direction) whose image has a nonzero shadow, i.e. a pair of
-    locally indistinguishable inputs with locally distinguishable outputs.
+    The block counts as zero up to tol = 1e-9 (1 + ||matrix||_max), which
+    the returned check reports.  On failure the returned witness is a kernel
+    element K (locally invisible input direction) whose image has a nonzero
+    shadow, i.e. a pair of locally indistinguishable inputs with locally
+    distinguishable outputs.
     """
     blocks = block_matrix(proc)
-    if tol is None:
-        tol = 1e-9 * (1 + max_norm(proc.matrix))
+    tol = 1e-9 * (1 + max_norm(proc.matrix))
     defect = max_norm(blocks.phi_sa)
     if defect <= tol:
         return LocalPositivityCheck(True, defect, tol)
@@ -366,11 +368,12 @@ def random_locally_positive_process(dims, seed: int) -> LinearProcess:
     return LinearProcess(dims, dims, m + lam * trace_unit_process(dims).matrix)
 
 
-def random_kernel_leaking_process(dims, seed: int, min_defect: float = 1e-4) -> LinearProcess:
+def random_kernel_leaking_process(dims, seed: int) -> LinearProcess:
     """Random positive map whose kernel-to-shadow block does not vanish.
 
     Conjugation by a Haar-random (non-local) orthogonal: positive — even
-    completely positive — but generically mixes the grading.
+    completely positive — but generically mixes the grading.  Draws until
+    the kernel-to-shadow defect is at least 1e-4.
     """
     dims = tuple(int(d) for d in dims)
     d = math.prod(dims)
@@ -379,6 +382,6 @@ def random_kernel_leaking_process(dims, seed: int, min_defect: float = 1e-4) -> 
         q = random_orthogonal(d, rng)
         proc = conjugation_process(q, dims)
         if not is_locally_positive(proc) and block_matrix(proc).phi_sa.size:
-            if max_norm(block_matrix(proc).phi_sa) >= min_defect:
+            if max_norm(block_matrix(proc).phi_sa) >= 1e-4:
                 return proc
     raise RuntimeError("could not generate a kernel-leaking orthogonal conjugation")

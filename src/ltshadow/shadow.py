@@ -15,15 +15,14 @@ reuse the same matrix type.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocks import build_block_basis, symmetric_basis
+from .blocks import grading_basis
 from .errors import DimensionMismatch, SupportViolation
-from .linalg import kron, max_norm, min_eigenvalue, sym_part
+from .linalg import max_norm, min_eigenvalue, sym_part
 
 INDISTINGUISHABILITY_TOL = 1e-9
 SHADOW_SUPPORT_TOL = 1e-9
@@ -149,18 +148,16 @@ def lt_multipartite(w: np.ndarray, dims) -> ShadowState:
 def lt_state_oracle(w: np.ndarray, dims) -> ShadowState:
     """Independent shadow computation from the defining linear system.
 
-    Solves for the matrix M in the span of product symmetric basis elements
-    whose pairings with every product effect match those of W:
+    Solves for the matrix M in the span of the products a_1 x ... x a_n of
+    one-factor symmetric basis elements (the all-s rows of the grading
+    basis) whose pairings with every such product match those of W:
     trace_inner(M, a_1 x ... x a_n) = trace_inner(W, a_1 x ... x a_n).
     Deliberately ignorant of the symmetrizer implementation; used as the
     anti-bug cross-check for the closed form.
     """
     dims = _check_dims(w, dims)
     w = np.asarray(w, dtype=float)
-    factor_bases = [symmetric_basis(d) for d in dims]
-    products = np.stack([
-        kron_all(combo).ravel() for combo in itertools.product(*factor_bases)
-    ])
+    products = grading_basis(dims).rows("s" * len(dims))
     gram = products @ products.T
     rhs = products @ w.ravel()
     try:
@@ -169,13 +166,6 @@ def lt_state_oracle(w: np.ndarray, dims) -> ShadowState:
         raise RuntimeError("singular Gram system for product symmetric basis") from exc
     m = (coeff @ products).reshape(w.shape)
     return ShadowState(op=m, dims=dims)
-
-
-def kron_all(factors) -> np.ndarray:
-    out = np.asarray(factors[0], dtype=float)
-    for f in factors[1:]:
-        out = kron(out, f)
-    return out
 
 
 def locally_indistinguishable(w1: np.ndarray, w2: np.ndarray, dims,
@@ -188,19 +178,6 @@ def locally_indistinguishable(w1: np.ndarray, w2: np.ndarray, dims,
     s1 = local_shadow_matrix(w1, dims)
     s2 = local_shadow_matrix(w2, dims)
     return max_norm(s1 - s2) <= tol * max(max_norm(w1), max_norm(w2))
-
-
-def fiber_basis(dims) -> list[np.ndarray]:
-    """Orthonormal basis of the shadow kernel for a bipartite system (the aa block).
-
-    The fiber of a shadow s is {s + sum_i t_i K_i} intersected with the
-    positive cone.  Empty when either factor has dimension 1.
-    """
-    dims = tuple(int(d) for d in dims)
-    if len(dims) != 2:
-        raise DimensionMismatch(f"fiber_basis is defined for two factors, got {dims}")
-    basis = build_block_basis(dims[0], dims[1])
-    return [k.copy() for k in basis.basis_aa]
 
 
 def aa_projection(w: np.ndarray, dims) -> np.ndarray:

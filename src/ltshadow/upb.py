@@ -19,6 +19,10 @@ from .errors import DimensionMismatch
 from .linalg import kron
 
 _STREAM_MARGIN = 21
+# Restarts of the product-form search behind the unextendibility margin.
+MARGIN_RESTARTS = 40
+# Share of the margin that the separating form keeps on every product effect.
+SEPARATION_SAFETY = 0.1
 
 
 @dataclass(frozen=True)
@@ -91,28 +95,27 @@ def upb_state(family: ProductVectorFamily | None = None) -> np.ndarray:
     return comp / rank
 
 
-def unextendibility_margin(family: ProductVectorFamily, seed: int,
-                           restarts: int = 40) -> float:
+def unextendibility_margin(family: ProductVectorFamily, seed: int) -> float:
     """min over unit product vectors of sum_i <x o y, v_i>^2.
 
     Strictly positive iff no product vector is orthogonal to the whole
     family, i.e. iff the family is unextendible.  Computed by the shared
-    alternating product-form optimizer on the span projector.
+    alternating product-form optimizer on the span projector, with
+    MARGIN_RESTARTS restarts.
     """
-    params = FeasibilityParams(seed=seed, restarts=restarts)
+    params = FeasibilityParams(seed=seed, restarts=MARGIN_RESTARTS)
     val, _, _ = product_form_extremum(family.span_projector(), family.dims, params,
                                       minimize=True, stream=_STREAM_MARGIN)
     return float(val)
 
 
-def separating_max_cone_form(family: ProductVectorFamily | None = None,
-                             seed: int = 0, safety: float = 0.1):
+def separating_max_cone_form(family: ProductVectorFamily | None = None, seed: int = 0):
     """A form in the maximal cone that the complement state separates from boxtimes.
 
-    With c the unextendibility margin, X = sum_i P_i - (1 - safety) c I is
-    nonnegative on every product effect (q(x, y) >= safety * c > 0) yet
-    pairs negatively with the complement state rho:
-    <rho, X> = -(1 - safety) c.  Since rho is a shadow effect (positive and
+    With c the unextendibility margin and s = SEPARATION_SAFETY,
+    X = sum_i P_i - (1 - s) c I is nonnegative on every product effect
+    (q(x, y) >= s c > 0) yet pairs negatively with the complement state
+    rho: <rho, X> = -(1 - s) c.  Since rho is a shadow effect (positive and
     ss-supported), no positive global state can have X as its shadow.
     Returns (X, rho, margin).
     """
@@ -121,6 +124,6 @@ def separating_max_cone_form(family: ProductVectorFamily | None = None,
     if margin <= 0:
         raise ValueError("family is extendible; no separation available")
     da, db = family.dims
-    x = family.span_projector() - (1 - safety) * margin * np.eye(da * db)
+    x = family.span_projector() - (1 - SEPARATION_SAFETY) * margin * np.eye(da * db)
     rho = upb_state(family)
     return x, rho, margin

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import __version__
-from .blocks import build_block_basis, decompose
+from .blocks import grading_basis
 from .cones import (
     FeasibilityParams,
     MEMBER,
@@ -45,7 +45,7 @@ from .processes import (
     swap_process,
 )
 from .serialize import jsonable, matrix_to_json
-from .shadow import fiber_basis, lt_state, lt_state_oracle
+from .shadow import lt_state, lt_state_oracle
 from .upb import separating_max_cone_form, tiles_upb, unextendibility_margin, upb_state
 
 
@@ -163,8 +163,7 @@ def run_verification_report(seed: int = 7, include_upb: bool = False) -> dict:
     family = tiles_upb()
     gram_dev = max_norm(family.gram() - np.eye(len(family)))
     rho = upb_state(family)
-    basis33 = build_block_basis(3, 3)
-    aa_norm = float(np.linalg.norm(decompose(rho, basis33).coeffs_aa))
+    aa_norm = float(np.linalg.norm(grading_basis((3, 3)).rows("aa") @ rho.ravel()))
     margin = unextendibility_margin(family, seed=seed)
     pss_rho = in_positive_ss_cone(rho, (3, 3))
     min_rho = in_min_cone(rho, (3, 3), params)
@@ -214,16 +213,16 @@ def run_verification_report(seed: int = 7, include_upb: bool = False) -> dict:
     worst_kernel = 0.0
     for idx, dims in enumerate(((2, 2), (2, 3))):
         d = dims[0] * dims[1]
-        basis = build_block_basis(*dims)
-        kernel = fiber_basis(dims)
+        g = grading_basis(dims)
+        kernel = g.block("aa")
         for k in range(10):
             rng = rng_from_seed(seed, 300 + idx, k)
             rho = random_density(d, rng)
             kmat = sum(float(c) * kb for c, kb in
                        zip(rng.standard_normal(len(kernel)), kernel))
             t = 0.5 * min_eigenvalue(rho) / max(max_norm(kmat), 1e-12)
-            lhs = decompose(lt_state(rho + t * kmat, dims).op, basis).coeffs_ss
-            rhs = decompose(lt_state(rho, dims).op, basis).coeffs_ss
+            lhs = g.rows("ss") @ lt_state(rho + t * kmat, dims).op.ravel()
+            rhs = g.rows("ss") @ lt_state(rho, dims).op.ravel()
             worst_kernel = max(worst_kernel, float(np.max(np.abs(lhs - rhs))))
     add("kernel_invariance", worst_kernel <= 1e-13, max_coordinate_deviation=worst_kernel)
 

@@ -11,12 +11,12 @@ use it as an independent judge of that oracle's verdicts.
 import math
 
 from ltshadow.linalg import max_norm, min_eigenvalue
-from ltshadow.shadow import fiber_basis
+from ltshadow.blocks import grading_basis
 
 
 def line_maximum(m):
     """f* = max over t of lambda_min(M + t K), for M on dims (2, 2)."""
-    (k,) = fiber_basis((2, 2))
+    (k,) = grading_basis((2, 2)).block("aa")
 
     def f(t):
         return min_eigenvalue(m + t * k)

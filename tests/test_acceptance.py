@@ -13,13 +13,7 @@ import time
 import numpy as np
 from boxtimes_reference import line_maximum
 
-from ltshadow.blocks import (
-    build_block_basis,
-    decompose,
-    expected_sizes,
-    gram_matrix,
-    random_ss_matrix,
-)
+from ltshadow.blocks import expected_sizes, grading_basis, random_ss_matrix
 from ltshadow.cones import (
     MEMBER,
     NON_MEMBER,
@@ -49,7 +43,6 @@ from ltshadow.processes import (
 )
 from ltshadow.shadow import (
     ShadowState,
-    fiber_basis,
     local_shadow_matrix,
     locally_indistinguishable,
     lt_state,
@@ -131,13 +124,13 @@ def test_criterion_4_block_structure():
     detail = []
     for da in range(1, 5):
         for db in range(1, 5):
-            basis = build_block_basis(da, db)
+            basis = grading_basis((da, db))
             sizes = basis.sizes
             d = da * db
             sizes_ok = sizes == expected_sizes(da, db)
             sum_ok = sum(sizes.values()) == d * d
             sym_ok = sizes["ss"] + sizes["aa"] == d * (d + 1) // 2
-            gram_ok = max_norm(gram_matrix(basis) - np.eye(d * d)) <= 1e-10
+            gram_ok = max_norm(basis.stacked @ basis.stacked.T - np.eye(d * d)) <= 1e-10
             ok = ok and sizes_ok and sum_ok and sym_ok and gram_ok
             if not (sizes_ok and sum_ok and sym_ok and gram_ok):
                 detail.append(f"({da},{db})")
@@ -150,8 +143,8 @@ def test_criterion_5_kernel_invariance_100_pairs():
     count = 0
     for idx, dims in enumerate(((2, 2), (2, 3))):
         d = dims[0] * dims[1]
-        basis = build_block_basis(*dims)
-        kernel = fiber_basis(dims)
+        basis = grading_basis(dims)
+        kernel = basis.block("aa")
         for k in range(50):
             rng = rng_from_seed(SEED, 20 + idx, k)
             w = random_density(d, rng)
@@ -159,8 +152,8 @@ def test_criterion_5_kernel_invariance_100_pairs():
                        zip(rng.standard_normal(len(kernel)), kernel))
             t = 0.5 * min_eigenvalue(w) / max(max_norm(kmat), 1e-12)
             assert min_eigenvalue(w + t * kmat) >= -1e-12  # stays a state
-            lhs = decompose(lt_state(w + t * kmat, dims).op, basis).coeffs_ss
-            rhs = decompose(lt_state(w, dims).op, basis).coeffs_ss
+            lhs = basis.rows("ss") @ lt_state(w + t * kmat, dims).op.ravel()
+            rhs = basis.rows("ss") @ lt_state(w, dims).op.ravel()
             worst = max(worst, float(np.max(np.abs(lhs - rhs))))
             count += 1
     # machine exactness: ulp-scale agreement of the shadow coordinates
@@ -172,7 +165,7 @@ def test_criterion_5_kernel_invariance_100_pairs():
 def _behavioral_conditions(proc, seed):
     """(kernel preservation, indistinguishability preservation, commuting square)."""
     dims = (2, 2)
-    kernel = fiber_basis(dims)
+    kernel = grading_basis(dims).block("aa")
     scale_tol = 1e-9 * (1 + proc.norm())
     kernel_ok = all(
         max_norm(local_shadow_matrix(proc.apply(k), dims)) <= scale_tol for k in kernel

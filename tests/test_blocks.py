@@ -1,20 +1,15 @@
-"""Block basis construction, coordinates, and projections."""
+"""Grading basis construction, block coordinates, and projections."""
+
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ltshadow.blocks import (
-    BLOCK_NAMES,
-    build_block_basis,
-    decompose,
-    expected_sizes,
-    gram_matrix,
-    project_block,
-    random_ss_matrix,
-    recompose,
-)
+import ltshadow
+from ltshadow.blocks import expected_sizes, grading_basis, project_block, random_ss_matrix
 from ltshadow.errors import DimensionMismatch
 from ltshadow.linalg import antisym_part, kron, max_norm, random_symmetric, rng_from_seed, sym_part, trace_inner
+from ltshadow.processes import from_coords, to_coords
 from ltshadow.shadow import local_shadow_matrix
 
 J = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -26,26 +21,26 @@ def epr_projector():
 
 
 def test_sizes_2_2():
-    basis = build_block_basis(2, 2)
+    basis = grading_basis((2, 2))
     assert basis.sizes == {"ss": 9, "sa": 3, "as": 3, "aa": 1}
     # the unique aa element is (J x J)/2 up to sign
-    el = basis.basis_aa[0]
+    el = basis.block("aa")[0]
     target = kron(J, J) / 2
     assert min(max_norm(el - target), max_norm(el + target)) <= 1e-15
 
 
 def test_sizes_2_3():
-    assert build_block_basis(2, 3).sizes == {"ss": 18, "sa": 9, "as": 6, "aa": 3}
+    assert grading_basis((2, 3)).sizes == {"ss": 18, "sa": 9, "as": 6, "aa": 3}
 
 
 def test_sizes_1_1():
-    assert build_block_basis(1, 1).sizes == {"ss": 1, "sa": 0, "as": 0, "aa": 0}
+    assert grading_basis((1, 1)).sizes == {"ss": 1, "sa": 0, "as": 0, "aa": 0}
 
 
 @pytest.mark.parametrize("da", [1, 2, 3, 4])
 @pytest.mark.parametrize("db", [1, 2, 3, 4])
 def test_dimension_audit(da, db):
-    basis = build_block_basis(da, db)
+    basis = grading_basis((da, db))
     sizes = basis.sizes
     assert sizes == expected_sizes(da, db)
     d = da * db
@@ -55,15 +50,15 @@ def test_dimension_audit(da, db):
 
 @pytest.mark.parametrize("da,db", [(1, 2), (2, 2), (2, 3), (3, 3), (4, 2)])
 def test_gram_matrix_is_identity(da, db):
-    basis = build_block_basis(da, db)
-    g = gram_matrix(basis)
+    basis = grading_basis((da, db))
+    g = basis.stacked @ basis.stacked.T
     assert max_norm(g - np.eye(g.shape[0])) <= 1e-10
 
 
 def test_cross_block_orthogonality():
-    basis = build_block_basis(2, 3)
-    for a in BLOCK_NAMES:
-        for b in BLOCK_NAMES:
+    basis = grading_basis((2, 3))
+    for a in basis.patterns:
+        for b in basis.patterns:
             if a == b:
                 continue
             for x in basis.block(a):
@@ -73,9 +68,8 @@ def test_cross_block_orthogonality():
 
 def test_decompose_epr_projector():
     """z (.) z = shadow part - T x T, with T the antisymmetrized x (.) y."""
-    basis = build_block_basis(2, 2)
-    coords = decompose(epr_projector(), basis)
-    assert np.linalg.norm(coords.coeffs_aa) > 0.4
+    basis = grading_basis((2, 2))
+    assert np.linalg.norm(basis.rows("aa") @ epr_projector().ravel()) > 0.4
     t = antisym_part(np.outer([1.0, 0.0], [0.0, 1.0]))
     np.testing.assert_allclose(
         project_block(epr_projector(), basis, "aa"), -kron(t, t), atol=1e-14
@@ -89,55 +83,54 @@ def test_decompose_product_state_has_no_kernel_part():
     v = rng.standard_normal(2)
     v /= np.linalg.norm(v)
     m = kron(np.outer(u, u), np.outer(v, v))
-    coords = decompose(m, build_block_basis(2, 2))
-    assert np.linalg.norm(coords.coeffs_aa) <= 1e-12
-    assert np.linalg.norm(coords.coeffs_sa) <= 1e-12
-    assert np.linalg.norm(coords.coeffs_as) <= 1e-12
+    basis = grading_basis((2, 2))
+    for name in ("sa", "as", "aa"):
+        assert np.linalg.norm(basis.rows(name) @ m.ravel()) <= 1e-12
 
 
 def test_decompose_identity_pure_ss():
-    coords = decompose(np.eye(4), build_block_basis(2, 2))
+    basis = grading_basis((2, 2))
     for name in ("sa", "as", "aa"):
-        assert np.linalg.norm(coords.coeffs(name)) == 0.0
+        assert np.linalg.norm(basis.rows(name) @ np.eye(4).ravel()) == 0.0
 
 
 def test_decompose_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        decompose(np.eye(5), build_block_basis(2, 2))
+        to_coords(np.eye(5), (2, 2))
+    with pytest.raises(DimensionMismatch):
+        from_coords(np.zeros(15), (2, 2))
 
 
 def test_parseval():
-    basis = build_block_basis(2, 3)
     rng = rng_from_seed(12)
     for _ in range(20):
         m = rng.standard_normal((6, 6))
-        coords = decompose(m, basis)
-        assert coords.total_norm_squared() == pytest.approx(trace_inner(m, m), rel=1e-12)
+        coords = to_coords(m, (2, 3))
+        assert float(coords @ coords) == pytest.approx(trace_inner(m, m), rel=1e-12)
 
 
 @pytest.mark.parametrize("da,db", [(2, 2), (2, 3), (3, 3)])
 def test_recompose_round_trip_symmetric(da, db):
-    basis = build_block_basis(da, db)
     rng = rng_from_seed(13, da, db)
     for _ in range(100):
         m = random_symmetric(da * db, rng)
-        back = recompose(decompose(m, basis), basis)
+        back = from_coords(to_coords(m, (da, db)), (da, db))
         assert max_norm(back - m) <= 1e-10
 
 
 def test_recompose_zero_and_unit_aa():
-    basis = build_block_basis(2, 2)
-    zero = decompose(np.zeros((4, 4)), basis)
-    assert max_norm(recompose(zero, basis)) == 0.0
-    coords = decompose(np.zeros((4, 4)), basis)
-    coords.coeffs_aa[0] = 1.0
-    el = recompose(coords, basis)
+    basis = grading_basis((2, 2))
+    zero = to_coords(np.zeros((4, 4)), (2, 2))
+    assert max_norm(from_coords(zero, (2, 2))) == 0.0
+    coords = to_coords(np.zeros((4, 4)), (2, 2))
+    coords[basis.slices["aa"].start] = 1.0
+    el = from_coords(coords, (2, 2))
     target = kron(J, J) / 2
     assert min(max_norm(el - target), max_norm(el + target)) <= 1e-15
 
 
 def test_project_block_epr():
-    basis = build_block_basis(2, 2)
+    basis = grading_basis((2, 2))
     w = project_block(epr_projector(), basis, "ss")
     # closed form: (P_x x P_y + P_y x P_x)/2 + S x S
     s = sym_part(np.outer([1.0, 0.0], [0.0, 1.0]))
@@ -147,19 +140,19 @@ def test_project_block_epr():
 
 
 def test_project_block_symmetric_has_no_mixed_parts():
-    basis = build_block_basis(2, 3)
+    basis = grading_basis((2, 3))
     m = random_symmetric(6, rng_from_seed(14))
     assert max_norm(project_block(m, basis, "sa")) <= 1e-12
     assert max_norm(project_block(m, basis, "as")) <= 1e-12
 
 
 def test_projections_sum_to_identity_and_idempotent():
-    basis = build_block_basis(2, 3)
+    basis = grading_basis((2, 3))
     rng = rng_from_seed(15)
     m = rng.standard_normal((6, 6))
-    total = sum(project_block(m, basis, name) for name in BLOCK_NAMES)
+    total = sum(project_block(m, basis, name) for name in basis.patterns)
     assert max_norm(total - m) <= 1e-12
-    for name in BLOCK_NAMES:
+    for name in basis.patterns:
         p = project_block(m, basis, name)
         assert max_norm(project_block(p, basis, name) - p) <= 1e-12
 
@@ -167,7 +160,7 @@ def test_projections_sum_to_identity_and_idempotent():
 @pytest.mark.parametrize("da,db", [(2, 2), (2, 3), (3, 3)])
 def test_ss_projection_matches_factor_symmetrizer(da, db):
     """Cross-module check: the ss projector equals the factor-wise symmetrizer."""
-    basis = build_block_basis(da, db)
+    basis = grading_basis((da, db))
     rng = rng_from_seed(16, da, db)
     for _ in range(25):
         m = rng.standard_normal((da * db, da * db))
@@ -179,7 +172,14 @@ def test_ss_projection_matches_factor_symmetrizer(da, db):
 
 
 def test_random_ss_matrix_is_ss_supported():
-    basis = build_block_basis(3, 3)
+    basis = grading_basis((3, 3))
     m = random_ss_matrix(3, 3, rng_from_seed(17))
     assert max_norm(m - project_block(m, basis, "ss")) <= 1e-13
     assert max_norm(m - m.T) <= 1e-13
+
+
+def test_blocks_is_the_only_module_that_builds_basis_elements():
+    package = Path(ltshadow.__file__).parent
+    users = sorted(path.name for path in package.glob("*.py")
+                   if "symmetric_basis" in path.read_text(encoding="utf-8"))
+    assert users == ["blocks.py"]

@@ -249,6 +249,26 @@ def test_fiber_command_middle_rank_shadow(tmp_path):
     assert json.loads(proc.stdout)["n_accepted"] == 100
 
 
+@pytest.mark.parametrize("dims", ["4", "2,2,2"])
+def test_fiber_not_bipartite_exit_3(tmp_path, capsys, dims):
+    d = int(np.prod([int(x) for x in dims.split(",")]))
+    path = tmp_path / "mixed.json"
+    path.write_text(dumps(matrix_to_json(np.eye(d) / d)))
+    assert cli.main(["fiber", "--shadow", str(path), "--dims", dims, "--seed", "1"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "two factors" in err
+
+
+def test_fiber_trivial_factor_is_a_single_point(tmp_path, capsys):
+    path = tmp_path / "mixed.json"
+    path.write_text(dumps(matrix_to_json(np.eye(4) / 4)))
+    assert cli.main(["fiber", "--shadow", str(path), "--dims", "1,4", "--n", "5",
+                     "--seed", "1"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["kernel_dim"], out["n_accepted"], out["rejected"]) == (0, 1, 0)
+
+
 def test_examples_exit_zero_and_byte_identical(tmp_path):
     one = run_cli(["examples", "--seed", "7"])
     two = run_cli(["examples", "--seed", "7"])

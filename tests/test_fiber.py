@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ltshadow.blocks import grading_basis
 from ltshadow.cones import FeasibilityParams
 from ltshadow.errors import InfeasibleShadow
 from ltshadow.fiber import EIG_FLOOR, _feasible_interval, push_and_spread, sample_fiber
@@ -14,7 +15,7 @@ from ltshadow.processes import (
     random_locally_positive_process,
     is_locally_positive,
 )
-from ltshadow.shadow import ShadowState, aa_projection, fiber_basis, local_shadow_matrix, lt_state
+from ltshadow.shadow import ShadowState, aa_projection, local_shadow_matrix, lt_state
 
 PARAMS = FeasibilityParams(seed=401)
 
@@ -132,7 +133,7 @@ def test_determinism_equivalence_with_local_positivity():
 
 def kernel_direction(dims, rng):
     """Random unit combination of the kernel basis, as the sampler draws it."""
-    kernel = np.stack(fiber_basis(dims))
+    kernel = grading_basis(dims).block("aa")
     c = rng.standard_normal(len(kernel))
     return np.tensordot(c / np.linalg.norm(c), kernel, axes=1)
 

@@ -11,7 +11,7 @@ not the tolerance band.
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
-from ltshadow.blocks import build_block_basis, project_block, random_ss_matrix
+from ltshadow.blocks import grading_basis, project_block, random_ss_matrix
 from ltshadow.cones import (
     MEMBER,
     NON_MEMBER,
@@ -24,7 +24,7 @@ from ltshadow.cones import (
 )
 from ltshadow.errors import SupportViolation
 from ltshadow.linalg import kron, max_norm, min_eigenvalue, random_orthogonal, rng_from_seed
-from ltshadow.shadow import SHADOW_SUPPORT_TOL, ShadowState, aa_projection, fiber_basis, local_shadow_matrix
+from ltshadow.shadow import SHADOW_SUPPORT_TOL, ShadowState, aa_projection, local_shadow_matrix
 
 DIMS = [(2, 2), (2, 3), (3, 3)]
 TOL = 1e-8
@@ -108,7 +108,7 @@ def boxtimes_boundary_matrix(dims, rng):
 def test_aa_projection_matches_basis_projection(seed, dims):
     d = dims[0] * dims[1]
     w = rng_from_seed(seed).standard_normal((d, d))
-    expected = project_block(w, build_block_basis(*dims), "aa")
+    expected = project_block(w, grading_basis(dims), "aa")
     assert max_norm(aa_projection(w, dims) - expected) <= 1e-13
 
 
@@ -120,7 +120,7 @@ def test_support_checks_agree(seed, dims, exponent):
     rng = rng_from_seed(seed)
     d = dims[0] * dims[1]
     off = rng.standard_normal((d, d))
-    off -= project_block(off, build_block_basis(*dims), "ss")
+    off -= project_block(off, grading_basis(dims), "ss")
     m = random_ss_matrix(*dims, rng) + 10.0**exponent * off / max_norm(off)
 
     def accepts(check):
@@ -133,7 +133,7 @@ def test_support_checks_agree(seed, dims, exponent):
     by_cones = accepts(lambda: require_ss_support(m, dims))
     by_state = accepts(lambda: ShadowState(op=m, dims=dims))
     assert by_cones == by_state
-    defect = max_norm(m - project_block(m, build_block_basis(*dims), "ss"))
+    defect = max_norm(m - project_block(m, grading_basis(dims), "ss"))
     threshold = SHADOW_SUPPORT_TOL * (1 + max_norm(m))
     if defect < threshold / 2:
         assert by_cones
@@ -149,7 +149,8 @@ def test_shadow_is_idempotent_and_kernel_invariant(seed, dims):
     w = rng.standard_normal((d, d))
     s = local_shadow_matrix(w, dims)
     assert max_norm(local_shadow_matrix(s, dims) - s) <= 1e-15 * (1 + max_norm(s))
-    k = sum(float(c) * kb for c, kb in zip(rng.standard_normal(d * d), fiber_basis(dims)))
+    kernel = grading_basis(dims).block("aa")
+    k = sum(float(c) * kb for c, kb in zip(rng.standard_normal(d * d), kernel))
     assert max_norm(local_shadow_matrix(w + k, dims) - s) <= 1e-13 * (1 + max_norm(k))
 
 

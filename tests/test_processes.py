@@ -40,7 +40,7 @@ from ltshadow.processes import (
     to_coords,
     trace_unit_process,
 )
-from ltshadow.shadow import fiber_basis, local_shadow_matrix, locally_indistinguishable
+from ltshadow.shadow import local_shadow_matrix, locally_indistinguishable
 
 PARAMS = FeasibilityParams(seed=201, restarts=12)
 J = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -61,8 +61,7 @@ def test_coords_round_trip():
 
 def test_grading_sizes():
     g = grading_basis((2, 2))
-    assert [g.pattern_slice(p).stop - g.pattern_slice(p).start
-            for p in g.patterns] == [9, 3, 3, 1]
+    assert [g.slices[p].stop - g.slices[p].start for p in g.patterns] == [9, 3, 3, 1]
     assert g.kernel_patterns == ("aa",)
     assert grading_basis((1,)).kernel_patterns == ()
 
@@ -190,7 +189,7 @@ def test_local_positivity_behavioral_equivalence():
     """Kernel preservation, indistinguishability preservation, and the
     commuting square hold or fail together with the block criterion."""
     rng = rng_from_seed(59)
-    kernel = fiber_basis((2, 2))
+    kernel = grading_basis((2, 2)).block("aa")
 
     def conditions(proc):
         blocks_ok = is_locally_positive(proc).locally_positive

@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
-from ltshadow.blocks import build_block_basis, decompose
+from ltshadow.blocks import grading_basis
 from ltshadow.errors import DimensionMismatch, SupportViolation
 from ltshadow.linalg import kron, max_norm, random_density, rng_from_seed, sym_part
 from ltshadow.shadow import (
     ShadowState,
-    fiber_basis,
     local_shadow_matrix,
     locally_indistinguishable,
     lt_multipartite,
@@ -143,26 +142,26 @@ def test_locally_indistinguishable():
 def test_locally_indistinguishable_is_scale_invariant(scale):
     rng = rng_from_seed(29)
     rho = random_density(9, rng)
-    k = sum(float(c) * kb for c, kb in zip(rng.standard_normal(4), fiber_basis((3, 3))))
+    kernel = grading_basis((3, 3)).block("aa")
+    k = sum(float(c) * kb for c, kb in zip(rng.standard_normal(4), kernel))
     t = 0.5 * float(np.linalg.eigvalsh(rho)[0]) / max_norm(k)
     assert locally_indistinguishable(scale * rho, scale * (rho + t * k), (3, 3))
     assert not locally_indistinguishable(scale * rho, 2 * scale * rho, (3, 3))
 
 
 def test_fiber_basis_dimensions():
-    (el,) = fiber_basis((2, 2))
+    (el,) = grading_basis((2, 2)).block("aa")
     target = kron(J, J) / 2
     assert min(max_norm(el - target), max_norm(el + target)) <= 1e-15
-    assert len(fiber_basis((2, 3))) == 3
-    assert fiber_basis((1, 5)) == []
+    assert len(grading_basis((2, 3)).block("aa")) == 3
+    assert len(grading_basis((1, 5)).block("aa")) == 0
 
 
 def test_fiber_basis_spans_kernel():
-    basis = build_block_basis(2, 3)
-    for k in fiber_basis((2, 3)):
+    basis = grading_basis((2, 3))
+    for k in basis.block("aa"):
         assert max_norm(local_shadow_matrix(k, (2, 3))) <= 1e-15
-        coords = decompose(k, basis)
-        assert np.linalg.norm(coords.coeffs_aa) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(basis.rows("aa") @ k.ravel()) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_shadow_carries_definitional_certificate():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ltshadow.blocks import build_block_basis, decompose
+from ltshadow.blocks import grading_basis
 from ltshadow.cones import (
     MEMBER,
     NON_MEMBER,
@@ -56,10 +56,9 @@ def test_state_eigenvalues_and_trace():
 
 def test_state_is_shadow_supported():
     rho = upb_state()
-    coords = decompose(rho, build_block_basis(3, 3))
-    assert np.linalg.norm(coords.coeffs_aa) <= 1e-12
-    assert np.linalg.norm(coords.coeffs_sa) <= 1e-12
-    assert np.linalg.norm(coords.coeffs_as) <= 1e-12
+    basis = grading_basis((3, 3))
+    for name in ("sa", "as", "aa"):
+        assert np.linalg.norm(basis.rows(name) @ rho.ravel()) <= 1e-12
 
 
 def test_state_cone_placement():
