@@ -135,35 +135,41 @@ def product_quadratic_value(m: np.ndarray, dims, x: np.ndarray, y: np.ndarray) -
     return float(np.einsum("ijkl,i,j,k,l->", m4, x, y, x, y))
 
 
+def _pairs(v: np.ndarray) -> np.ndarray:
+    """Row r of the result is the outer product v_r v_r^T, flattened."""
+    return (v[:, :, None] * v[:, None, :]).reshape(len(v), -1)
+
+
 def product_form_extremum(m: np.ndarray, dims, params: FeasibilityParams,
                           minimize: bool = True, stream: int = _STREAM_MAX_CONE):
     """Heuristic extremum of q(x, y) over unit product vectors.
 
     Alternating exact eigenvector steps (fix y, optimize x; fix x, optimize
-    y) from params.restarts random starts, restart k drawn from
-    params.rng(stream, k).  All restarts still moving are stepped together,
+    y) from params.restarts random starts, drawn row by row from one
+    params.rng(stream) call, so restart k's start depends on k but not on
+    the number of restarts.  All restarts still moving are stepped together,
     one stacked eigh per half-sweep; a restart stops when its extreme
     eigenvalue changes by at most 1e-14 (1 + |value|), or after
-    PRODUCT_FORM_SWEEPS sweeps.  Returns (value, x, y) of the best restart,
-    the lowest index on ties; the value is recomputed from the returned pair.
+    PRODUCT_FORM_SWEEPS sweeps.  Each contraction with M is a stack of row
+    vectors (flattened outer products) times one matrix, so every restart's
+    arithmetic is the same whichever other restarts share the stack.
+    Returns (value, x, y) of the best restart, the lowest index on ties; the
+    value is recomputed from the returned pair.
     """
     da, db = _as_bipartite(dims)
     m4 = np.asarray(m, dtype=float).reshape(da, db, da, db)
+    m_y = m4.transpose(1, 3, 0, 2).reshape(db * db, da * da)  # M[(j,l),(i,k)]
+    m_x = m4.transpose(0, 2, 1, 3).reshape(da * da, db * db)  # M[(i,k),(j,l)]
     idx = 0 if minimize else -1
-
-    def start(k: int) -> np.ndarray:
-        y0 = params.rng(stream, k).standard_normal(db)
-        return y0 / np.linalg.norm(y0)
-
-    y = np.stack([start(k) for k in range(params.restarts)])
+    y = params.rng(stream).standard_normal((params.restarts, db))
+    y /= np.linalg.norm(y, axis=1, keepdims=True)
     x = np.empty((params.restarts, da))
     prev = np.full(params.restarts, np.nan)
     live = np.arange(params.restarts)
     for _ in range(PRODUCT_FORM_SWEEPS):
-        yl = y[live]
-        ay = np.einsum("ijkl,rj,rl->rik", m4, yl, yl)
+        ay = (_pairs(y[live])[:, None, :] @ m_y).reshape(-1, da, da)
         xl = eigh(ay)[1][:, :, idx]
-        bx = np.einsum("ijkl,ri,rk->rjl", m4, xl, xl)
+        bx = (_pairs(xl)[:, None, :] @ m_x).reshape(-1, db, db)
         w, u = eigh(bx)
         x[live] = xl
         y[live] = u[:, :, idx]
@@ -173,7 +179,7 @@ def product_form_extremum(m: np.ndarray, dims, params: FeasibilityParams,
         live = live[~done]
         if not live.size:
             break
-    q = np.einsum("ijkl,ri,rj,rk,rl->r", m4, x, y, x, y)
+    q = (_pairs(x)[:, None, :] @ m_x @ _pairs(y)[:, :, None]).ravel()
     best = int(np.argmin(q) if minimize else np.argmax(q))
     return float(q[best]), x[best], y[best]
 

@@ -87,9 +87,10 @@ def trace_norm(m: np.ndarray) -> float:
 def rng_from_seed(seed: int, *stream: int) -> np.random.Generator:
     """Generator for an explicit 64-bit seed plus an optional stream path.
 
-    Derived streams (restart index, chain index, ...) are produced with
-    SeedSequence spawn keys, so parallel sub-searches are reproducible from
-    (seed, stream) alone.
+    Derived streams (a sub-search's tag, a generator attempt, a report
+    case, ...) come from SeedSequence spawn keys, so each stochastic
+    sub-search is reproducible from (seed, stream) alone; the restarts of
+    one product-form search draw their starts in order from one stream.
     """
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(s) for s in stream))
     return np.random.Generator(np.random.Philox(ss))

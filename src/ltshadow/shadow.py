@@ -42,14 +42,17 @@ def _check_dims(w: np.ndarray, dims) -> tuple[int, ...]:
     return dims
 
 
+def _partial_transpose(w: np.ndarray, dims: tuple[int, ...], factor: int) -> np.ndarray:
+    """:func:`partial_transpose` for a float array whose dims are checked."""
+    n = len(dims)
+    t = np.swapaxes(w.reshape(dims + dims), factor, n + factor)
+    return t.reshape(w.shape)
+
+
 def partial_transpose(w: np.ndarray, dims, factor: int) -> np.ndarray:
     """Transpose of one tensor factor of an operator on a product space."""
     dims = _check_dims(w, dims)
-    n = len(dims)
-    t = np.asarray(w, dtype=float).reshape(dims + dims)
-    t = np.swapaxes(t, factor, n + factor)
-    total = math.prod(dims)
-    return t.reshape(total, total)
+    return _partial_transpose(np.asarray(w, dtype=float), dims, factor)
 
 
 def local_shadow_matrix(w: np.ndarray, dims) -> np.ndarray:
@@ -61,7 +64,7 @@ def local_shadow_matrix(w: np.ndarray, dims) -> np.ndarray:
     dims = _check_dims(w, dims)
     out = np.asarray(w, dtype=float)
     for k in range(len(dims)):
-        out = (out + partial_transpose(out, dims, k)) / 2
+        out = (out + _partial_transpose(out, dims, k)) / 2
     return out
 
 

@@ -46,7 +46,7 @@ from .processes import (
 )
 from .serialize import jsonable, matrix_to_json
 from .shadow import lt_state, lt_state_oracle
-from .upb import separating_max_cone_form, tiles_upb, unextendibility_margin, upb_state
+from .upb import separating_max_cone_form, tiles_upb, upb_state
 
 
 def real_epr_state() -> np.ndarray:
@@ -164,11 +164,10 @@ def run_verification_report(seed: int = 7, include_upb: bool = False) -> dict:
     gram_dev = max_norm(family.gram() - np.eye(len(family)))
     rho = upb_state(family)
     aa_norm = float(np.linalg.norm(grading_basis((3, 3)).rows("aa") @ rho.ravel()))
-    margin = unextendibility_margin(family, seed=seed)
+    x_form, _, margin = separating_max_cone_form(family, seed=seed)
     pss_rho = in_positive_ss_cone(rho, (3, 3))
     min_rho = in_min_cone(rho, (3, 3), params)
     effect_rho = effect_in_shadow_cone(rho, (3, 3))
-    x_form, _, _ = separating_max_cone_form(family, seed=seed)
     x_max = in_max_cone(x_form, (3, 3), params)
     pairing = float(np.sum(rho * x_form))
     overlap_val = (

@@ -207,12 +207,19 @@ def assert_same_extremum(got, want):
     assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
 
 
-@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def random_symmetric_form(dims, seed):
+    d = dims[0] * dims[1]
+    a = rng_from_seed(seed, *dims).standard_normal((d, d))
+    return a + a.T
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 4), (6, 6), (9, 9)])
 def test_product_form_extremum_matches_serial_reference(dims):
-    """Stepping the restarts together changes no bit of the result."""
+    """Stepping the restarts together changes no bit of the result, also at
+    the factor sizes of the map-positivity search on Choi matrices."""
     d = dims[0] * dims[1]
     rng = rng_from_seed(38, *dims)
-    for trial in range(4):
+    for trial in range(4 if d <= 16 else 2):
         a = rng.standard_normal((d, d))
         m = a + a.T
         for minimize in (True, False):
@@ -222,6 +229,31 @@ def test_product_form_extremum_matches_serial_reference(dims):
                     product_form_extremum(m, dims, params, minimize=minimize),
                     extremum_reference.product_form_extremum(m, dims, params,
                                                              minimize=minimize))
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (4, 4), (9, 9)])
+def test_product_form_extremum_starts_are_prefix_stable(dims):
+    """Restart k's start does not depend on the number of restarts: with 4
+    restarts the engine runs the first 4 starts of 32."""
+    m = random_symmetric_form(dims, 39)
+    for minimize in (True, False):
+        restarts = extremum_reference.restart_results(
+            m, dims, FeasibilityParams(seed=3, restarts=32), minimize)[:4]
+        values = [r[0] for r in restarts]
+        best = int(np.argmin(values) if minimize else np.argmax(values))
+        got = product_form_extremum(m, dims, FeasibilityParams(seed=3, restarts=4),
+                                    minimize=minimize)
+        assert_same_extremum(got, restarts[best])
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (3, 3), (9, 9)])
+def test_product_form_extremum_value_is_q_of_its_pair(dims):
+    """The returned value is q(x, y) of the returned pair, as a replay of the
+    max-cone certificate's min_quadratic recomputes it."""
+    m = random_symmetric_form(dims, 40)
+    for minimize in (True, False):
+        v, x, y = product_form_extremum(m, dims, PARAMS, minimize=minimize)
+        assert abs(v - product_quadratic_value(m, dims, x, y)) <= 1e-12 * (1 + abs(v))
 
 
 def test_product_form_extremum_ties_go_to_restart_zero():

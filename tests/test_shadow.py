@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ltshadow import shadow
 from ltshadow.blocks import grading_basis
 from ltshadow.errors import DimensionMismatch, SupportViolation
 from ltshadow.linalg import kron, max_norm, random_density, rng_from_seed, sym_part
@@ -38,6 +39,24 @@ def test_partial_transpose_roundtrip():
         np.testing.assert_array_equal(again, m)
     both = partial_transpose(partial_transpose(m, (2, 3), 0), (2, 3), 1)
     np.testing.assert_array_equal(both, m.T)
+
+
+def test_dims_are_checked_once_per_shadow(monkeypatch):
+    """local_shadow_matrix checks the dims once, not again per factor;
+    partial_transpose still checks them for its own callers."""
+    checks = []
+    check = shadow._check_dims
+    monkeypatch.setattr(shadow, "_check_dims",
+                        lambda w, dims: checks.append(dims) or check(w, dims))
+    m = rng_from_seed(24).standard_normal((12, 12))
+    out = local_shadow_matrix(m, (2, 3, 2))
+    assert len(checks) == 1
+    for k in range(3):
+        np.testing.assert_array_equal(partial_transpose(out, (2, 3, 2), k), out)
+    with pytest.raises(DimensionMismatch):
+        partial_transpose(np.eye(6), (2, 2), 0)
+    with pytest.raises(DimensionMismatch):
+        local_shadow_matrix(np.eye(6), (2, 2))
 
 
 def test_lt_state_epr():

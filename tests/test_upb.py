@@ -89,3 +89,23 @@ def test_separating_form_is_in_max_but_not_boxtimes():
 
     ok, _, measured = replay_separating_functional(x, (3, 3), rho, tol=1e-8)
     assert ok and measured == pytest.approx(pairing, rel=1e-10)
+
+
+def test_verification_report_searches_the_margin_once(monkeypatch):
+    """The report takes the tiles margin from the separating form's search
+    instead of repeating it with the same seed."""
+    from ltshadow import upb, verify
+
+    searches = []
+    engine = upb.product_form_extremum
+
+    def counted(m, dims, params, **kw):
+        searches.append(params.restarts)
+        return engine(m, dims, params, **kw)
+
+    monkeypatch.setattr(upb, "product_form_extremum", counted)
+    report = verify.run_verification_report(7)
+    assert searches == [upb.MARGIN_RESTARTS]
+    chain = next(c for c in report["checks"] if c["name"] == "upb_witness_chain")
+    assert chain["pass"]
+    assert chain["unextendibility_margin"] == pytest.approx(TILES_MARGIN, abs=1e-9)
