@@ -28,7 +28,6 @@ from .errors import (
 )
 from .fiber import FiberSample, SpreadReport, push_and_spread, sample_fiber
 from .linalg import (
-    antisym_part,
     kron,
     rng_from_seed,
     sym_part,

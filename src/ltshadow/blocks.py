@@ -173,24 +173,3 @@ def project_block(w: np.ndarray, basis: GradingBasis, block: str) -> np.ndarray:
         )
     stacked = basis.rows(block)
     return (stacked.T @ (stacked @ w.ravel())).reshape(w.shape)
-
-
-def expected_sizes(dim_a: int, dim_b: int) -> dict[str, int]:
-    """Closed-form block dimensions."""
-    ts_a, ta_a = dim_a * (dim_a + 1) // 2, dim_a * (dim_a - 1) // 2
-    ts_b, ta_b = dim_b * (dim_b + 1) // 2, dim_b * (dim_b - 1) // 2
-    return {
-        "ss": ts_a * ts_b,
-        "sa": ts_a * ta_b,
-        "as": ta_a * ts_b,
-        "aa": ta_a * ta_b,
-    }
-
-
-def random_ss_matrix(dim_a: int, dim_b: int, rng: np.random.Generator) -> np.ndarray:
-    """Random symmetric matrix supported on the ss block (iid normal coefficients)."""
-    basis = grading_basis((dim_a, dim_b))
-    c = rng.standard_normal(basis.sizes["ss"])
-    d = basis.dim
-    return (c @ basis.rows("ss")).reshape(d, d)
-

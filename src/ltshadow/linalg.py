@@ -1,9 +1,9 @@
 """Dense real operator algebra.
 
 Everything else in the package is built on the operations here: the trace
-inner product Tr(a b^T), the symmetric/antisymmetric splitting of a real
-matrix, Kronecker products, the package's only symmetric eigensolver, and
-seeded random matrices.  Operators are plain float64 numpy arrays.
+inner product Tr(a b^T), the symmetric part of a real matrix, Kronecker
+products, the package's only symmetric eigensolver, and seeded random
+matrices.  Operators are plain float64 numpy arrays.
 
 :func:`eigh` and :func:`eigvalsh` decompose the symmetric part of a matrix,
 or of every matrix of an (R, d, d) stack, so callers never symmetrize by
@@ -48,12 +48,6 @@ def sym_part(a: np.ndarray) -> np.ndarray:
     return (a + a.swapaxes(-1, -2)) / 2
 
 
-def antisym_part(a: np.ndarray) -> np.ndarray:
-    """Orthogonal projection onto antisymmetric matrices: (a - a^T)/2."""
-    a = np.asarray(a, dtype=float)
-    return (a - a.T) / 2
-
-
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product.  Tr((a@b)(c@d)^T) = Tr(a c^T) Tr(b d^T)."""
     return np.kron(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
@@ -94,10 +88,6 @@ def rng_from_seed(seed: int, *stream: int) -> np.random.Generator:
     """
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(s) for s in stream))
     return np.random.Generator(np.random.Philox(ss))
-
-
-def random_symmetric(dim: int, rng: np.random.Generator) -> np.ndarray:
-    return sym_part(rng.standard_normal((dim, dim)))
 
 
 def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:

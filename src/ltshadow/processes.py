@@ -175,16 +175,13 @@ def trace_unit_process(dims) -> LinearProcess:
 
 @dataclass(frozen=True)
 class ProcessBlockMatrix:
-    """Blocks of a symmetric-subspace-preserving map.
+    """Shadow-valued blocks of a symmetric-subspace-preserving map.
 
-    phi_ss: shadow -> shadow,  phi_sa: kernel -> shadow,
-    phi_as: shadow -> kernel,  phi_aa: kernel -> kernel.
+    phi_ss: shadow -> shadow,  phi_sa: kernel -> shadow.
     """
 
     phi_ss: np.ndarray
     phi_sa: np.ndarray
-    phi_as: np.ndarray
-    phi_aa: np.ndarray
 
 
 def block_matrix(proc: LinearProcess) -> ProcessBlockMatrix:
@@ -199,7 +196,6 @@ def block_matrix(proc: LinearProcess) -> ProcessBlockMatrix:
     in_shadow = gin.indices([gin.shadow_pattern])
     in_kernel = gin.indices(gin.kernel_patterns)
     out_shadow = gout.indices([gout.shadow_pattern])
-    out_kernel = gout.indices(gout.kernel_patterns)
     out_odd = gout.indices(gout.odd_patterns)
 
     scale = 1 + max_norm(proc.matrix)
@@ -216,8 +212,6 @@ def block_matrix(proc: LinearProcess) -> ProcessBlockMatrix:
     return ProcessBlockMatrix(
         phi_ss=m[np.ix_(out_shadow, in_shadow)],
         phi_sa=m[np.ix_(out_shadow, in_kernel)],
-        phi_as=m[np.ix_(out_kernel, in_shadow)],
-        phi_aa=m[np.ix_(out_kernel, in_kernel)],
     )
 
 

@@ -28,24 +28,28 @@ INDISTINGUISHABILITY_TOL = 1e-9
 SHADOW_SUPPORT_TOL = 1e-9
 
 
-def _check_dims(w: np.ndarray, dims) -> tuple[int, ...]:
+def _check_dims(w: np.ndarray, dims, stack: bool = False) -> tuple[int, ...]:
+    """The factor dimensions as ints, checked against W's shape: (D, D), or
+    also (R, D, D) when ``stack`` is set."""
     dims = tuple(int(d) for d in dims)
     if not dims or any(d < 1 for d in dims):
         raise DimensionMismatch(f"factor dimensions must be >= 1, got {dims}")
-    w = np.asarray(w)
+    shape = np.shape(w)
     total = math.prod(dims)
-    if w.shape != (total, total):
+    if (shape[1:] if stack and len(shape) == 3 else shape) != (total, total):
         raise DimensionMismatch(
-            f"operator shape {w.shape} does not match factor dimensions {dims} "
+            f"operator shape {shape} does not match factor dimensions {dims} "
             f"(product {total})"
         )
     return dims
 
 
 def _partial_transpose(w: np.ndarray, dims: tuple[int, ...], factor: int) -> np.ndarray:
-    """:func:`partial_transpose` for a float array whose dims are checked."""
-    n = len(dims)
-    t = np.swapaxes(w.reshape(dims + dims), factor, n + factor)
+    """:func:`partial_transpose` for a float matrix or stack whose dims are
+    checked."""
+    lead = w.ndim - 2
+    t = np.swapaxes(w.reshape(w.shape[:lead] + dims + dims),
+                    lead + factor, lead + len(dims) + factor)
     return t.reshape(w.shape)
 
 
@@ -60,8 +64,10 @@ def local_shadow_matrix(w: np.ndarray, dims) -> np.ndarray:
 
     This is the orthogonal projection onto the product of the one-factor
     symmetric subspaces, computed without materializing any block basis.
+    W may be one (D, D) matrix or an (R, D, D) stack; each matrix of a stack
+    gets the same bits as it would alone.
     """
-    dims = _check_dims(w, dims)
+    dims = _check_dims(w, dims, stack=True)
     out = np.asarray(w, dtype=float)
     for k in range(len(dims)):
         out = (out + _partial_transpose(out, dims, k)) / 2

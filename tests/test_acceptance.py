@@ -12,8 +12,9 @@ import time
 
 import numpy as np
 from boxtimes_reference import line_maximum
+from matrix_helpers import expected_sizes, random_ss_matrix
 
-from ltshadow.blocks import expected_sizes, grading_basis, random_ss_matrix
+from ltshadow.blocks import grading_basis
 from ltshadow.cones import (
     MEMBER,
     NON_MEMBER,

@@ -4,11 +4,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from matrix_helpers import antisym_part, expected_sizes, random_ss_matrix, random_symmetric
 
 import ltshadow
-from ltshadow.blocks import expected_sizes, grading_basis, project_block, random_ss_matrix
+from ltshadow.blocks import grading_basis, project_block
 from ltshadow.errors import DimensionMismatch
-from ltshadow.linalg import antisym_part, kron, max_norm, random_symmetric, rng_from_seed, sym_part, trace_inner
+from ltshadow.linalg import kron, max_norm, rng_from_seed, sym_part, trace_inner
 from ltshadow.processes import from_coords, to_coords
 from ltshadow.shadow import local_shadow_matrix
 

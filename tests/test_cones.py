@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 from boxtimes_reference import line_maximum
 from hypothesis import given, settings, strategies as st
+from matrix_helpers import antisym_part, random_ss_matrix
 from nnls_reference import brute_force_nnls
 
 from ltshadow import cli, cones
-from ltshadow.blocks import random_ss_matrix
 from ltshadow.cones import (
     MEMBER,
     NON_MEMBER,
@@ -29,7 +29,7 @@ from ltshadow.cones import (
     separable_certificate_error,
 )
 from ltshadow.errors import SupportViolation
-from ltshadow.linalg import antisym_part, kron, max_norm, min_eigenvalue, rng_from_seed
+from ltshadow.linalg import kron, max_norm, min_eigenvalue, rng_from_seed
 from ltshadow.shadow import local_shadow_matrix
 from ltshadow.upb import upb_state
 

@@ -1,19 +1,40 @@
 """Fiber sampling and the apparent non-determinism of non-local maps."""
 
+import math
+
+import fiber_reference
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ltshadow import fiber
 from ltshadow.blocks import grading_basis
 from ltshadow.cones import FeasibilityParams
 from ltshadow.errors import InfeasibleShadow
-from ltshadow.fiber import EIG_FLOOR, _feasible_interval, push_and_spread, sample_fiber
-from ltshadow.linalg import kron, max_norm, min_eigenvalue, random_density, rng_from_seed, trace_norm
+from ltshadow.fiber import (
+    EIG_FLOOR,
+    SPREAD_ZERO_TOL,
+    VALIDATION_BLOCK,
+    _feasible_interval,
+    _valid_representatives,
+    push_and_spread,
+    sample_fiber,
+)
+from ltshadow.linalg import (
+    kron,
+    max_norm,
+    min_eigenvalue,
+    random_density,
+    rng_from_seed,
+    trace_inner,
+    trace_norm,
+)
 from ltshadow.processes import (
     identity_process,
     random_kernel_leaking_process,
     random_locally_positive_process,
     is_locally_positive,
+    process_from_function,
 )
 from ltshadow.shadow import ShadowState, aa_projection, local_shadow_matrix, lt_state
 
@@ -175,21 +196,95 @@ def test_interval_is_a_point_at_low_rank_states(dims, rank):
         assert 0 <= a_minus + a_plus <= 1e-9
 
 
-def test_push_and_spread_matches_pairwise_loop():
+def test_push_and_spread_matches_pairwise_loop(eigensolves):
+    # A kernel-leaking map spreads the fiber: every distance is eigensolved.
     state = lt_state(random_density(6, rng_from_seed(75)), (2, 3))
     sample = sample_fiber(state, n=30, seed=17)
     proc = random_kernel_leaking_process((2, 3), seed=18)
     report = push_and_spread(sample, proc)
-    shadows = [local_shadow_matrix(proc.apply(rep), (2, 3)) for rep in sample.representatives]
-    dists = [trace_norm(shadows[i] - shadows[j])
-             for i in range(len(shadows)) for j in range(i)]
-    assert report.n == len(shadows) == 30
-    assert abs(report.diameter - max(dists)) <= 1e-12
-    assert abs(report.mean_pairwise - sum(dists) / len(dists)) <= 1e-12
+    n, excluded, diameter, mean = fiber_reference.push_and_spread(sample.representatives, proc)
+    assert report.n == n == 30 and report.excluded == excluded == 0
+    assert abs(report.diameter - diameter) <= 1e-12
+    assert abs(report.mean_pairwise - mean) <= 1e-12
+
+    # A locally positive map collapses the pushed fiber: the Frobenius bound
+    # reports the spread without pairwise eigensolves.
+    state = lt_state(random_density(9, rng_from_seed(77)), (3, 3))
+    sample = sample_fiber(state, n=30, seed=20)
+    proc = random_locally_positive_process((3, 3), seed=21)
+    eigensolves["n"] = 0
+    report = push_and_spread(sample, proc)
+    assert eigensolves["n"] == 1  # the stacked positivity test of the images
+    n, excluded, diameter, mean = fiber_reference.push_and_spread(sample.representatives, proc)
+    assert report.n == n == 30 and report.excluded == excluded == 0
+    assert report.diameter == report.mean_pairwise == 0.0 and report.deterministic
+    assert diameter <= SPREAD_ZERO_TOL and mean <= SPREAD_ZERO_TOL
+
+    # A map that is not positive: some images fail positivity, the rest spread.
+    sample = sample_fiber(lt_state(demo_state(), (2, 2)), n=30, seed=11)
+    kernel = grading_basis((2, 2)).block("aa")[0]
+    proc = process_from_function(lambda e: e + 0.5 * trace_inner(kernel, e) * np.eye(4),
+                                 (2, 2), (2, 2))
+    report = push_and_spread(sample, proc)
+    n, excluded, diameter, mean = fiber_reference.push_and_spread(sample.representatives, proc)
+    assert (report.n, report.excluded) == (n, excluded)
+    assert n > 1 and excluded > 0
+    assert abs(report.diameter - diameter) <= 1e-12
+    assert abs(report.mean_pairwise - mean) <= 1e-12
 
 
 def test_sample_fiber_eigensolves_per_step(eigensolves):
     state = lt_state(random_density(9, rng_from_seed(76)), (3, 3))
+    eigensolves["n"] = 0
     sample = sample_fiber(state, n=50, seed=19, burn_in=100)
     assert sample.n_accepted == 50
-    assert eigensolves["n"] <= 4 * 150
+    # two per step, one for the certified start, one stacked validation pass
+    assert eigensolves["n"] == 2 * 150 + 1 + math.ceil(50 / VALIDATION_BLOCK)
+
+
+def test_stacked_validation_matches_serial_reference():
+    """The sampler's stacked checks give the verdicts of one-at-a-time checks,
+    on walk points and on points that fail (or just pass) each check."""
+    cases = ((lt_state(demo_state(), (2, 2)), 12),
+             (lt_state(random_density(9, rng_from_seed(78)), (3, 3)), 13))
+    for state, seed in cases:
+        d = state.op.shape[0]
+        reps = sample_fiber(state, n=20, seed=seed).representatives
+        kernel = grading_basis(state.dims).block("aa")[0]
+        ss_traceless = np.diag([1.0, -1.0] + [0.0] * (d - 2))
+        bad = [
+            reps[0] + 10.0 * kernel,                 # not positive, same shadow and trace
+            reps[1] + 2e-9 * np.eye(d),              # trace off by 2e-9 d
+            reps[2] + 0.5e-9 / d * np.eye(d),        # trace off by 0.5e-9: passes
+            reps[3] + 1e-7 * ss_traceless,           # shadow off by 1e-7
+            reps[4] + 0.5e-8 * ss_traceless,         # shadow off by 0.5e-8: passes
+        ]
+        xs = np.concatenate([reps, np.stack(bad)])
+        verdicts = _valid_representatives(xs, state)
+        expected = [fiber_reference.valid_representative(x, state) for x in xs]
+        np.testing.assert_array_equal(verdicts, expected)
+        assert verdicts[:len(reps)].all()
+        assert list(verdicts[len(reps):]) == [False, False, True, False, True]
+
+
+def test_sample_fiber_keeps_the_walk_points_that_validate(monkeypatch):
+    state = lt_state(demo_state(), (2, 2))
+    full = sample_fiber(state, n=2 * VALIDATION_BLOCK + 3, seed=14)
+    validate = fiber._valid_representatives
+
+    def every_other(xs, shadow):
+        verdicts = validate(xs, shadow)
+        verdicts[1::2] = False
+        return verdicts
+
+    monkeypatch.setattr(fiber, "_valid_representatives", every_other)
+    half = sample_fiber(state, n=2 * VALIDATION_BLOCK + 3, seed=14)
+    assert half.n_accepted + half.rejected == full.n_accepted
+    np.testing.assert_array_equal(half.representatives, full.representatives[::2])
+
+    monkeypatch.setattr(fiber, "_valid_representatives",
+                        lambda xs, shadow: np.zeros(len(xs), dtype=bool))
+    none = sample_fiber(state, n=5, seed=14)
+    assert (none.n_accepted, none.rejected) == (1, 5)
+    np.testing.assert_array_equal(none.representatives[0],
+                                  state.op + state.certified["boxtimes"])

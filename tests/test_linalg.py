@@ -4,17 +4,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from matrix_helpers import antisym_part, random_symmetric
 
 import ltshadow
 from ltshadow.errors import DimensionMismatch
 from ltshadow.linalg import (
-    antisym_part,
     eigh,
     eigvalsh,
     kron,
     max_norm,
     min_eigenvalue,
-    random_symmetric,
     rng_from_seed,
     sym_part,
     trace_inner,

@@ -10,8 +10,9 @@ not the tolerance band.
 
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
+from matrix_helpers import random_ss_matrix
 
-from ltshadow.blocks import grading_basis, project_block, random_ss_matrix
+from ltshadow.blocks import grading_basis, project_block
 from ltshadow.cones import (
     MEMBER,
     NON_MEMBER,

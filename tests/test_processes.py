@@ -51,6 +51,14 @@ def epr_projector():
     return np.outer(z, z)
 
 
+def kernel_rows(proc, source):
+    """Rows of proc.matrix into the output kernel, columns from the input's
+    shadow (source "shadow") or kernel (source "kernel") block."""
+    gin, gout = grading_basis(proc.in_dims), grading_basis(proc.out_dims)
+    cols = gin.indices([gin.shadow_pattern] if source == "shadow" else gin.kernel_patterns)
+    return proc.matrix[np.ix_(gout.indices(gout.kernel_patterns), cols)]
+
+
 def test_coords_round_trip():
     rng = rng_from_seed(50)
     for dims in ((2, 2), (2, 3), (3,), (1,)):
@@ -67,11 +75,12 @@ def test_grading_sizes():
 
 
 def test_identity_block_matrix():
-    blocks = block_matrix(identity_process((2, 2)))
+    proc = identity_process((2, 2))
+    blocks = block_matrix(proc)
     np.testing.assert_array_equal(blocks.phi_ss, np.eye(9))
-    np.testing.assert_array_equal(blocks.phi_aa, np.eye(1))
+    np.testing.assert_array_equal(kernel_rows(proc, "kernel"), np.eye(1))
     assert max_norm(blocks.phi_sa) == 0.0
-    assert max_norm(blocks.phi_as) == 0.0
+    assert max_norm(kernel_rows(proc, "shadow")) == 0.0
 
 
 def test_apply_matches_function():
@@ -101,8 +110,7 @@ def test_rank_one_preparation_leaks_into_kernel():
         (2, 2), (2, 2),
         np.outer(to_coords(zz, (2, 2)), to_coords(np.eye(4), (2, 2))),
     )
-    blocks = block_matrix(proc)
-    assert max_norm(blocks.phi_as) > 0.1
+    assert max_norm(kernel_rows(proc, "shadow")) > 0.1
     assert is_locally_positive(proc).locally_positive  # phi_sa still vanishes
 
 
@@ -306,7 +314,7 @@ def test_trace_unit_process_blocks():
     proc = trace_unit_process((2, 2))
     blocks = block_matrix(proc)
     assert max_norm(blocks.phi_sa) == 0.0
-    assert max_norm(blocks.phi_aa) == 0.0
+    assert max_norm(kernel_rows(proc, "kernel")) == 0.0
     np.testing.assert_allclose(proc.apply(np.eye(4)), np.eye(4), atol=1e-12)
 
 

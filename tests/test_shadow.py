@@ -47,7 +47,7 @@ def test_dims_are_checked_once_per_shadow(monkeypatch):
     checks = []
     check = shadow._check_dims
     monkeypatch.setattr(shadow, "_check_dims",
-                        lambda w, dims: checks.append(dims) or check(w, dims))
+                        lambda w, dims, **kw: checks.append(dims) or check(w, dims, **kw))
     m = rng_from_seed(24).standard_normal((12, 12))
     out = local_shadow_matrix(m, (2, 3, 2))
     assert len(checks) == 1
@@ -57,6 +57,18 @@ def test_dims_are_checked_once_per_shadow(monkeypatch):
         partial_transpose(np.eye(6), (2, 2), 0)
     with pytest.raises(DimensionMismatch):
         local_shadow_matrix(np.eye(6), (2, 2))
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (2, 3, 2)])
+def test_local_shadow_matrix_of_a_stack_is_per_matrix(dims):
+    d = int(np.prod(dims))
+    ms = rng_from_seed(25, d).standard_normal((7, d, d))
+    expected = np.stack([local_shadow_matrix(m, dims) for m in ms])
+    np.testing.assert_array_equal(local_shadow_matrix(ms, dims), expected)
+    with pytest.raises(DimensionMismatch):
+        local_shadow_matrix(ms[:, 1:, 1:], dims)
+    with pytest.raises(DimensionMismatch):
+        local_shadow_matrix(ms[None], dims)
 
 
 def test_lt_state_epr():
