@@ -16,7 +16,9 @@ coordinates are reproducible across runs and platforms.
 
 Every other module reaches the basis through :func:`grading_basis`: the
 coefficients of an operator X in block p are ``g.rows(p) @ X.ravel()``, and
-process matrices in :mod:`ltshadow.processes` are written in this basis.
+process matrices in :mod:`ltshadow.processes` are written in this basis,
+whose cached row indices split it into the shadow (all s), the shadow kernel
+(an even, nonzero number of a) and the antisymmetric operators (odd).
 """
 
 from __future__ import annotations
@@ -65,13 +67,6 @@ def antisymmetric_basis(dim: int) -> list[np.ndarray]:
     return out
 
 
-def grading_patterns(n_factors: int) -> tuple[str, ...]:
-    """Pattern strings over {s, a} in binary order, e.g. (ss, sa, as, aa)."""
-    return tuple(
-        "".join(bits) for bits in itertools.product("sa", repeat=n_factors)
-    )
-
-
 @dataclass(frozen=True)
 class GradingBasis:
     """The orthonormal grading basis of a product operator space.
@@ -79,13 +74,17 @@ class GradingBasis:
     ``stacked`` holds one vectorized basis element per row, blocks in
     pattern order; ``slices`` maps each pattern to its rows.  Every per-block
     view (:meth:`rows`, :meth:`block`) is a read-only slice of that one
-    array; for two factors the shadow kernel is ``block("aa")``.
+    array; for two factors the shadow kernel is ``block("aa")``.  The
+    read-only ``*_index`` arrays hold the rows of each part, in order.
     """
 
     dims: tuple[int, ...]
     patterns: tuple[str, ...]
     slices: dict
     stacked: np.ndarray  # (n_elements, D^2) vectorized orthonormal basis
+    shadow_index: np.ndarray
+    kernel_index: np.ndarray
+    odd_index: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -109,30 +108,6 @@ class GradingBasis:
         """(n_elements, D, D) basis elements of the named block."""
         return self.rows(pattern).reshape(-1, self.dim, self.dim)
 
-    @property
-    def shadow_pattern(self) -> str:
-        return "s" * len(self.dims)
-
-    @property
-    def kernel_patterns(self) -> tuple[str, ...]:
-        """Even-antisymmetric patterns other than all-s: the shadow kernel."""
-        return tuple(
-            p for p in self.patterns
-            if p.count("a") >= 2 and p.count("a") % 2 == 0
-        )
-
-    @property
-    def odd_patterns(self) -> tuple[str, ...]:
-        """Patterns spanning the antisymmetric part of the global space."""
-        return tuple(p for p in self.patterns if p.count("a") % 2 == 1)
-
-    def indices(self, patterns) -> np.ndarray:
-        idx: list[int] = []
-        for p in patterns:
-            s = self.slices[p]
-            idx.extend(range(s.start, s.stop))
-        return np.asarray(idx, dtype=int)
-
 
 @functools.lru_cache(maxsize=None)
 def grading_basis(dims: tuple[int, ...]) -> GradingBasis:
@@ -140,9 +115,11 @@ def grading_basis(dims: tuple[int, ...]) -> GradingBasis:
     dims = tuple(int(d) for d in dims)
     if not dims or any(d < 1 for d in dims):
         raise DimensionMismatch(f"factor dimensions must be >= 1, got {dims}")
-    patterns = grading_patterns(len(dims))
+    # Pattern strings over {s, a} in binary order, e.g. (ss, sa, as, aa).
+    patterns = tuple("".join(p) for p in itertools.product("sa", repeat=len(dims)))
     elements: list[np.ndarray] = []
     slices: dict[str, slice] = {}
+    n_anti: list[int] = []  # antisymmetric factors of each row
     for pattern in patterns:
         start = len(elements)
         factor_bases = [
@@ -155,12 +132,16 @@ def grading_basis(dims: tuple[int, ...]) -> GradingBasis:
                 acc = kron(acc, f)
             elements.append(acc)
         slices[pattern] = slice(start, len(elements))
-    d = math.prod(dims)
-    stacked = (
-        np.stack([e.ravel() for e in elements]) if elements else np.zeros((0, d * d))
-    )
-    stacked.flags.writeable = False
-    return GradingBasis(dims=dims, patterns=patterns, slices=slices, stacked=stacked)
+        n_anti += [pattern.count("a")] * (len(elements) - start)
+    # The all-s block is never empty, so neither is the basis.
+    stacked = np.stack([e.ravel() for e in elements])
+    n_anti = np.asarray(n_anti)
+    parts = [np.flatnonzero(n_anti == 0),
+             np.flatnonzero((n_anti > 0) & (n_anti % 2 == 0)),
+             np.flatnonzero(n_anti % 2 == 1)]
+    for a in [stacked, *parts]:
+        a.flags.writeable = False
+    return GradingBasis(dims, patterns, slices, stacked, *parts)
 
 
 def project_block(w: np.ndarray, basis: GradingBasis, block: str) -> np.ndarray:

@@ -322,7 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shadow", required=True, help="shadow matrix JSON file")
     p.add_argument("--output", "-o", default="-")
     p.add_argument("--dims", type=_parse_dims, default=None)
-    p.add_argument("--n", type=int, default=100, help=f"sample size, at most {MAX_FIBER_N}")
+    p.add_argument("--n", type=int, default=100, help=f"sample size, at most {MAX_FIBER_N}"
+                   "; a spreading --map costs time quadratic in n (minutes at the cap)")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--map", default=None, help="optional process JSON to push through")
     p.set_defaults(func=cmd_fiber)

@@ -100,10 +100,6 @@ class ConeMembershipResult:
     iterations: int
     residual: float
 
-    @property
-    def is_member(self) -> bool:
-        return self.verdict == MEMBER
-
 
 def _as_bipartite(dims) -> tuple[int, int]:
     dims = tuple(int(d) for d in dims)
@@ -477,8 +473,6 @@ def in_min_cone(m: np.ndarray, dims, params: FeasibilityParams) -> ConeMembershi
     One eigendecomposition of M serves both non-member tests.
     """
     m = require_ss_support(m, dims)
-    dims = _as_bipartite(dims)
-
     w, v = eigh(m)
     lam = float(w[0])
     if lam < -params.tol:

@@ -7,14 +7,15 @@ shadows measures how non-deterministic that process looks locally;
 locally positive maps collapse the pushed set to a point, anything else
 spreads it.
 
-The walk starts at the offset certified with the shadow, if any, or else at
-the completion M + K returned by the boxtimes oracle, which decides every
-shadow of a positive state (its optimum is >= 0, outside the tolerance
-band).  The sampler is hit-and-run inside the fiber: a random kernel
-direction D, the exact feasible segment through the current point x, and a
-uniform draw on it.  With x = V diag(w) V^T and R = V diag(w)^{-1/2}, the
-point x + aD is positive exactly when I + a R^T D R is, so the extreme
-eigenvalues mu_min < 0 < mu_max of R^T D R give both ends at once, a in
+The walk starts at the state the shadow was taken from (op plus its kernel
+part), if that is known and positive, or else at the completion M + K
+returned by the boxtimes oracle, which decides every shadow of a positive
+state (its optimum is >= 0, outside the tolerance band).  The sampler is
+hit-and-run inside the fiber: a random kernel direction D, the exact
+feasible segment through the current point x, and a uniform draw on it.
+With x = V diag(w) V^T and R = V diag(w)^{-1/2}, the point x + aD is
+positive exactly when I + a R^T D R is, so the extreme eigenvalues
+mu_min < 0 < mu_max of R^T D R give both ends at once, a in
 [-1/mu_max, -1/mu_min]: two eigensolves per step.  Eigenvalues of x below a
 floor (EIG_FLOOR times the scale of the start point) are raised to the
 floor, which stands in for a null-space test on rank-deficient x: a
@@ -22,8 +23,8 @@ direction that leaves a face of the cone gets a step of order the floor, so
 pure states stay rigid.  The walk is sequential; the work per
 representative is not: the post-burn-in points go into one (n, D, D) array
 and are validated in stacked passes of VALIDATION_BLOCK points, and the push
-takes the positivity and the shadows of all images in one call each.  When
-the pushed shadows coincide to within a Frobenius bound (the locally
+maps, tests and projects the representatives in passes of the same size.
+When the pushed shadows coincide to within a Frobenius bound (the locally
 positive case), the spread is reported as 0 without pairwise eigensolves,
 within SPREAD_ZERO_TOL = 1e-12 of the eigensolved value.  Coverage, not a
 certified uniform law, is the goal; the spread summaries (trace-norm
@@ -93,11 +94,11 @@ class SpreadReport:
 
 
 def _feasible_start(shadow: ShadowState) -> np.ndarray:
-    """A positive point on the affine slice, from the shadow's certificate or
-    from the kernel offset of the boxtimes oracle at tol START_TOL."""
-    cert = shadow.certified.get("boxtimes")
-    if cert is not None:
-        candidate = shadow.op + np.asarray(cert, dtype=float)
+    """A positive point on the affine slice: op + kernel_part if that is
+    positive within REP_PSD_TOL, or else op plus the kernel offset of the
+    boxtimes oracle at tol START_TOL."""
+    if shadow.kernel_part is not None:
+        candidate = shadow.op + shadow.kernel_part
         if min_eigenvalue(candidate) >= -REP_PSD_TOL:
             return candidate
     # The boxtimes oracle draws no random numbers, so any seed will do.
@@ -172,7 +173,7 @@ def sample_fiber(shadow: ShadowState, n: int, seed: int,
     valid = np.concatenate([_valid_representatives(walk[i:i + VALIDATION_BLOCK], shadow)
                             for i in range(0, n, VALIDATION_BLOCK)])
     accepted = int(valid.sum())
-    # The certified start point always validates; fall back to it.
+    # The start point always validates; fall back to it.
     reps = walk if accepted == n else walk[valid] if accepted else start[None]
     return FiberSample(shadow=shadow, representatives=reps, seed=seed,
                        n_requested=n, n_accepted=len(reps), kernel_dim=k,
@@ -189,28 +190,44 @@ def _valid_representatives(xs: np.ndarray, shadow: ShadowState) -> np.ndarray:
     return psd & trace & (defect <= REP_SHADOW_TOL)
 
 
+def _pushed_shadows(reps: np.ndarray, proc: LinearProcess):
+    """Per pass of VALIDATION_BLOCK representatives, the shadows of their
+    images that are positive within REP_PSD_TOL (one stacked eigensolve and
+    one stacked shadow per pass)."""
+    for i in range(0, len(reps), VALIDATION_BLOCK):
+        images = np.stack([proc.apply(rep) for rep in reps[i:i + VALIDATION_BLOCK]])
+        positive = eigvalsh(images)[:, 0] >= -REP_PSD_TOL
+        yield local_shadow_matrix(images[positive], proc.out_dims)
+
+
 def push_and_spread(sample: FiberSample, proc: LinearProcess) -> SpreadReport:
     """Push every representative through the process and measure shadow spread.
 
     Representatives whose image fails positivity (lambda_min below
-    -REP_PSD_TOL, one stacked eigensolve for all images) are excluded and
-    counted.  ``deterministic`` is True when the trace-norm diameter of the
-    output shadows is at most DET_TOL — the locally positive case.  For D x D
-    shadows S_i, ||S_i - S_j||_tr <= sqrt(D) ||S_i - S_j||_F
-    <= 2 sqrt(D) max_i ||S_i - S_0||_F; when that bound is at most
-    SPREAD_ZERO_TOL, diameter and mean pairwise distance are reported as 0,
-    within SPREAD_ZERO_TOL of their eigensolved values, and no pairwise
-    distance is eigensolved.  Otherwise each row of pairwise distances is
-    one stacked eigensolve.
+    -REP_PSD_TOL) are excluded and counted.  ``deterministic`` is True when
+    the trace-norm diameter of the output shadows is at most DET_TOL — the
+    locally positive case.  For D x D shadows S_i, ||S_i - S_j||_tr <=
+    sqrt(D) ||S_i - S_j||_F <= 2 sqrt(D) max_i ||S_i - S_0||_F; when that
+    bound is at most SPREAD_ZERO_TOL, diameter and mean pairwise distance
+    are reported as 0, within SPREAD_ZERO_TOL of their eigensolved values,
+    and no shadow outlives its pass.  Otherwise the shadows are kept (taken
+    again if a pass was dropped before the bound broke) and each row of
+    pairwise distances is one stacked eigensolve.
     """
-    images = np.stack([proc.apply(rep) for rep in sample.representatives])
-    positive = eigvalsh(images)[:, 0] >= -REP_PSD_TOL
-    stack = local_shadow_matrix(images[positive], proc.out_dims)
-    n = len(stack)
-    diameter = 0.0
-    total = 0.0
-    offsets = np.linalg.norm(stack - stack[:1], axis=(1, 2))
-    if 2 * np.sqrt(stack.shape[-1]) * offsets.max(initial=0.0) > SPREAD_ZERO_TOL:
+    reps = sample.representatives
+    kept, n, bound = [], 0, 0.0
+    for shadows in _pushed_shadows(reps, proc):
+        first = shadows[:1] if n == 0 else first
+        n += len(shadows)
+        offsets = np.linalg.norm(shadows - first, axis=(1, 2))
+        bound = max(bound, 2 * np.sqrt(shadows.shape[-1]) * offsets.max(initial=0.0))
+        if bound > SPREAD_ZERO_TOL:
+            kept.append(shadows)
+    diameter = total = 0.0
+    if bound > SPREAD_ZERO_TOL:
+        stack = np.concatenate(kept)
+        if len(stack) < n:  # a pass was dropped before the bound broke
+            stack = np.concatenate(list(_pushed_shadows(reps, proc)))
         for i in range(1, n):
             # One stacked solve per row keeps memory at n matrices, not n^2.
             norms = np.abs(eigvalsh(stack[i] - stack[:i])).sum(axis=-1)
@@ -219,4 +236,4 @@ def push_and_spread(sample: FiberSample, proc: LinearProcess) -> SpreadReport:
     pairs = n * (n - 1) // 2
     mean = total / pairs if pairs else 0.0
     return SpreadReport(n=n, diameter=diameter, mean_pairwise=mean,
-                        deterministic=diameter <= DET_TOL, excluded=len(images) - n)
+                        deterministic=diameter <= DET_TOL, excluded=len(reps) - n)

@@ -193,25 +193,17 @@ def block_matrix(proc: LinearProcess) -> ProcessBlockMatrix:
     """
     gin = grading_basis(proc.in_dims)
     gout = grading_basis(proc.out_dims)
-    in_shadow = gin.indices([gin.shadow_pattern])
-    in_kernel = gin.indices(gin.kernel_patterns)
-    out_shadow = gout.indices([gout.shadow_pattern])
-    out_odd = gout.indices(gout.odd_patterns)
-
-    scale = 1 + max_norm(proc.matrix)
-    sym_cols = np.concatenate([in_shadow, in_kernel])
-    if out_odd.size and sym_cols.size:
-        leak = max_norm(proc.matrix[np.ix_(out_odd, sym_cols)])
-        if leak > 1e-10 * scale:
-            raise ValueError(
-                "process does not preserve the symmetric subspace "
-                f"(antisymmetric leakage {leak:.3e})"
-            )
-
     m = proc.matrix
+    sym_cols = np.concatenate([gin.shadow_index, gin.kernel_index])
+    leak = max_norm(m[np.ix_(gout.odd_index, sym_cols)])
+    if leak > 1e-10 * (1 + max_norm(m)):
+        raise ValueError(
+            "process does not preserve the symmetric subspace "
+            f"(antisymmetric leakage {leak:.3e})"
+        )
     return ProcessBlockMatrix(
-        phi_ss=m[np.ix_(out_shadow, in_shadow)],
-        phi_sa=m[np.ix_(out_shadow, in_kernel)],
+        phi_ss=m[np.ix_(gout.shadow_index, gin.shadow_index)],
+        phi_sa=m[np.ix_(gout.shadow_index, gin.kernel_index)],
     )
 
 
@@ -222,9 +214,6 @@ class LocalPositivityCheck:
     tol: float
     witness_kernel_element: np.ndarray | None = None
     witness_shadow_image: np.ndarray | None = None
-
-    def __bool__(self) -> bool:  # convenience: if is_locally_positive(
-        return self.locally_positive
 
 
 def is_locally_positive(proc: LinearProcess) -> LocalPositivityCheck:
@@ -242,10 +231,8 @@ def is_locally_positive(proc: LinearProcess) -> LocalPositivityCheck:
     if defect <= tol:
         return LocalPositivityCheck(True, defect, tol)
     gin = grading_basis(proc.in_dims)
-    kernel_idx = gin.indices(gin.kernel_patterns)
     col = int(np.argmax(np.max(np.abs(blocks.phi_sa), axis=0)))
-    din = gin.dim
-    witness = gin.stacked[kernel_idx[col]].reshape(din, din)
+    witness = gin.stacked[gin.kernel_index[col]].reshape(gin.dim, gin.dim)
     image = local_shadow_matrix(proc.apply(witness), proc.out_dims)
     return LocalPositivityCheck(False, defect, tol, witness, image)
 
@@ -254,13 +241,14 @@ def shadow_block_process(proc: LinearProcess) -> LinearProcess:
     """The shadow-to-shadow block embedded back into grading coordinates.
 
     This is the unique candidate for a shadow of the map; it genuinely is
-    one only when the map is locally positive (see :func:`shadow_of_map`).
+    one only when the map is locally positive (see :func:`shadow_of_map`,
+    which also checks that the map preserves the symmetric subspace).
     """
-    blocks = block_matrix(proc)
     gin = grading_basis(proc.in_dims)
     gout = grading_basis(proc.out_dims)
-    m = np.zeros((gout.size, gin.size))
-    m[np.ix_(gout.indices([gout.shadow_pattern]), gin.indices([gin.shadow_pattern]))] = blocks.phi_ss
+    ss = np.ix_(gout.shadow_index, gin.shadow_index)
+    m = np.zeros_like(proc.matrix)
+    m[ss] = proc.matrix[ss]
     return LinearProcess(proc.in_dims, proc.out_dims, m)
 
 
@@ -351,13 +339,11 @@ def random_locally_positive_process(dims, seed: int) -> LinearProcess:
     dims = tuple(int(d) for d in dims)
     g = grading_basis(dims)
     rng = rng_from_seed(seed, _STREAM_GENERATOR)
-    shadow = g.indices([g.shadow_pattern])
-    kernel = g.indices(g.kernel_patterns)
+    shadow, kernel = g.shadow_index, g.kernel_index
     m = np.zeros((g.size, g.size))
     m[np.ix_(shadow, shadow)] = rng.standard_normal((shadow.size, shadow.size))
-    if kernel.size:
-        m[np.ix_(kernel, kernel)] = rng.standard_normal((kernel.size, kernel.size))
-        m[np.ix_(kernel, shadow)] = rng.standard_normal((kernel.size, shadow.size))
+    m[np.ix_(kernel, kernel)] = rng.standard_normal((kernel.size, kernel.size))
+    m[np.ix_(kernel, shadow)] = rng.standard_normal((kernel.size, shadow.size))
     lam = g.dim * float(np.linalg.norm(m, 2))
     return LinearProcess(dims, dims, m + lam * trace_unit_process(dims).matrix)
 
@@ -375,7 +361,6 @@ def random_kernel_leaking_process(dims, seed: int) -> LinearProcess:
         rng = rng_from_seed(seed, _STREAM_GENERATOR, attempt)
         q = random_orthogonal(d, rng)
         proc = conjugation_process(q, dims)
-        if not is_locally_positive(proc) and block_matrix(proc).phi_sa.size:
-            if max_norm(block_matrix(proc).phi_sa) >= 1e-4:
-                return proc
+        if is_locally_positive(proc).defect >= 1e-4:
+            return proc
     raise RuntimeError("could not generate a kernel-leaking orthogonal conjugation")

@@ -22,7 +22,7 @@ import numpy as np
 
 from .blocks import grading_basis
 from .errors import DimensionMismatch, SupportViolation
-from .linalg import max_norm, min_eigenvalue, sym_part
+from .linalg import max_norm, sym_part
 
 INDISTINGUISHABILITY_TOL = 1e-9
 SHADOW_SUPPORT_TOL = 1e-9
@@ -74,19 +74,15 @@ def local_shadow_matrix(w: np.ndarray, dims) -> np.ndarray:
     return out
 
 
-def shadow_support_defect(m: np.ndarray, dims) -> float:
-    """Max-norm of the component of M outside the shadow (all-symmetric) subspace."""
-    return max_norm(np.asarray(m, dtype=float) - local_shadow_matrix(m, dims))
-
-
 def require_shadow_support(m: np.ndarray, dims) -> np.ndarray:
     """M as a float array, or SupportViolation if it leaves the shadow subspace.
 
-    The package's one shadow-support test: the defect may be at most
+    The package's one shadow-support test: the max-norm of the component of
+    M outside the shadow (all-symmetric) subspace may be at most
     SHADOW_SUPPORT_TOL * (1 + ||M||_max).
     """
     m = np.asarray(m, dtype=float)
-    defect = shadow_support_defect(m, dims)
+    defect = max_norm(m - local_shadow_matrix(m, dims))
     if defect > SHADOW_SUPPORT_TOL * (1 + max_norm(m)):
         raise SupportViolation(
             f"matrix is not supported on the shadow subspace (defect {defect:.3e})"
@@ -104,14 +100,15 @@ def kernel_component_norm(w: np.ndarray, dims) -> float:
 class ShadowState:
     """A state as local agents see it: an ss-supported matrix plus metadata.
 
-    ``certified`` records cone-membership facts established for this shadow,
-    keyed by cone name; the value is the certificate payload (for the
-    boxtimes cone, a kernel offset K with op + K positive semidefinite).
+    ``kernel_part``, when known, is W - op for a symmetric matrix W whose
+    shadow this is: the part of W that local agents cannot see.  op +
+    kernel_part = W, so when W is a state it is a positive point of the
+    fiber, where :func:`~ltshadow.fiber.sample_fiber` starts its walk.
     """
 
     op: np.ndarray
     dims: tuple[int, ...]
-    certified: dict = field(default_factory=dict, compare=False)
+    kernel_part: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
         dims = _check_dims(self.op, self.dims)
@@ -128,30 +125,23 @@ class ShadowState:
 def lt_state(w: np.ndarray, dims) -> ShadowState:
     """Shadow of a bipartite state: the ss-block projection of W.
 
-    For symmetric W the discarded component lies entirely in the aa block, so
-    the returned ShadowState carries the definitional boxtimes certificate
-    K = W - shadow (op + K = W is positive whenever W is).
+    For symmetric W the discarded component lies entirely in the aa block;
+    the returned ShadowState keeps it as ``kernel_part``.
     """
-    dims = _check_dims(w, dims)
-    if len(dims) != 2:
-        raise DimensionMismatch(f"lt_state expects two factors, got {dims}")
-    return lt_multipartite(w, dims)
+    state = lt_multipartite(w, dims)
+    if len(state.dims) != 2:
+        raise DimensionMismatch(f"lt_state expects two factors, got {state.dims}")
+    return state
 
 
 def lt_multipartite(w: np.ndarray, dims) -> ShadowState:
-    """Factor-wise shadow for any number of factors (identity for one factor)."""
+    """Factor-wise shadow for any number of factors (identity for one factor);
+    for symmetric W it keeps W - shadow as ``kernel_part``, unchecked."""
     dims = _check_dims(w, dims)
     w = np.asarray(w, dtype=float)
     shadow = local_shadow_matrix(w, dims)
-    certified = {}
-    if (
-        len(dims) == 2
-        and max_norm(w - w.T) <= 1e-12 * (1 + max_norm(w))
-        and min_eigenvalue(w) >= -1e-9
-    ):
-        # W itself is a positive completion of its shadow
-        certified["boxtimes"] = w - shadow
-    return ShadowState(op=shadow, dims=dims, certified=certified)
+    symmetric = max_norm(w - w.T) <= 1e-12 * (1 + max_norm(w))
+    return ShadowState(op=shadow, dims=dims, kernel_part=w - shadow if symmetric else None)
 
 
 def lt_state_oracle(w: np.ndarray, dims) -> ShadowState:

@@ -184,3 +184,21 @@ def test_blocks_is_the_only_module_that_builds_basis_elements():
     users = sorted(path.name for path in package.glob("*.py")
                    if "symmetric_basis" in path.read_text(encoding="utf-8"))
     assert users == ["blocks.py"]
+
+
+@pytest.mark.parametrize("dims", [(1,), (2, 2), (2, 3), (2, 2, 2), (3, 2, 2)])
+def test_part_indices_follow_the_patterns(dims):
+    """The shadow, kernel and odd row indices are the rows of the patterns
+    with no, an even nonzero and an odd number of a's, and are read-only."""
+    g = grading_basis(dims)
+
+    def rows(keep):
+        return [r for p in g.patterns if keep(p.count("a"))
+                for r in range(g.slices[p].start, g.slices[p].stop)]
+
+    for index, keep in ((g.shadow_index, lambda a: a == 0),
+                        (g.kernel_index, lambda a: a > 0 and a % 2 == 0),
+                        (g.odd_index, lambda a: a % 2 == 1)):
+        assert index.tolist() == rows(keep)
+        with pytest.raises(ValueError):
+            index[:1] = 0

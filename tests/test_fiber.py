@@ -1,6 +1,7 @@
 """Fiber sampling and the apparent non-determinism of non-local maps."""
 
 import math
+import tracemalloc
 
 import fiber_reference
 import numpy as np
@@ -15,6 +16,7 @@ from ltshadow.fiber import (
     EIG_FLOOR,
     SPREAD_ZERO_TOL,
     VALIDATION_BLOCK,
+    FiberSample,
     _feasible_interval,
     _valid_representatives,
     push_and_spread,
@@ -52,7 +54,7 @@ def demo_state():
 
 
 def bare_shadow(w, dims):
-    """Shadow without the definitional certificate (forces the oracle start)."""
+    """Shadow without a kernel part (forces the oracle start)."""
     return ShadowState(op=local_shadow_matrix(w, dims), dims=dims)
 
 
@@ -238,7 +240,7 @@ def test_sample_fiber_eigensolves_per_step(eigensolves):
     eigensolves["n"] = 0
     sample = sample_fiber(state, n=50, seed=19, burn_in=100)
     assert sample.n_accepted == 50
-    # two per step, one for the certified start, one stacked validation pass
+    # two per step, one for the start point, one stacked validation pass
     assert eigensolves["n"] == 2 * 150 + 1 + math.ceil(50 / VALIDATION_BLOCK)
 
 
@@ -287,4 +289,52 @@ def test_sample_fiber_keeps_the_walk_points_that_validate(monkeypatch):
     none = sample_fiber(state, n=5, seed=14)
     assert (none.n_accepted, none.rejected) == (1, 5)
     np.testing.assert_array_equal(none.representatives[0],
-                                  state.op + state.certified["boxtimes"])
+                                  state.op + state.kernel_part)
+
+
+def test_non_positive_kernel_part_falls_back_to_the_oracle_start():
+    """W = rho + tK is symmetric but not positive: its kernel part is kept,
+    and the walk starts where a shadow without one starts."""
+    dims = (3, 3)
+    w = random_density(9, rng_from_seed(79)) + grading_basis(dims).block("aa")[0]
+    assert min_eigenvalue(w) < -1e-6
+    state = lt_state(w, dims)
+    assert state.kernel_part is not None
+    walked = sample_fiber(state, n=20, seed=22).representatives
+    bare = sample_fiber(ShadowState(op=state.op, dims=dims), n=20, seed=22).representatives
+    np.testing.assert_array_equal(walked, bare)
+
+
+def test_push_holds_one_pass_when_the_shadows_coincide():
+    """Under a locally positive map no shadow outlives its pass: the push's
+    peak allocation is a fraction of the pushed sample's size."""
+    state = lt_state(random_density(9, rng_from_seed(77)), (3, 3))
+    reps = np.repeat(sample_fiber(state, n=30, seed=20).representatives, 200, axis=0)
+    sample = FiberSample(shadow=state, representatives=reps, seed=20,
+                         n_requested=len(reps), n_accepted=len(reps))
+    proc = random_locally_positive_process((3, 3), seed=21)
+    tracemalloc.start()
+    try:
+        report = push_and_spread(sample, proc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.n == len(reps) and report.diameter == 0.0 and report.deterministic
+    assert peak < reps.nbytes / 4
+
+
+def test_push_takes_the_passes_again_when_a_later_pass_spreads():
+    """The images of the first pass coincide and those of the next do not:
+    the dropped shadows are taken again, and the spread is the pairwise one."""
+    dims = (2, 2)
+    a, b = (random_density(4, rng_from_seed(80, k)) for k in range(2))
+    reps = np.stack([a] * VALIDATION_BLOCK + [b] * 3)
+    sample = FiberSample(shadow=lt_state(a, dims), representatives=reps, seed=0,
+                         n_requested=len(reps), n_accepted=len(reps))
+    proc = identity_process(dims)
+    report = push_and_spread(sample, proc)
+    n, excluded, diameter, mean = fiber_reference.push_and_spread(reps, proc)
+    assert (report.n, report.excluded) == (n, excluded) == (len(reps), 0)
+    assert not report.deterministic
+    assert abs(report.diameter - diameter) <= 1e-12
+    assert abs(report.mean_pairwise - mean) <= 1e-12

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ltshadow import processes
 from ltshadow.cones import (
     MEMBER,
     FeasibilityParams,
@@ -55,8 +56,8 @@ def kernel_rows(proc, source):
     """Rows of proc.matrix into the output kernel, columns from the input's
     shadow (source "shadow") or kernel (source "kernel") block."""
     gin, gout = grading_basis(proc.in_dims), grading_basis(proc.out_dims)
-    cols = gin.indices([gin.shadow_pattern] if source == "shadow" else gin.kernel_patterns)
-    return proc.matrix[np.ix_(gout.indices(gout.kernel_patterns), cols)]
+    cols = gin.shadow_index if source == "shadow" else gin.kernel_index
+    return proc.matrix[np.ix_(gout.kernel_index, cols)]
 
 
 def test_coords_round_trip():
@@ -70,8 +71,8 @@ def test_coords_round_trip():
 def test_grading_sizes():
     g = grading_basis((2, 2))
     assert [g.slices[p].stop - g.slices[p].start for p in g.patterns] == [9, 3, 3, 1]
-    assert g.kernel_patterns == ("aa",)
-    assert grading_basis((1,)).kernel_patterns == ()
+    assert list(g.kernel_index) == list(range(g.slices["aa"].start, g.slices["aa"].stop))
+    assert grading_basis((1,)).kernel_index.size == 0
 
 
 def test_identity_block_matrix():
@@ -338,3 +339,24 @@ def test_pushed_shadows_stay_in_boxtimes():
         assert replay_boxtimes_member(shadow_out, (2, 2), cert)
         res = in_boxtimes_cone(shadow_out, (2, 2), PARAMS)
         assert res.verdict == MEMBER
+
+
+def test_maps_take_their_blocks_once(monkeypatch):
+    """shadow_of_map extracts the blocks once for its check and its result;
+    the leaking generator reads the defect from one check per attempt."""
+    calls = {"block_matrix": 0, "conjugation_process": 0}
+    for name in calls:
+        original = getattr(processes, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(processes, name, counted)
+    phi = random_locally_positive_process((3, 3), seed=5)
+    shadow_of_map(phi)
+    assert calls["block_matrix"] == 1
+    for seed in range(3):
+        calls.update(block_matrix=0, conjugation_process=0)
+        random_kernel_leaking_process((2, 3), seed=seed)
+        assert calls["block_matrix"] == calls["conjugation_process"] >= 1

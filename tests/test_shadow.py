@@ -1,5 +1,7 @@
 """Shadow projection: closed form, defining-system oracle, kernel, fibers."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -198,8 +200,22 @@ def test_fiber_basis_spans_kernel():
 def test_shadow_carries_definitional_certificate():
     w = random_density(4, rng_from_seed(29))
     s = lt_state(w, (2, 2))
-    k = s.certified["boxtimes"]
+    k = s.kernel_part
     np.testing.assert_allclose(s.op + k, w, atol=1e-14)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 2, 2)])
+def test_shadows_of_states_make_no_eigensolves(dims, eigensolves):
+    """The kernel part of a symmetric W is kept without testing positivity;
+    a non-symmetric W keeps none."""
+    d = math.prod(dims)
+    w = random_density(d, rng_from_seed(31, d))
+    eigensolves["n"] = 0
+    states = [lt_multipartite(w, dims)] + ([lt_state(w, dims)] if len(dims) == 2 else [])
+    assert eigensolves["n"] == 0
+    for s in states:
+        np.testing.assert_allclose(s.op + s.kernel_part, w, atol=1e-14)
+    assert lt_multipartite(w + 1e-3 * np.triu(np.ones((d, d)), 1), dims).kernel_part is None
 
 
 def test_state_shadows_are_definitionally_boxtimes_members():
