@@ -8,20 +8,24 @@ locally positive maps collapse the pushed set to a point, anything else
 spreads it.
 
 The walk starts at the state the shadow was taken from (op plus its kernel
-part), if that is known and positive, or else at the completion M + K
-returned by the boxtimes oracle, which decides every shadow of a positive
-state (its optimum is >= 0, outside the tolerance band).  The sampler is
-hit-and-run inside the fiber: a random kernel direction D, the exact
-feasible segment through the current point x, and a uniform draw on it.
-With x = V diag(w) V^T and R = V diag(w)^{-1/2}, the point x + aD is
-positive exactly when I + a R^T D R is, so the extreme eigenvalues
-mu_min < 0 < mu_max of R^T D R give both ends at once, a in
-[-1/mu_max, -1/mu_min]: two eigensolves per step.  Eigenvalues of x below a
-floor (EIG_FLOOR times the scale of the start point) are raised to the
-floor, which stands in for a null-space test on rank-deficient x: a
-direction that leaves a face of the cone gets a step of order the floor, so
-pure states stay rigid.  The walk is sequential; the work per
-representative is not: the post-burn-in points go into one (n, D, D) array
+part), if that passes the checks every walk point must pass, or else at the
+completion M + K returned by the boxtimes oracle, which decides every
+shadow of a positive state (its optimum is >= 0, outside the tolerance
+band).  The sampler is hit-and-run inside the fiber: a random kernel
+direction D, the exact feasible segment through the current point x, and a
+uniform draw on it.  Eigenvalues of the start point below a floor
+(EIG_FLOOR times its scale) are raised to it by a fixed offset F0 >= 0,
+which stands in for a null-space test on rank-deficient points: a direction
+that leaves a face of the cone gets a step of order the floor, so pure
+states stay rigid.  The walk keeps a congruence factor R with
+R^T (x + F0) R = I, taken from the start point's eigendecomposition.  Then
+x + aD + F0 is positive exactly when I + a R^T D R is, so the extreme
+eigenvalues mu_min < 0 < mu_max of R^T D R = U diag(mu) U^T give both ends
+at once, a in [-1/mu_max, -1/mu_min], and R U diag(1 + a mu)^{-1/2} is the
+factor at the next point: one eigensolve per step.  Every walk point keeps
+x + F0 >= 0, so lambda_min(x) >= -(floor + max(0, -lambda_min(start)))
+over the whole walk, in exact arithmetic.  The walk is sequential; the work
+per representative is not: the post-burn-in points go into one (n, D, D) array
 and are validated in stacked passes of VALIDATION_BLOCK points, and the push
 maps, tests and projects the representatives in passes of the same size.
 When the pushed shadows coincide to within a Frobenius bound (the locally
@@ -54,13 +58,17 @@ REP_SHADOW_TOL = 1e-8
 START_TOL = 1e-10
 # Eigenvalue floor of the hit-and-run endpoint formula, relative to the scale
 # of the start point: it bounds both the step a direction leaving a face of
-# the cone can take and how far one step can push an eigenvalue below zero.
+# the cone can take and how far the whole walk can push an eigenvalue below
+# zero.
 EIG_FLOOR = 1e-12
 # Bound on the trace-norm spread of the pushed shadows below which the spread
 # is reported as 0 without pairwise eigensolves.
 SPREAD_ZERO_TOL = 1e-12
-# Walk points validated per stacked pass: keeps the temporaries small.
+# Walk points validated per stacked pass, and walk steps per block of
+# random draws: keeps the temporaries small.
 VALIDATION_BLOCK = 128
+# Least value of 1 + alpha*mu in the factor update: the resolution of 1.
+_FACTOR_GUARD = float(np.finfo(float).eps)
 
 _STREAM_HIT_AND_RUN = 31
 
@@ -93,43 +101,41 @@ class SpreadReport:
             raise ValueError("diameter cannot be smaller than the mean pairwise distance")
 
 
-def _feasible_start(shadow: ShadowState) -> np.ndarray:
-    """A positive point on the affine slice: op + kernel_part if that is
-    positive within REP_PSD_TOL, or else op plus the kernel offset of the
-    boxtimes oracle at tol START_TOL."""
+def _feasible_start(shadow: ShadowState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A positive point on the affine slice and its eigendecomposition (w, V):
+    op + kernel_part if that passes the walk-point checks (positive within
+    REP_PSD_TOL, the shadow's trace and shadow), or else op plus the kernel
+    offset of the boxtimes oracle at tol START_TOL."""
     if shadow.kernel_part is not None:
-        candidate = shadow.op + shadow.kernel_part
-        if min_eigenvalue(candidate) >= -REP_PSD_TOL:
-            return candidate
+        start = shadow.op + shadow.kernel_part
+        w, v = eigh(start)
+        if w[0] >= -REP_PSD_TOL and _on_slice(start[None], shadow)[0]:
+            return start, w, v
     # The boxtimes oracle draws no random numbers, so any seed will do.
     result = in_boxtimes_cone(shadow.op, shadow.dims, FeasibilityParams(seed=0, tol=START_TOL))
     if result.verdict != MEMBER:
         raise InfeasibleShadow(
             f"no positive state projects to this shadow (oracle verdict: {result.verdict})"
         )
-    return shadow.op + result.certificate["kernel_offset"]
+    start = shadow.op + result.certificate["kernel_offset"]
+    return (start, *eigh(start))
 
 
-def _feasible_interval(x: np.ndarray, direction: np.ndarray,
-                       floor: float) -> tuple[float, float]:
-    """(a_minus, a_plus) with x + alpha*direction PSD for -a_minus <= alpha <= a_plus.
+def _congruence_factor(w: np.ndarray, v: np.ndarray, floor: float) -> np.ndarray:
+    """R = V diag(max(w, floor))^{-1/2} for x = V diag(w) V^T: R^T (x + F0) R
+    = I, with the floor offset F0 = V diag(max(w, floor) - w) V^T >= 0."""
+    return v / np.sqrt(np.maximum(w, floor))
 
-    With x = V diag(w) V^T and R = V diag(max(w, floor))^{-1/2}, the matrix
-    x + alpha*D is congruent to I + alpha*R^T D R, so the interval ends are
-    -1/mu_min and 1/mu_max of mu = eig(R^T D R) (Smith's hit-and-run).
-    Eigenvalues below ``floor`` are raised to it: a direction that leaves a
-    face of the cone gets a step of order ``floor``, and every point of the
-    interval has lambda_min >= min(lambda_min(x), 0) - floor.  Both ends are
-    0 when x itself is not positive within REP_PSD_TOL.
-    """
-    w, v = eigh(x)
-    if w[0] < -REP_PSD_TOL:
-        return 0.0, 0.0
-    r = v / np.sqrt(np.maximum(w, floor))
-    mu = eigvalsh(r.T @ direction @ r)
+
+def _chord(factor: np.ndarray, direction: np.ndarray):
+    """(mu, U, a_minus, a_plus) for the factor R of x + F0 and a direction D:
+    R^T D R = U diag(mu) U^T, and x + alpha*D + F0 is positive exactly for
+    -a_minus <= alpha <= a_plus, a_minus = 1/mu_max, a_plus = -1/mu_min,
+    because it is congruent to I + alpha*R^T D R (Smith's hit-and-run)."""
+    mu, u = eigh(factor.T @ direction @ factor)
     # D is a nonzero traceless kernel element; R^T D R is congruent to it, so
     # (Sylvester's law of inertia) mu has both signs.
-    return 1.0 / float(mu[-1]), -1.0 / float(mu[0])
+    return mu, u, 1.0 / float(mu[-1]), -1.0 / float(mu[0])
 
 
 def sample_fiber(shadow: ShadowState, n: int, seed: int,
@@ -141,6 +147,11 @@ def sample_fiber(shadow: ShadowState, n: int, seed: int,
     single point.  Every returned representative is validated: positive
     within 1e-9, unit trace within 1e-9, and shadow equal to the input
     within 1e-8.  Defined for two factors, where the kernel is the aa block.
+
+    One eigensolve per step, of R^T D R for the walk's congruence factor R
+    (see the module docstring), with the directions and uniform draws taken
+    in blocks of VALIDATION_BLOCK steps.  In exact arithmetic every walk
+    point has lambda_min >= -(floor + max(0, -lambda_min(start))).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -155,21 +166,28 @@ def sample_fiber(shadow: ShadowState, n: int, seed: int,
         return FiberSample(shadow=shadow, representatives=start[None], seed=seed,
                            n_requested=n, n_accepted=1, kernel_dim=0)
 
-    start = _feasible_start(shadow)
+    start, w, v = _feasible_start(shadow)
+    factor = _congruence_factor(w, v, EIG_FLOOR * (1.0 + max_norm(start)))
     rng = rng_from_seed(seed, _STREAM_HIT_AND_RUN)
-    scale = 1.0 + max_norm(start)
-    floor = EIG_FLOOR * scale
     x = start
     walk = np.empty((n,) + start.shape)
-    for step in range(burn_in + n):
-        direction = rng.standard_normal(k)
-        direction /= np.linalg.norm(direction)
-        d_mat = (direction @ kernel).reshape(start.shape)
-        a_minus, a_plus = _feasible_interval(x, d_mat, floor)
-        alpha = rng.uniform(-a_minus, a_plus)
-        x = x + alpha * d_mat
-        if step >= burn_in:
-            walk[step - burn_in] = x
+    steps = burn_in + n
+    for first in range(0, steps, VALIDATION_BLOCK):
+        size = min(VALIDATION_BLOCK, steps - first)
+        # Isotropic directions: the chord is scale-free, so they need no
+        # normalization.
+        coefficients = rng.standard_normal((size, k))
+        draws = rng.random(size)
+        for step, c, draw in zip(range(first, first + size), coefficients, draws):
+            d_mat = (c @ kernel).reshape(start.shape)
+            mu, u, a_minus, a_plus = _chord(factor, d_mat)
+            alpha = (a_minus + a_plus) * draw - a_minus
+            x = x + alpha * d_mat
+            # A draw of exactly 0 lands on the boundary, where 1 + alpha mu
+            # is 0 up to rounding.
+            factor = (factor @ u) / np.sqrt(np.maximum(1.0 + alpha * mu, _FACTOR_GUARD))
+            if step >= burn_in:
+                walk[step - burn_in] = x
     valid = np.concatenate([_valid_representatives(walk[i:i + VALIDATION_BLOCK], shadow)
                             for i in range(0, n, VALIDATION_BLOCK)])
     accepted = int(valid.sum())
@@ -180,14 +198,18 @@ def sample_fiber(shadow: ShadowState, n: int, seed: int,
                        rejected=n - accepted)
 
 
-def _valid_representatives(xs: np.ndarray, shadow: ShadowState) -> np.ndarray:
-    """Which matrices of the (R, D, D) stack are positive within REP_PSD_TOL,
-    have the shadow's trace within REP_TRACE_TOL and its shadow within
-    REP_SHADOW_TOL (max-norm)."""
-    psd = eigvalsh(xs)[:, 0] >= -REP_PSD_TOL
+def _on_slice(xs: np.ndarray, shadow: ShadowState) -> np.ndarray:
+    """Which matrices of the (R, D, D) stack have the shadow's trace within
+    REP_TRACE_TOL and its shadow within REP_SHADOW_TOL (max-norm)."""
     trace = np.abs(np.trace(xs, axis1=1, axis2=2) - shadow.trace) <= REP_TRACE_TOL
     defect = np.abs(local_shadow_matrix(xs, shadow.dims) - shadow.op).max(axis=(1, 2))
-    return psd & trace & (defect <= REP_SHADOW_TOL)
+    return trace & (defect <= REP_SHADOW_TOL)
+
+
+def _valid_representatives(xs: np.ndarray, shadow: ShadowState) -> np.ndarray:
+    """Which matrices of the (R, D, D) stack are positive within REP_PSD_TOL
+    and on the shadow's slice (:func:`_on_slice`)."""
+    return (eigvalsh(xs)[:, 0] >= -REP_PSD_TOL) & _on_slice(xs, shadow)
 
 
 def _pushed_shadows(reps: np.ndarray, proc: LinearProcess):

@@ -141,30 +141,53 @@ def lt_multipartite(w: np.ndarray, dims) -> ShadowState:
     w = np.asarray(w, dtype=float)
     shadow = local_shadow_matrix(w, dims)
     symmetric = max_norm(w - w.T) <= 1e-12 * (1 + max_norm(w))
-    return ShadowState(op=shadow, dims=dims, kernel_part=w - shadow if symmetric else None)
+    return _projected_state(shadow, dims, w - shadow if symmetric else None)
+
+
+def _projected_state(op: np.ndarray, dims: tuple[int, ...],
+                     kernel_part: np.ndarray | None) -> ShadowState:
+    """ShadowState of a fresh float array op = local_shadow_matrix(W, dims)
+    with checked dims: a projection is shadow-supported by construction, so
+    the support test of ``ShadowState(...)`` (a second projection) is
+    skipped."""
+    state = object.__new__(ShadowState)
+    op.flags.writeable = False
+    for name, value in (("op", op), ("dims", dims), ("kernel_part", kernel_part)):
+        object.__setattr__(state, name, value)
+    return state
 
 
 def lt_state_oracle(w: np.ndarray, dims) -> ShadowState:
-    """Independent shadow computation from the defining linear system.
+    """Independent shadow computation from the defining linear system
+    (:func:`defining_system_shadow`); used as the anti-bug cross-check for
+    the closed form."""
+    return ShadowState(op=defining_system_shadow(w, dims), dims=dims)
+
+
+def defining_system_shadow(w: np.ndarray, dims) -> np.ndarray:
+    """The shadow of W, or of each matrix of an (R, D, D) stack, from the
+    defining linear system.
 
     Solves for the matrix M in the span of the products a_1 x ... x a_n of
     one-factor symmetric basis elements (the all-s rows of the grading
     basis) whose pairings with every such product match those of W:
     trace_inner(M, a_1 x ... x a_n) = trace_inner(W, a_1 x ... x a_n).
-    Deliberately ignorant of the symmetrizer implementation; used as the
-    anti-bug cross-check for the closed form.
+    Deliberately ignorant of the symmetrizer implementation.  A stack is
+    solved with all right-hand sides together; each matrix of it gets the
+    same bits as it would alone (matrix-vector products per matrix, and one
+    LU factorization of the Gram matrix).
     """
-    dims = _check_dims(w, dims)
+    dims = _check_dims(w, dims, stack=True)
     w = np.asarray(w, dtype=float)
+    flat = w.reshape(-1, w.shape[-1] ** 2)
     products = grading_basis(dims).rows("s" * len(dims))
     gram = products @ products.T
-    rhs = products @ w.ravel()
+    rhs = (products @ flat[:, :, None])[:, :, 0]
     try:
-        coeff = np.linalg.solve(gram, rhs)
+        coeff = np.linalg.solve(gram, rhs.T).T
     except np.linalg.LinAlgError as exc:  # pragma: no cover - orthonormal bases
         raise RuntimeError("singular Gram system for product symmetric basis") from exc
-    m = (coeff @ products).reshape(w.shape)
-    return ShadowState(op=m, dims=dims)
+    return (coeff[:, None, :] @ products).reshape(w.shape)
 
 
 def locally_indistinguishable(w1: np.ndarray, w2: np.ndarray, dims,

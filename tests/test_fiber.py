@@ -17,12 +17,15 @@ from ltshadow.fiber import (
     SPREAD_ZERO_TOL,
     VALIDATION_BLOCK,
     FiberSample,
-    _feasible_interval,
+    _chord,
+    _congruence_factor,
     _valid_representatives,
     push_and_spread,
     sample_fiber,
 )
 from ltshadow.linalg import (
+    eigh,
+    eigvalsh,
     kron,
     max_norm,
     min_eigenvalue,
@@ -175,7 +178,7 @@ def test_interval_ends_are_on_the_cone_boundary(seed, dims):
     x = state_of_rank(d, 2 * d, rng)  # positive definite
     direction = kernel_direction(dims, rng)
     scale = 1.0 + max_norm(x)
-    a_minus, a_plus = _feasible_interval(x, direction, EIG_FLOOR * scale)
+    _, _, a_minus, a_plus = _chord(_congruence_factor(*eigh(x), EIG_FLOOR * scale), direction)
     assert a_minus > 0 and a_plus > 0
     for end in (a_plus, -a_minus):
         assert abs(min_eigenvalue(x + end * direction)) <= 1e-10 * scale
@@ -193,8 +196,8 @@ def test_interval_is_a_point_at_low_rank_states(dims, rank):
     for k in range(20):
         rng = rng_from_seed(74, d, rank, k)
         x = state_of_rank(d, rank, rng)
-        a_minus, a_plus = _feasible_interval(x, kernel_direction(dims, rng),
-                                             EIG_FLOOR * (1.0 + max_norm(x)))
+        factor = _congruence_factor(*eigh(x), EIG_FLOOR * (1.0 + max_norm(x)))
+        _, _, a_minus, a_plus = _chord(factor, kernel_direction(dims, rng))
         assert 0 <= a_minus + a_plus <= 1e-9
 
 
@@ -240,8 +243,8 @@ def test_sample_fiber_eigensolves_per_step(eigensolves):
     eigensolves["n"] = 0
     sample = sample_fiber(state, n=50, seed=19, burn_in=100)
     assert sample.n_accepted == 50
-    # two per step, one for the start point, one stacked validation pass
-    assert eigensolves["n"] == 2 * 150 + 1 + math.ceil(50 / VALIDATION_BLOCK)
+    # one per step, one for the start point, one stacked validation pass
+    assert eigensolves["n"] == 150 + 1 + math.ceil(50 / VALIDATION_BLOCK)
 
 
 def test_stacked_validation_matches_serial_reference():
@@ -338,3 +341,62 @@ def test_push_takes_the_passes_again_when_a_later_pass_spreads():
     assert not report.deterministic
     assert abs(report.diameter - diameter) <= 1e-12
     assert abs(report.mean_pairwise - mean) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the factor-updating walk
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("dims", [(3, 3), (3, 4)])
+@pytest.mark.parametrize("rank", [1, 2, None])
+def test_long_walks_stay_in_the_fiber(dims, rank):
+    """3,000 steps on one congruence factor: no point is rejected, none is
+    more negative than the floor allows, and pure states stay put."""
+    d = dims[0] * dims[1]
+    rho = state_of_rank(d, rank or d, rng_from_seed(81, d, rank or d))
+    sample = sample_fiber(lt_state(rho, dims), n=3000, seed=23)
+    assert sample.rejected == 0 and sample.n_accepted == 3000
+    assert eigvalsh(sample.representatives)[:, 0].min() >= -1e-11
+    if rank == 1:
+        spread = np.abs(eigvalsh(sample.representatives - rho)).sum(axis=1).max()
+        assert spread <= 1e-9
+
+
+def test_segment_fiber_draws_are_uniform():
+    """The (2, 2) fiber of a mixed state is a segment, and every hit-and-run
+    chord is the whole segment, so the walk points are i.i.d. uniform on it.
+    Its ends are found independently, by bisection on lambda_min; the
+    Kolmogorov-Smirnov distance is within its 1% critical value."""
+    state = demo_state()
+    kernel = grading_basis((2, 2)).block("aa")[0]
+
+    def end(sign):
+        lo, hi = 0.0, 1.0
+        while min_eigenvalue(state + sign * hi * kernel) >= 0:
+            lo, hi = hi, 2 * hi
+        for _ in range(100):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if min_eigenvalue(state + sign * mid * kernel) >= 0 else (lo, mid)
+        return sign * lo
+
+    t_minus, t_plus = end(-1.0), end(1.0)
+    n = 2000
+    reps = sample_fiber(lt_state(state, (2, 2)), n=n, seed=24).representatives
+    t = np.tensordot(reps - state, kernel, axes=2) / np.sum(kernel * kernel)
+    u = np.sort((t - t_minus) / (t_plus - t_minus))
+    assert u[0] >= -1e-9 and u[-1] <= 1 + 1e-9
+    ks = max((np.arange(1, n + 1) / n - u).max(), (u - np.arange(n) / n).max())
+    assert ks <= 1.63 / np.sqrt(n)
+
+
+def test_kernel_part_off_the_slice_falls_back_to_the_oracle_start():
+    """A kernel part that is positive but not in the kernel would start the
+    walk off the shadow's slice; the start is checked like every walk point,
+    so the oracle start is used and every representative has the shadow."""
+    op = lt_state(random_density(4, rng_from_seed(1)), (2, 2)).op
+    state = ShadowState(op=op, dims=(2, 2), kernel_part=0.01 * np.eye(4))
+    sample = sample_fiber(state, n=20, seed=25)
+    assert sample.rejected == 0 and sample.n_accepted == 20
+    shadows = local_shadow_matrix(sample.representatives, (2, 2))
+    assert np.abs(shadows - op).max() <= 1e-8

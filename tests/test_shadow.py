@@ -11,6 +11,7 @@ from ltshadow.errors import DimensionMismatch, SupportViolation
 from ltshadow.linalg import kron, max_norm, random_density, rng_from_seed, sym_part
 from ltshadow.shadow import (
     ShadowState,
+    defining_system_shadow,
     local_shadow_matrix,
     locally_indistinguishable,
     lt_multipartite,
@@ -195,6 +196,32 @@ def test_fiber_basis_spans_kernel():
     for k in basis.block("aa"):
         assert max_norm(local_shadow_matrix(k, (2, 3))) <= 1e-15
         assert np.linalg.norm(basis.rows("aa") @ k.ravel()) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_lt_state_projects_once(monkeypatch):
+    """lt_state takes one projection; a ShadowState built by a caller still
+    tests its support, with a projection of its own."""
+    calls = []
+    project = shadow.local_shadow_matrix
+    monkeypatch.setattr(shadow, "local_shadow_matrix",
+                        lambda w, dims: calls.append(dims) or project(w, dims))
+    w = random_density(9, rng_from_seed(32))
+    s = lt_state(w, (3, 3))
+    assert len(calls) == 1
+    assert s.dims == (3, 3) and not s.op.flags.writeable
+    np.testing.assert_array_equal(s.op, project(w, (3, 3)))
+    assert ShadowState(op=s.op, dims=[3, 3]) == s
+    assert len(calls) == 2
+    with pytest.raises(SupportViolation):
+        ShadowState(op=w, dims=(3, 3))
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (2, 2, 2)])
+def test_defining_system_of_a_stack_is_per_matrix(dims):
+    d = math.prod(dims)
+    ws = np.stack([random_density(d, rng_from_seed(33, d, k)) for k in range(7)])
+    expected = np.stack([lt_state_oracle(w, dims).op for w in ws])
+    np.testing.assert_array_equal(defining_system_shadow(ws, dims), expected)
 
 
 def test_shadow_carries_definitional_certificate():

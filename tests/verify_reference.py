@@ -1,0 +1,42 @@
+"""Serial reference for the stacked cross-checks of ``ltshadow.verify``.
+
+One state at a time, with the same per-sample draws: each shadow is taken
+by ``lt_state`` and by ``lt_state_oracle`` alone, and each kernel-invariance
+pair is projected and read in ss coordinates alone.  The report's stacked
+checks project, solve and eigensolve whole stacks, so tests require the
+same values bit for bit.
+"""
+
+import numpy as np
+
+from ltshadow.blocks import grading_basis
+from ltshadow.linalg import max_norm, min_eigenvalue, random_density, rng_from_seed
+from ltshadow.shadow import lt_state, lt_state_oracle
+
+
+def shadow_vs_defining_system(seed):
+    worst = 0.0
+    for idx, dims in enumerate(((2, 2), (2, 3), (3, 3))):
+        d = dims[0] * dims[1]
+        for k in range(20):
+            rho = random_density(d, rng_from_seed(seed, 100 + idx, k))
+            worst = max(worst, max_norm(lt_state(rho, dims).op - lt_state_oracle(rho, dims).op))
+    return worst
+
+
+def kernel_invariance_deviation(seed):
+    worst = 0.0
+    for idx, dims in enumerate(((2, 2), (2, 3))):
+        d = dims[0] * dims[1]
+        g = grading_basis(dims)
+        kernel = g.block("aa")
+        for k in range(10):
+            rng = rng_from_seed(seed, 300 + idx, k)
+            rho = random_density(d, rng)
+            kmat = sum(float(c) * kb for c, kb in
+                       zip(rng.standard_normal(len(kernel)), kernel))
+            t = 0.5 * min_eigenvalue(rho) / max(max_norm(kmat), 1e-12)
+            lhs = g.rows("ss") @ lt_state(rho + t * kmat, dims).op.ravel()
+            rhs = g.rows("ss") @ lt_state(rho, dims).op.ravel()
+            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    return worst
