@@ -12,7 +12,6 @@ from .blocks import grading_basis, project_block
 from .cones import (
     ConeMembershipResult,
     FeasibilityParams,
-    effect_in_shadow_cone,
     in_boxtimes_cone,
     in_max_cone,
     in_min_cone,

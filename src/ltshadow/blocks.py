@@ -14,7 +14,8 @@ the Kronecker products of one-factor basis elements, lexicographic within
 each block (see :func:`symmetric_basis` / :func:`antisymmetric_basis`), so
 coordinates are reproducible across runs and platforms.
 
-Every other module reaches the basis through :func:`grading_basis`: the
+Every other module reaches the basis through :func:`grading_basis`, and
+turns caller factor dimensions into ints through :func:`factor_dims`: the
 coefficients of an operator X in block p are ``g.rows(p) @ X.ravel()``, and
 process matrices in :mod:`ltshadow.processes` are written in this basis,
 whose cached row indices split it into the shadow (all s), the shadow kernel
@@ -23,7 +24,6 @@ whose cached row indices split it into the shadow (all s), the shadow kernel
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -109,12 +109,40 @@ class GradingBasis:
         return self.rows(pattern).reshape(-1, self.dim, self.dim)
 
 
-@functools.lru_cache(maxsize=None)
-def grading_basis(dims: tuple[int, ...]) -> GradingBasis:
-    """Construct (and cache) the grading basis for factor dimensions dims."""
-    dims = tuple(int(d) for d in dims)
-    if not dims or any(d < 1 for d in dims):
-        raise DimensionMismatch(f"factor dimensions must be >= 1, got {dims}")
+def factor_dims(dims, parties: int | None = None) -> tuple[int, ...]:
+    """The package's one rule for factor dimensions: caller dims as ints.
+
+    Raises DimensionMismatch unless dims is a nonempty sequence of integral
+    values >= 1 (2.0 passes; 2.5, True and "2" do not), ``parties`` of them
+    when that is given.
+    """
+    try:
+        raw = tuple(dims)
+        out = tuple(map(int, raw))
+    except (TypeError, ValueError, OverflowError):
+        raw = out = ()
+    if (not out or raw != out or min(out) < 1 or len(out) != (parties or len(out))
+            or not {bool, np.bool_}.isdisjoint(map(type, raw))):
+        raise DimensionMismatch(
+            f"factor dimensions must be {parties or 'one or more'} integers >= 1, got {dims!r}")
+    return out
+
+
+_BASES: dict[tuple[int, ...], GradingBasis] = {}
+
+
+def grading_basis(dims) -> GradingBasis:
+    """The grading basis for factor dimensions dims, cached under the
+    caller's tuple: :func:`factor_dims` runs only on a miss (lists always
+    take it), and a tuple equal to a cached one, such as (2.0, 2) after
+    (2, 2), gets that basis."""
+    try:
+        return _BASES[dims]
+    except (KeyError, TypeError):  # a miss, or an unhashable list
+        pass
+    dims = factor_dims(dims)
+    if dims in _BASES:
+        return _BASES[dims]
     # Pattern strings over {s, a} in binary order, e.g. (ss, sa, as, aa).
     patterns = tuple("".join(p) for p in itertools.product("sa", repeat=len(dims)))
     elements: list[np.ndarray] = []
@@ -141,7 +169,8 @@ def grading_basis(dims: tuple[int, ...]) -> GradingBasis:
              np.flatnonzero(n_anti % 2 == 1)]
     for a in [stacked, *parts]:
         a.flags.writeable = False
-    return GradingBasis(dims, patterns, slices, stacked, *parts)
+    basis = _BASES[dims] = GradingBasis(dims, patterns, slices, stacked, *parts)
+    return basis
 
 
 def project_block(w: np.ndarray, basis: GradingBasis, block: str) -> np.ndarray:

@@ -11,8 +11,10 @@ Subcommands:
 All input and output is JSON (see serialize).  Stochastic subcommands
 require an explicit seed and echo it in the output.  Exit codes: 0 success,
 1 a check of ``examples`` failed, 2 malformed input (entries above 1e150 in
-magnitude, ``fiber --n`` above MAX_FIBER_N) or an output file that cannot
-be written, 3 dimension mismatch or a factor above 9, 4 infeasible or
+magnitude or too large for a float, ``fiber --n`` above MAX_FIBER_N) or an
+output file that cannot be written, 3 dimension mismatch, a factor above 9,
+or dims that are not integers >= 1 (``"dims": [2.5, 2]`` or ``[true, 4]``,
+a process's ``"in_dims": [2.5, 2]``; 2.0 counts as 2), 4 infeasible or
 undecided where a decision was required, 5 internal numeric failure
 (``LinAlgError``, or a non-finite number in the output).  Output is
 byte-identical across runs for identical (input, flags, seed).
@@ -28,11 +30,10 @@ import sys
 import numpy as np
 
 from . import __version__
-from .blocks import grading_basis
+from .blocks import factor_dims, grading_basis
 from .cones import (
     FeasibilityParams,
     UNDECIDED,
-    effect_in_shadow_cone,
     in_boxtimes_cone,
     in_max_cone,
     in_min_cone,
@@ -103,7 +104,7 @@ def _read_json(path: str):
         raise _BadInput(f"cannot read {path}: {exc}") from exc
 
 
-class _BadInput(Exception):
+class _BadInput(ValueError):
     pass
 
 
@@ -131,7 +132,7 @@ def _resolve_dims(file_dims, arg_dims, dim: int) -> tuple[int, ...]:
 
 
 def _check_factor_limit(dims) -> None:
-    if any(int(d) > MAX_FACTOR_DIM for d in dims):
+    if max(factor_dims(dims)) > MAX_FACTOR_DIM:
         raise DimensionMismatch(
             f"dims {list(dims)}: factors above {MAX_FACTOR_DIM} are not supported"
         )
@@ -143,7 +144,8 @@ def _read_process(path: str):
     obj = _read_json(path)
     if isinstance(obj, dict):
         for key in ("in_dims", "out_dims"):
-            _check_factor_limit(obj.get(key, ()))
+            if key in obj:
+                _check_factor_limit(obj[key])
     return process_from_json(obj)
 
 
@@ -154,9 +156,7 @@ def _read_process(path: str):
 
 def cmd_decompose(args) -> tuple[dict, int]:
     m, file_dims = matrix_from_json(_read_json(args.input))
-    dims = _resolve_dims(file_dims, args.dims, m.shape[0])
-    if len(dims) != 2:
-        raise DimensionMismatch("decompose expects a bipartite operator")
+    dims = factor_dims(_resolve_dims(file_dims, args.dims, m.shape[0]), 2)
     g = grading_basis(dims)
     coords = {p: g.rows(p) @ m.ravel() for p in g.patterns}
     payload = {"dims": list(dims)}
@@ -182,10 +182,8 @@ def cmd_cone(args) -> tuple[dict, int]:
     dims = _resolve_dims(file_dims, args.dims, m.shape[0])
     if args.cone in _CONE_NEEDS_SEED and args.seed is None:
         raise _BadInput(f"--seed is required for cone {args.cone!r}")
-    if args.cone == "psd-ss":
+    if args.cone in ("psd-ss", "effect"):  # shadow effects are the psd-ss operators
         result = in_positive_ss_cone(m, dims, tol=args.tol)
-    elif args.cone == "effect":
-        result = effect_in_shadow_cone(m, dims, tol=args.tol)
     else:
         # The boxtimes oracle draws no random numbers, so any seed will do.
         seed = 0 if args.seed is None else args.seed
@@ -343,21 +341,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         payload, code = args.func(args)
-    except _BadInput as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except (ValueError, KeyError, TypeError) as exc:
-        if isinstance(exc, (DimensionMismatch, SupportViolation)):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_DIMENSION
-        if isinstance(exc, (InfeasibleShadow, NotLocallyPositive)):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_UNDECIDED
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except np.linalg.LinAlgError as exc:
+    except np.linalg.LinAlgError as exc:  # a ValueError, so caught first
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, (DimensionMismatch, SupportViolation)):
+            return EXIT_DIMENSION
+        if isinstance(exc, (InfeasibleShadow, NotLocallyPositive)):
+            return EXIT_UNDECIDED
+        return EXIT_BAD_INPUT
     path = getattr(args, "output", "-")
     try:
         _write(payload, path)

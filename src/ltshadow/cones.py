@@ -12,10 +12,11 @@ width tol at the boundary: a small semidefinite program, solved by a
 log-barrier Newton method, returns the offset K or a separating functional.
 The maximal cone consists of forms nonnegative on all product effects; the
 dual of the boxtimes cone is the set of positive operators inside the ss
-block (see :func:`effect_in_shadow_cone`).  The minimal cone is searched
-by a matching pursuit over product projectors whose weights are refit by
-:func:`nnls`, the package's own active-set nonnegative least squares, and
-bounded from outside by positivity and the range criterion.
+block, the shadow effects (see :func:`in_positive_ss_cone`).  The minimal
+cone is searched by a matching pursuit over product projectors whose
+weights are refit by :func:`nnls`, the package's own active-set nonnegative
+least squares, and bounded from outside by positivity and the range
+criterion.
 
 Every ``member`` verdict carries a certificate that replays independently of
 the search that produced it; ``non_member`` verdicts carry a witness (a
@@ -31,8 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import grading_basis, project_block
-from .errors import DimensionMismatch
+from .blocks import factor_dims, grading_basis, project_block
 from .linalg import (
     eigh,
     eigvalsh,
@@ -42,7 +42,7 @@ from .linalg import (
     sym_part,
     trace_inner,
 )
-from .shadow import require_shadow_support
+from .shadow import SHADOW_SUPPORT_TOL, require_shadow_support
 
 MEMBER = "member"
 NON_MEMBER = "non_member"
@@ -101,23 +101,6 @@ class ConeMembershipResult:
     residual: float
 
 
-def _as_bipartite(dims) -> tuple[int, int]:
-    dims = tuple(int(d) for d in dims)
-    if len(dims) != 2 or any(d < 1 for d in dims):
-        raise DimensionMismatch(f"cone oracles are bipartite; got dims {dims}")
-    return dims
-
-
-def require_ss_support(m: np.ndarray, dims) -> np.ndarray:
-    """Validate that M is symmetric and supported on the ss block."""
-    dims = _as_bipartite(dims)
-    m = np.asarray(m, dtype=float)
-    d = dims[0] * dims[1]
-    if m.shape != (d, d):
-        raise DimensionMismatch(f"matrix shape {m.shape} does not match dims {dims}")
-    return require_shadow_support(m, dims)
-
-
 # ---------------------------------------------------------------------------
 # Product-form quadratic optimization (max cone, range criterion, pursuit
 # atoms, unextendibility margin, map positivity)
@@ -126,7 +109,7 @@ def require_ss_support(m: np.ndarray, dims) -> np.ndarray:
 
 def product_quadratic_value(m: np.ndarray, dims, x: np.ndarray, y: np.ndarray) -> float:
     """q(x, y) = <x o y, M (x o y)> for unit vectors on the two factors."""
-    da, db = _as_bipartite(dims)
+    da, db = factor_dims(dims, 2)
     m4 = np.asarray(m, dtype=float).reshape(da, db, da, db)
     return float(np.einsum("ijkl,i,j,k,l->", m4, x, y, x, y))
 
@@ -152,7 +135,7 @@ def product_form_extremum(m: np.ndarray, dims, params: FeasibilityParams,
     Returns (value, x, y) of the best restart, the lowest index on ties; the
     value is recomputed from the returned pair.
     """
-    da, db = _as_bipartite(dims)
+    da, db = factor_dims(dims, 2)
     m4 = np.asarray(m, dtype=float).reshape(da, db, da, db)
     m_y = m4.transpose(1, 3, 0, 2).reshape(db * db, da * da)  # M[(j,l),(i,k)]
     m_x = m4.transpose(0, 2, 1, 3).reshape(da * da, db * db)  # M[(i,k),(j,l)]
@@ -186,8 +169,13 @@ def product_form_extremum(m: np.ndarray, dims, params: FeasibilityParams,
 
 
 def in_positive_ss_cone(m: np.ndarray, dims, tol: float = 1e-8) -> ConeMembershipResult:
-    """Membership in the cone of positive operators supported on the ss block."""
-    m = require_ss_support(m, dims)
+    """Membership in the cone of positive operators supported on the ss block.
+
+    These are exactly the shadow effects (``lt-shadow cone --cone effect``).
+    Entangled ones exist (see the unextendible-product-basis state), which
+    is how the boxtimes cone is separated from the maximal cone.
+    """
+    m, dims = require_shadow_support(m, dims, 2)
     w, v = eigh(m)
     lam = float(w[0])
     if lam >= -tol:
@@ -203,13 +191,14 @@ def in_positive_ss_cone(m: np.ndarray, dims, tol: float = 1e-8) -> ConeMembershi
 
 
 def replay_boxtimes_member(m: np.ndarray, dims, k: np.ndarray,
-                           psd_tol: float = 1e-8, span_tol: float = 1e-9) -> bool:
-    """Check a member certificate: K lies in the aa span and M + K is PSD."""
-    dims = _as_bipartite(dims)
-    basis = grading_basis(dims)
+                           psd_tol: float = 1e-8) -> bool:
+    """Check a member certificate: K lies in the aa span, up to the
+    SHADOW_SUPPORT_TOL * (1 + ||K||_max) of the support gate, and M + K is
+    PSD."""
+    basis = grading_basis(factor_dims(dims, 2))
     k = np.asarray(k, dtype=float)
     off_span = max_norm(k - project_block(k, basis, "aa"))
-    if off_span > span_tol * (1 + max_norm(k)):
+    if off_span > SHADOW_SUPPORT_TOL * (1 + max_norm(k)):
         return False
     return min_eigenvalue(np.asarray(m, dtype=float) + k) >= -psd_tol
 
@@ -224,8 +213,7 @@ def replay_separating_functional(m: np.ndarray, dims, f: np.ndarray,
     which rules out any PSD completion of M.  Returns (ok, f_projected,
     pairing).
     """
-    dims = _as_bipartite(dims)
-    basis = grading_basis(dims)
+    basis = grading_basis(factor_dims(dims, 2))
     fh = project_block(sym_part(np.asarray(f, dtype=float)), basis, "ss")
     lam = min_eigenvalue(fh)
     pairing = trace_inner(fh, np.asarray(m, dtype=float))
@@ -249,8 +237,7 @@ def in_boxtimes_cone(m: np.ndarray, dims, params: FeasibilityParams) -> ConeMemb
     t* in the band [-tol, -tol/100), or when roundoff stops the solver first.
     Negative trace and lambda_min(M) >= -tol are decided before the solver.
     """
-    dims = _as_bipartite(dims)
-    m = require_ss_support(m, dims)
+    m, dims = require_shadow_support(m, dims, 2)
     tol = params.tol
 
     # Negative trace rules out any PSD completion outright: Tr K = 0 for all
@@ -349,7 +336,7 @@ def in_max_cone(m: np.ndarray, dims, params: FeasibilityParams) -> ConeMembershi
     minimum over all restarts is only as strong as the search, so member
     verdicts are flagged heuristic.
     """
-    m = require_ss_support(m, dims)
+    m, dims = require_shadow_support(m, dims, 2)
     val, x, y = product_form_extremum(m, dims, params, minimize=True,
                                       stream=_STREAM_MAX_CONE)
     if val < -params.tol:
@@ -366,7 +353,7 @@ def in_max_cone(m: np.ndarray, dims, params: FeasibilityParams) -> ConeMembershi
 
 def separable_certificate_error(m: np.ndarray, dims, weights, xs, ys) -> float:
     """Frobenius reconstruction error of a separable decomposition."""
-    da, db = _as_bipartite(dims)
+    da, db = factor_dims(dims, 2)
     acc = np.zeros((da * db, da * db))
     for w, x, y in zip(weights, xs, ys):
         acc += w * np.kron(np.outer(x, x), np.outer(y, y))
@@ -472,7 +459,7 @@ def in_min_cone(m: np.ndarray, dims, params: FeasibilityParams) -> ConeMembershi
                  the refit reached its iteration cap.
     One eigendecomposition of M serves both non-member tests.
     """
-    m = require_ss_support(m, dims)
+    m, dims = require_shadow_support(m, dims, 2)
     w, v = eigh(m)
     lam = float(w[0])
     if lam < -params.tol:
@@ -512,14 +499,3 @@ def in_min_cone(m: np.ndarray, dims, params: FeasibilityParams) -> ConeMembershi
             return ConeMembershipResult(MEMBER, cert, atom + 1, residual)
         residual_mat = m - (dictionary @ weights).reshape(m.shape)
     return ConeMembershipResult(UNDECIDED, None, MIN_CONE_ATOMS, residual)
-
-
-# ---------------------------------------------------------------------------
-# Effect cone of the shadow composite
-# ---------------------------------------------------------------------------
-
-
-# Shadow effects are exactly the positive operators inside the ss block.
-# Entangled such operators exist (see the unextendible-product-basis state),
-# which is how the boxtimes cone is separated from the maximal cone.
-effect_in_shadow_cone = in_positive_ss_cone

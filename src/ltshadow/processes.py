@@ -15,13 +15,12 @@ then the shadow-to-shadow block.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import grading_basis
-from .cones import FeasibilityParams, product_form_extremum
+from .blocks import factor_dims, grading_basis
+from .cones import UNDECIDED, FeasibilityParams, product_form_extremum
 from .errors import DimensionMismatch, NotLocallyPositive
 from .linalg import (
     max_norm,
@@ -36,7 +35,7 @@ _STREAM_GENERATOR = 13
 
 
 def to_coords(x: np.ndarray, dims) -> np.ndarray:
-    g = grading_basis(tuple(int(d) for d in dims))
+    g = grading_basis(dims)
     x = np.asarray(x, dtype=float)
     if x.shape != (g.dim, g.dim):
         raise DimensionMismatch(f"operator shape {x.shape} does not match dims {g.dims}")
@@ -44,7 +43,7 @@ def to_coords(x: np.ndarray, dims) -> np.ndarray:
 
 
 def from_coords(c: np.ndarray, dims) -> np.ndarray:
-    g = grading_basis(tuple(int(d) for d in dims))
+    g = grading_basis(dims)
     c = np.asarray(c, dtype=float)
     if c.shape != (g.size,):
         raise DimensionMismatch(f"coordinate length {c.shape} does not match dims {g.dims}")
@@ -60,17 +59,16 @@ class LinearProcess:
     matrix: np.ndarray
 
     def __post_init__(self):
-        in_dims = tuple(int(d) for d in self.in_dims)
-        out_dims = tuple(int(d) for d in self.out_dims)
+        in_dims = factor_dims(self.in_dims)
+        out_dims = factor_dims(self.out_dims)
         n_in = grading_basis(in_dims).size
         n_out = grading_basis(out_dims).size
-        m = np.asarray(self.matrix, dtype=float)
+        m = np.array(self.matrix, dtype=float)
         if m.shape != (n_out, n_in):
             raise DimensionMismatch(
                 f"process matrix shape {m.shape} does not match coordinate sizes "
                 f"({n_out}, {n_in}) for dims {out_dims} <- {in_dims}"
             )
-        m = m.copy()
         m.flags.writeable = False
         object.__setattr__(self, "in_dims", in_dims)
         object.__setattr__(self, "out_dims", out_dims)
@@ -94,8 +92,8 @@ class LinearProcess:
 
 def process_from_function(fn, in_dims, out_dims) -> LinearProcess:
     """Materialize a matrix from the action of fn on every input basis element."""
-    gin = grading_basis(tuple(int(d) for d in in_dims))
-    gout = grading_basis(tuple(int(d) for d in out_dims))
+    gin = grading_basis(in_dims)
+    gout = grading_basis(out_dims)
     cols = np.empty((gout.size, gin.size))
     din = gin.dim
     for k in range(gin.size):
@@ -105,20 +103,20 @@ def process_from_function(fn, in_dims, out_dims) -> LinearProcess:
 
 
 def identity_process(dims) -> LinearProcess:
-    g = grading_basis(tuple(int(d) for d in dims))
+    g = grading_basis(dims)
     return LinearProcess(g.dims, g.dims, np.eye(g.size))
 
 
 def conjugation_process(q: np.ndarray, in_dims, out_dims=None) -> LinearProcess:
     """X -> Q X Q^T.  Positive for any real Q; preserves the grading iff Q is local."""
     q = np.asarray(q, dtype=float)
-    out_dims = tuple(out_dims) if out_dims is not None else tuple(in_dims)
+    out_dims = out_dims if out_dims is not None else in_dims
     return process_from_function(lambda x: q @ x @ q.T, in_dims, out_dims)
 
 
 def swap_process(dims) -> LinearProcess:
     """Conjugation by the tensor-swap permutation; output factors reversed."""
-    da, db = (int(d) for d in dims)
+    da, db = factor_dims(dims, 2)
     sigma = np.zeros((da * db, da * db))
     for i in range(da):
         for j in range(db):
@@ -128,14 +126,12 @@ def swap_process(dims) -> LinearProcess:
 
 def preparation_process(state: np.ndarray, dims) -> LinearProcess:
     """The map t -> t * state from the trivial system; always locally positive."""
-    dims = tuple(int(d) for d in dims)
     col = to_coords(state, dims)
     return LinearProcess((1,), dims, col.reshape(-1, 1))
 
 
 def effect_functional(f: np.ndarray, dims) -> LinearProcess:
     """The functional X -> trace_inner(f, X) as a process to the trivial system."""
-    dims = tuple(int(d) for d in dims)
     row = to_coords(f, dims)
     return LinearProcess(dims, (1,), row.reshape(1, -1))
 
@@ -147,7 +143,7 @@ def epsilon_functional(dims=(2, 2)) -> LinearProcess:
     antisymmetric generators of a pair of qubits it evaluates to 2, so it
     does not vanish on the shadow kernel and is not locally positive.
     """
-    da, db = (int(d) for d in dims)
+    da, db = factor_dims(dims, 2)
     if da != db:
         raise DimensionMismatch("the pairing functional needs equal factor dimensions")
     f = np.zeros((da * db, da * db))
@@ -161,11 +157,9 @@ def epsilon_functional(dims=(2, 2)) -> LinearProcess:
 
 def trace_unit_process(dims) -> LinearProcess:
     """X -> Tr(X) I / D: the depolarizing sink used to boost maps to positivity."""
-    dims = tuple(int(d) for d in dims)
-    d = math.prod(dims)
-    eye = np.eye(d)
-    c = to_coords(eye, dims)
-    return LinearProcess(dims, dims, np.outer(c / d, c))
+    g = grading_basis(dims)
+    c = to_coords(np.eye(g.dim), g.dims)
+    return LinearProcess(g.dims, g.dims, np.outer(c / g.dim, c))
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +267,6 @@ def shadow_of_map(proc: LinearProcess) -> LinearProcess:
 
 POSITIVE = "positive"
 NOT_POSITIVE = "not_positive"
-UNDECIDED = "undecided"
 
 
 @dataclass(frozen=True)
@@ -336,7 +329,6 @@ def random_locally_positive_process(dims, seed: int) -> LinearProcess:
     the map is positive by construction.  A generator, not a
     characterization of the locally positive maps.
     """
-    dims = tuple(int(d) for d in dims)
     g = grading_basis(dims)
     rng = rng_from_seed(seed, _STREAM_GENERATOR)
     shadow, kernel = g.shadow_index, g.kernel_index
@@ -345,7 +337,7 @@ def random_locally_positive_process(dims, seed: int) -> LinearProcess:
     m[np.ix_(kernel, kernel)] = rng.standard_normal((kernel.size, kernel.size))
     m[np.ix_(kernel, shadow)] = rng.standard_normal((kernel.size, shadow.size))
     lam = g.dim * float(np.linalg.norm(m, 2))
-    return LinearProcess(dims, dims, m + lam * trace_unit_process(dims).matrix)
+    return LinearProcess(g.dims, g.dims, m + lam * trace_unit_process(g.dims).matrix)
 
 
 def random_kernel_leaking_process(dims, seed: int) -> LinearProcess:
@@ -355,8 +347,7 @@ def random_kernel_leaking_process(dims, seed: int) -> LinearProcess:
     completely positive — but generically mixes the grading.  Draws until
     the kernel-to-shadow defect is at least 1e-4.
     """
-    dims = tuple(int(d) for d in dims)
-    d = math.prod(dims)
+    d = grading_basis(dims).dim
     for attempt in range(32):
         rng = rng_from_seed(seed, _STREAM_GENERATOR, attempt)
         q = random_orthogonal(d, rng)

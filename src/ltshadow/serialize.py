@@ -2,13 +2,15 @@
 
 Wire formats:
   matrix   {"dim": n, "rows": [[...], ...]}            (+ "dims": [dA, dB] for
-           bipartite/multipartite operators; readers accept integer literals)
+           bipartite/multipartite operators)
   process  {"in_dims": [...], "out_dims": [...], "matrix": [[...], ...]}
            over the documented grading-coordinate ordering.
 
-Readers reject entries above MAX_ENTRY in magnitude (and non-finite ones),
-so squares and sums over the entries of the largest supported operators
-stay finite.  Floats are emitted with 17 significant digits, which
+Readers accept integer entries, hold dims to the rule of
+:func:`~ltshadow.blocks.factor_dims` (2.0 passes, 2.5 and true do not), and
+reject entries above MAX_ENTRY in magnitude (and non-finite ones), so
+squares and sums over the entries of the largest supported operators stay
+finite.  Floats are emitted with 17 significant digits, which
 round-trips IEEE doubles exactly; emission is a pure function of the value,
 so identical inputs produce byte-identical output.
 """
@@ -20,6 +22,7 @@ import math
 
 import numpy as np
 
+from .blocks import factor_dims
 from .errors import DimensionMismatch
 
 MAX_ENTRY = 1e150
@@ -92,7 +95,7 @@ def matrix_to_json(m: np.ndarray, dims=None) -> dict:
     m = np.asarray(m, dtype=float)
     out = {"dim": int(m.shape[0]), "rows": m.tolist()}
     if dims is not None:
-        out["dims"] = [int(d) for d in dims]
+        out["dims"] = list(factor_dims(dims))
     return out
 
 
@@ -109,13 +112,13 @@ def matrix_from_json(obj) -> tuple[np.ndarray, tuple[int, ...] | None]:
     if not np.all(np.abs(m) <= MAX_ENTRY):
         raise ValueError(f"matrix entries must be finite and at most {MAX_ENTRY:g} in magnitude")
     declared = obj.get("dim")
-    if declared is not None and int(declared) != m.shape[0]:
+    if declared is not None and declared != m.shape[0]:
         raise DimensionMismatch(
             f'declared "dim" {declared} does not match rows of size {m.shape[0]}'
         )
     dims = obj.get("dims")
     if dims is not None:
-        dims = tuple(int(d) for d in dims)
+        dims = factor_dims(dims)
         if math.prod(dims) != m.shape[0]:
             raise DimensionMismatch(
                 f'declared "dims" {list(dims)} have product {math.prod(dims)}, '
@@ -126,8 +129,8 @@ def matrix_from_json(obj) -> tuple[np.ndarray, tuple[int, ...] | None]:
 
 def process_to_json(proc) -> dict:
     return {
-        "in_dims": [int(d) for d in proc.in_dims],
-        "out_dims": [int(d) for d in proc.out_dims],
+        "in_dims": list(proc.in_dims),
+        "out_dims": list(proc.out_dims),
         "matrix": np.asarray(proc.matrix).tolist(),
     }
 
@@ -143,11 +146,7 @@ def process_from_json(obj):
     matrix = np.asarray(obj["matrix"], dtype=float)
     if matrix.ndim != 2 or not np.all(np.abs(matrix) <= MAX_ENTRY):
         raise ValueError(f"process matrix must be 2-D, entries at most {MAX_ENTRY:g} in magnitude")
-    return LinearProcess(
-        in_dims=tuple(int(d) for d in obj["in_dims"]),
-        out_dims=tuple(int(d) for d in obj["out_dims"]),
-        matrix=matrix,
-    )
+    return LinearProcess(obj["in_dims"], obj["out_dims"], matrix)
 
 
 def cone_result_to_json(result) -> dict:

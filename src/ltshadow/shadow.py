@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocks import grading_basis
+from .blocks import factor_dims, grading_basis
 from .errors import DimensionMismatch, SupportViolation
 from .linalg import max_norm, sym_part
 
@@ -29,11 +29,9 @@ SHADOW_SUPPORT_TOL = 1e-9
 
 
 def _check_dims(w: np.ndarray, dims, stack: bool = False) -> tuple[int, ...]:
-    """The factor dimensions as ints, checked against W's shape: (D, D), or
-    also (R, D, D) when ``stack`` is set."""
-    dims = tuple(int(d) for d in dims)
-    if not dims or any(d < 1 for d in dims):
-        raise DimensionMismatch(f"factor dimensions must be >= 1, got {dims}")
+    """The factor dimensions as ints (by :func:`factor_dims`), checked
+    against W's shape: (D, D), or also (R, D, D) when ``stack`` is set."""
+    dims = factor_dims(dims)
     shape = np.shape(w)
     total = math.prod(dims)
     if (shape[1:] if stack and len(shape) == 3 else shape) != (total, total):
@@ -74,20 +72,25 @@ def local_shadow_matrix(w: np.ndarray, dims) -> np.ndarray:
     return out
 
 
-def require_shadow_support(m: np.ndarray, dims) -> np.ndarray:
-    """M as a float array, or SupportViolation if it leaves the shadow subspace.
+def require_shadow_support(m: np.ndarray, dims,
+                           parties: int | None = None) -> tuple[np.ndarray, tuple[int, ...]]:
+    """(M as a float array, dims as ints): the package's one gate for
+    shadow-space operands.
 
-    The package's one shadow-support test: the max-norm of the component of
-    M outside the shadow (all-symmetric) subspace may be at most
-    SHADOW_SUPPORT_TOL * (1 + ||M||_max).
+    Raises DimensionMismatch unless dims pass
+    :func:`~ltshadow.blocks.factor_dims` (with ``parties`` factors, when
+    given) and M is one (D, D) matrix.  Raises SupportViolation unless the
+    max-norm of the component of M outside the shadow (all-symmetric)
+    subspace is at most SHADOW_SUPPORT_TOL * (1 + ||M||_max).
     """
     m = np.asarray(m, dtype=float)
+    dims = _check_dims(m, factor_dims(dims, parties))
     defect = max_norm(m - local_shadow_matrix(m, dims))
     if defect > SHADOW_SUPPORT_TOL * (1 + max_norm(m)):
         raise SupportViolation(
             f"matrix is not supported on the shadow subspace (defect {defect:.3e})"
         )
-    return m
+    return m, dims
 
 
 def kernel_component_norm(w: np.ndarray, dims) -> float:
@@ -111,11 +114,10 @@ class ShadowState:
     kernel_part: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        dims = _check_dims(self.op, self.dims)
-        object.__setattr__(self, "dims", dims)
-        op = require_shadow_support(self.op, dims)
+        op, dims = require_shadow_support(self.op, self.dims)
         op.flags.writeable = False
         object.__setattr__(self, "op", op)
+        object.__setattr__(self, "dims", dims)
 
     @property
     def trace(self) -> float:
@@ -128,10 +130,7 @@ def lt_state(w: np.ndarray, dims) -> ShadowState:
     For symmetric W the discarded component lies entirely in the aa block;
     the returned ShadowState keeps it as ``kernel_part``.
     """
-    state = lt_multipartite(w, dims)
-    if len(state.dims) != 2:
-        raise DimensionMismatch(f"lt_state expects two factors, got {state.dims}")
-    return state
+    return lt_multipartite(w, factor_dims(dims, 2))
 
 
 def lt_multipartite(w: np.ndarray, dims) -> ShadowState:

@@ -7,7 +7,7 @@ import pytest
 from matrix_helpers import antisym_part, expected_sizes, random_ss_matrix, random_symmetric
 
 import ltshadow
-from ltshadow.blocks import grading_basis, project_block
+from ltshadow.blocks import factor_dims, grading_basis, project_block
 from ltshadow.errors import DimensionMismatch
 from ltshadow.linalg import kron, max_norm, rng_from_seed, sym_part, trace_inner
 from ltshadow.processes import from_coords, to_coords
@@ -202,3 +202,27 @@ def test_part_indices_follow_the_patterns(dims):
         assert index.tolist() == rows(keep)
         with pytest.raises(ValueError):
             index[:1] = 0
+
+
+@pytest.mark.parametrize("dims, parties, expected", [
+    ((2, 3), None, (2, 3)), ([2, 2.0], 2, (2, 2)), (np.array([3, 3]), 2, (3, 3)), ((1,), 1, (1,)),
+])
+def test_factor_dims_accepts_integral_values(dims, parties, expected):
+    out = factor_dims(dims, parties)
+    assert out == expected and all(type(d) is int for d in out)
+
+
+@pytest.mark.parametrize("dims, parties", [
+    ((), None), ((0, 2), None), ((2.5, 2), None), ((True, 4), None), (("2", 2), None),
+    ((float("nan"),), None), ((float("inf"), 2), None), (2, None), (None, None),
+    ((2, 2, 2), 2), ((4,), 2),
+])
+def test_factor_dims_rejects(dims, parties):
+    with pytest.raises(DimensionMismatch):
+        factor_dims(dims, parties)
+
+
+def test_grading_basis_takes_lists_and_refuses_fractional_dims():
+    assert grading_basis([2, 3]) is grading_basis((2, 3))
+    with pytest.raises(DimensionMismatch):
+        grading_basis((2.5, 2))

@@ -1,5 +1,7 @@
 """End-to-end CLI behavior: subcommands, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -7,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ltshadow import cli
 from ltshadow.linalg import kron, sym_part
@@ -305,6 +308,28 @@ def test_dims_parse_error_reaches_stderr(capsys, text, message):
     assert capsys.readouterr().err.splitlines()[-1].endswith(f"argument --dims: {message}")
 
 
+@pytest.mark.parametrize("argv, payload", [
+    (["shadow"], {"dims": [2.9, 2.0], "rows": np.eye(4).tolist()}),
+    (["shadow"], {"dims": [True, 4], "rows": np.eye(4).tolist()}),
+    (["map", "--check", "local-positive"],
+     {"in_dims": [2.5, 2], "out_dims": [2, 2], "matrix": np.eye(16).tolist()}),
+])
+def test_non_integer_dims_exit_3(capsys, monkeypatch, argv, payload):
+    """Dims are not truncated to ints: 2.9, 2.5 and true are refused."""
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
+    assert cli.main(argv + ["-i", "-"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: factor dimensions must be")
+
+
+def test_integral_float_dims_are_accepted(capsys, monkeypatch):
+    payload = {"dims": [2, 2.0], "rows": np.eye(4).tolist()}
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
+    assert cli.main(["shadow", "-i", "-"]) == 0
+    assert json.loads(capsys.readouterr().out)["dims"] == [2, 2]
+
+
 def _hostile_calls(tmp_path):
     """Every subcommand that reads input, on entries of magnitude 1e308."""
     matrix = tmp_path / "big.json"
@@ -352,6 +377,18 @@ def test_non_finite_payload_exit_5(capsys, monkeypatch, tmp_path):
     assert err.startswith("numeric failure: cannot serialize non-finite float")
 
 
+def test_linalg_failure_exit_5(capsys, monkeypatch, tmp_path):
+    """LinAlgError is a ValueError, yet it exits 5, not 2."""
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(cli, "in_positive_ss_cone", fail)
+    assert cli.main(["cone", "--cone", "psd-ss", "-i", str(epr_shadow_file(tmp_path))]) == 5
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "numeric failure: Eigenvalues did not converge\n"
+
+
 def test_unwritable_output_exit_2(capsys, tmp_path):
     target = tmp_path / "missing" / "out.json"
     assert cli.main(["shadow", "-i", str(epr_shadow_file(tmp_path)), "-o", str(target)]) == 2
@@ -360,3 +397,96 @@ def test_unwritable_output_exit_2(capsys, tmp_path):
     assert len(err.splitlines()) == 1
     assert err.startswith(f"error: cannot write {target}: ")
     assert not target.exists()
+
+
+# ---------------------------------------------------------------------------
+# In-process fuzz: hostile JSON ends in a documented exit code
+# ---------------------------------------------------------------------------
+
+_BAD_DIM = st.sampled_from([0, -1, 2.0, 2.5, 2.9, True, False, "2", None, 10**30,
+                            float("inf"), [2], 10])
+_DIMS = st.one_of(
+    st.sampled_from([(2, 2), (2, 3), (3, 3), (4,), (2, 2, 2), (9, 2), (1, 4)]).map(list),
+    st.lists(st.one_of(st.integers(1, 4), _BAD_DIM), max_size=4),
+    _BAD_DIM,
+)
+_ENTRY = st.one_of(st.floats(-1e3, 1e3), st.integers(-3, 3),
+                   st.sampled_from([1e151, -1e300, float("inf"), float("nan"), 10**400,
+                                    True, "x", None, [1.0]]))
+
+
+# Factor dims that fit a matrix of each size, and a process of each size.
+_FITTING_DIMS = {1: [1], 2: [2], 4: [2, 2], 6: [2, 3], 8: [2, 2, 2], 9: [3, 3],
+                 16: [2, 2], 36: [2, 3], 81: [3, 3]}
+
+
+@st.composite
+def _hostile_rows(draw, n):
+    """Ragged, non-square, hostile-entry, shadow-supported or off-support rows."""
+    kind = draw(st.sampled_from(["entries", "ragged", "wide", "symmetric", "shadow", "shadow",
+                                 "scalar"]))
+    if kind == "scalar":
+        return draw(st.sampled_from([None, "rows", 3.0, [], [[]], {"a": 1}]))
+    if kind == "entries":
+        return draw(st.lists(st.lists(_ENTRY, min_size=n, max_size=n), min_size=n, max_size=n))
+    if kind == "ragged":
+        return [[0.0] * (k % 3 + 1) for k in range(n)]
+    if kind == "wide":
+        return np.zeros((n, n + 1)).tolist()
+    a = np.random.default_rng(draw(st.integers(0, 2**16))).standard_normal((n, n))
+    a = a + a.T  # symmetric, generically off the shadow subspace
+    if kind == "shadow" and n in (4, 6, 9):
+        a = local_shadow_matrix(a @ a.T, _FITTING_DIMS[n])
+    return a.tolist()
+
+
+@st.composite
+def _hostile_call(draw):
+    """(argv, stdin text) for shadow, decompose, cone or map on hostile JSON."""
+    command = draw(st.sampled_from(["shadow", "decompose", "cone", "map"]))
+    sizes = [1, 16, 36, 81] if command == "map" else [1, 2, 4, 6, 8, 9]
+    n = draw(st.sampled_from(sizes))
+    dims = st.one_of(st.just(_FITTING_DIMS[n]), _DIMS)
+    if command == "map":
+        payload = {"in_dims": draw(dims), "out_dims": draw(dims),
+                   "matrix": draw(_hostile_rows(n))}
+        argv = ["map", "--check", draw(st.sampled_from(["local-positive", "positive", "shadow"])),
+                "--seed", "1"]
+    else:
+        payload = {"rows": draw(_hostile_rows(n)), "dims": draw(dims)}
+        argv = [command]
+        if command == "cone":
+            argv += ["--cone", draw(st.sampled_from(["min", "psd-ss", "boxtimes", "max",
+                                                     "effect"])), "--seed", "1"]
+        if draw(st.integers(0, 3)) == 0:
+            argv += ["--dims", draw(st.sampled_from(["2,2", "3,3", "2,3", "4", "2,x", "0,2"]))]
+    for key in draw(st.sets(st.sampled_from(list(payload)), max_size=1)):
+        del payload[key]
+    return argv + ["-i", "-"], json.dumps(payload)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(call=_hostile_call())
+def test_hostile_json_ends_in_a_documented_exit_code(call):
+    """Every run returns 0, 2, 3, 4 or 5 (argparse's exit counts as 2); on
+    2, 3 and 5 stdout is empty and stderr holds the error line."""
+    argv, text = call
+    out, err = io.StringIO(), io.StringIO()
+    stdin = sys.stdin
+    sys.stdin = io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                assert exc.code == 2 and ": error: " in err.getvalue().splitlines()[-1]
+                code = None
+    finally:
+        sys.stdin = stdin
+    if code is None:
+        assert out.getvalue() == ""
+        return
+    assert code in (0, 2, 3, 4, 5), (argv, text, err.getvalue())
+    if code in (2, 3, 5):
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith(("error:", "numeric failure:")), err.getvalue()

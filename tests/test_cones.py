@@ -16,7 +16,6 @@ from ltshadow.cones import (
     NON_MEMBER,
     UNDECIDED,
     FeasibilityParams,
-    effect_in_shadow_cone,
     in_boxtimes_cone,
     in_max_cone,
     in_min_cone,
@@ -520,16 +519,16 @@ def test_nnls_matches_brute_force_over_every_active_set(n):
 
 
 def test_effect_cone_unit_effect():
-    assert effect_in_shadow_cone(np.eye(4), (2, 2)).verdict == MEMBER
+    assert in_positive_ss_cone(np.eye(4), (2, 2)).verdict == MEMBER
 
 
 def test_effect_cone_upb_state_is_entangled_effect():
-    res = effect_in_shadow_cone(upb_state(), (3, 3))
+    res = in_positive_ss_cone(upb_state(), (3, 3))
     assert res.verdict == MEMBER
 
 
 def test_effect_cone_rejects_epr_shadow():
-    res = effect_in_shadow_cone(epr_shadow(), (2, 2))
+    res = in_positive_ss_cone(epr_shadow(), (2, 2))
     assert res.verdict == NON_MEMBER
     v = res.certificate["witness_vector"]
     assert v @ epr_shadow() @ v < 0

@@ -21,11 +21,16 @@ from ltshadow.cones import (
     in_positive_ss_cone,
     replay_boxtimes_member,
     replay_separating_functional,
-    require_ss_support,
 )
 from ltshadow.errors import SupportViolation
 from ltshadow.linalg import kron, max_norm, min_eigenvalue, random_orthogonal, rng_from_seed
-from ltshadow.shadow import SHADOW_SUPPORT_TOL, ShadowState, aa_projection, local_shadow_matrix
+from ltshadow.shadow import (
+    SHADOW_SUPPORT_TOL,
+    ShadowState,
+    aa_projection,
+    local_shadow_matrix,
+    require_shadow_support,
+)
 
 DIMS = [(2, 2), (2, 3), (3, 3)]
 TOL = 1e-8
@@ -116,7 +121,7 @@ def test_aa_projection_matches_basis_projection(seed, dims):
 @PROPERTY
 @given(seed=seeds, dims=dims_st, exponent=st.floats(-14.0, -4.0))
 def test_support_checks_agree(seed, dims, exponent):
-    """require_ss_support and ShadowState accept and reject the same inputs,
+    """require_shadow_support and ShadowState accept and reject the same inputs,
     and agree with the basis projection away from the threshold."""
     rng = rng_from_seed(seed)
     d = dims[0] * dims[1]
@@ -131,7 +136,7 @@ def test_support_checks_agree(seed, dims, exponent):
             return False
         return True
 
-    by_cones = accepts(lambda: require_ss_support(m, dims))
+    by_cones = accepts(lambda: require_shadow_support(m, dims, 2))
     by_state = accepts(lambda: ShadowState(op=m, dims=dims))
     assert by_cones == by_state
     defect = max_norm(m - project_block(m, grading_basis(dims), "ss"))

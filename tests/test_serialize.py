@@ -87,3 +87,15 @@ def test_process_round_trip():
     back = process_from_json(obj)
     assert back.in_dims == (2, 2) and back.out_dims == (2, 2)
     np.testing.assert_array_equal(back.matrix, proc.matrix)
+
+
+@pytest.mark.parametrize("key, value", [("dim", 2.5), ("dim", float("inf")), ("dims", [2.5, 1]),
+                                        ("dims", [True, 2]), ("dims", ["2", 1])])
+def test_matrix_from_json_refuses_non_integer_dims(key, value):
+    """Declared dims are compared, not truncated: 2.5 is not 2."""
+    with pytest.raises(DimensionMismatch):
+        matrix_from_json({key: value, "rows": [[1, 0], [0, 1]]})
+
+
+def test_matrix_from_json_accepts_integral_floats():
+    assert matrix_from_json({"dim": 2.0, "dims": [2, 1.0], "rows": [[1, 0], [0, 1]]})[1] == (2, 1)

@@ -8,7 +8,6 @@ from ltshadow.cones import (
     MEMBER,
     NON_MEMBER,
     FeasibilityParams,
-    effect_in_shadow_cone,
     in_max_cone,
     in_min_cone,
     in_positive_ss_cone,
@@ -72,7 +71,7 @@ def test_state_cone_placement():
 
 
 def test_state_as_effect_is_entangled_shadow_effect():
-    assert effect_in_shadow_cone(upb_state(), (3, 3)).verdict == MEMBER
+    assert in_positive_ss_cone(upb_state(), (3, 3)).verdict == MEMBER
 
 
 def test_separating_form_is_in_max_but_not_boxtimes():
