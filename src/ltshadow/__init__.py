@@ -1,9 +1,9 @@
 """Locally tomographic shadows of finite-dimensional real quantum theory.
 
-Block decomposition of bipartite operator space, the shadow projection on
-states and processes, membership oracles for the nested tensor cones,
-the tiles unextendible product basis, and a fiber sampler for the apparent
-non-determinism seen by local agents.
+Block decomposition of the operator space of a product system, the shadow
+projection on states and processes, membership oracles for the nested
+tensor cones, the tiles unextendible product basis, and a fiber sampler for
+the apparent non-determinism seen by local agents.
 """
 
 __version__ = "0.1.0"
@@ -52,7 +52,6 @@ from .shadow import (
     ShadowState,
     local_shadow_matrix,
     locally_indistinguishable,
-    lt_multipartite,
     lt_state,
     lt_state_oracle,
     partial_transpose,

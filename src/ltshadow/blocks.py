@@ -34,6 +34,7 @@ from .errors import DimensionMismatch
 from .linalg import kron
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
+_BOOLS = frozenset({bool, np.bool_})
 
 
 def symmetric_basis(dim: int) -> list[np.ndarray]:
@@ -74,8 +75,9 @@ class GradingBasis:
     ``stacked`` holds one vectorized basis element per row, blocks in
     pattern order; ``slices`` maps each pattern to its rows.  Every per-block
     view (:meth:`rows`, :meth:`block`) is a read-only slice of that one
-    array; for two factors the shadow kernel is ``block("aa")``.  The
-    read-only ``*_index`` arrays hold the rows of each part, in order.
+    array.  The read-only ``*_index`` arrays hold the rows of each part, in
+    order; ``stacked[kernel_index]`` is the shadow kernel at any number of
+    factors (for two, the aa rows).
     """
 
     dims: tuple[int, ...]
@@ -122,7 +124,7 @@ def factor_dims(dims, parties: int | None = None) -> tuple[int, ...]:
     except (TypeError, ValueError, OverflowError):
         raw = out = ()
     if (not out or raw != out or min(out) < 1 or len(out) != (parties or len(out))
-            or not {bool, np.bool_}.isdisjoint(map(type, raw))):
+            or not _BOOLS.isdisjoint(map(type, raw))):
         raise DimensionMismatch(
             f"factor dimensions must be {parties or 'one or more'} integers >= 1, got {dims!r}")
     return out
@@ -135,10 +137,11 @@ def grading_basis(dims) -> GradingBasis:
     """The grading basis for factor dimensions dims, cached under the
     caller's tuple: :func:`factor_dims` runs only on a miss (lists always
     take it), and a tuple equal to a cached one, such as (2.0, 2) after
-    (2, 2), gets that basis."""
+    (2, 2), gets that basis.  A bool equals 1, so its tuple takes the rule."""
     try:
-        return _BASES[dims]
-    except (KeyError, TypeError):  # a miss, or an unhashable list
+        if type(dims) is tuple and _BOOLS.isdisjoint(map(type, dims)):
+            return _BASES[dims]
+    except (KeyError, TypeError):  # a miss, or an unhashable entry
         pass
     dims = factor_dims(dims)
     if dims in _BASES:

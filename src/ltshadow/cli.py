@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands:
-  decompose  block-coordinate split of a bipartite operator
+  decompose  block-coordinate split of an operator (any number of factors)
   shadow     shadow projection of an operator (any number of factors)
   cone       membership oracle for one of the nested cones
   map        local positivity / positivity / shadow of a process
@@ -12,11 +12,12 @@ All input and output is JSON (see serialize).  Stochastic subcommands
 require an explicit seed and echo it in the output.  Exit codes: 0 success,
 1 a check of ``examples`` failed, 2 malformed input (entries above 1e150 in
 magnitude or too large for a float, ``fiber --n`` above MAX_FIBER_N) or an
-output file that cannot be written, 3 dimension mismatch, a factor above 9,
-or dims that are not integers >= 1 (``"dims": [2.5, 2]`` or ``[true, 4]``,
-a process's ``"in_dims": [2.5, 2]``; 2.0 counts as 2), 4 infeasible or
-undecided where a decision was required, 5 internal numeric failure
-(``LinAlgError``, or a non-finite number in the output).  Output is
+output file that cannot be written, 3 dimension mismatch, a factor above 9
+or a product of factors above 81 (of a matrix or a process), or dims that
+are not integers >= 1 (``"dims": [2.5, 2]`` or ``[true, 4]``, a process's
+``"in_dims": [2.5, 2]``; 2.0 counts as 2), 4 infeasible or undecided where
+a decision was required, 5 internal numeric failure (``LinAlgError``, or a
+non-finite number in the output).  Output is
 byte-identical across runs for identical (input, flags, seed).
 """
 
@@ -60,7 +61,7 @@ from .serialize import (
     matrix_to_json,
     process_from_json,
 )
-from .shadow import ShadowState, kernel_component_norm, lt_multipartite
+from .shadow import ShadowState, kernel_component_norm, lt_state
 from .verify import run_verification_report
 
 EXIT_OK = 0
@@ -69,7 +70,7 @@ EXIT_DIMENSION = 3
 EXIT_UNDECIDED = 4
 EXIT_NUMERIC = 5
 
-# Largest supported factor dimension; larger factors exit EXIT_DIMENSION.
+# Largest supported factor dimension, and MAX_FACTOR_DIM ** 2 the largest D.
 MAX_FACTOR_DIM = 9
 # Largest fiber sample: sampling is linear in n, push_and_spread quadratic.
 MAX_FIBER_N = 10_000
@@ -132,15 +133,16 @@ def _resolve_dims(file_dims, arg_dims, dim: int) -> tuple[int, ...]:
 
 
 def _check_factor_limit(dims) -> None:
-    if max(factor_dims(dims)) > MAX_FACTOR_DIM:
+    dims = factor_dims(dims)
+    if max(dims) > MAX_FACTOR_DIM or math.prod(dims) > MAX_FACTOR_DIM ** 2:
         raise DimensionMismatch(
-            f"dims {list(dims)}: factors above {MAX_FACTOR_DIM} are not supported"
-        )
+            f"dims {list(dims)}: factors above {MAX_FACTOR_DIM} and products above "
+            f"{MAX_FACTOR_DIM ** 2} are not supported")
 
 
 def _read_process(path: str):
-    # The factor limit is checked before process_from_json builds the grading
-    # bases of the dims, whose size grows like the fourth power of the factors.
+    # The factor limits are checked before process_from_json builds the
+    # grading bases of the dims, whose size grows like the fourth power of D.
     obj = _read_json(path)
     if isinstance(obj, dict):
         for key in ("in_dims", "out_dims"):
@@ -156,7 +158,7 @@ def _read_process(path: str):
 
 def cmd_decompose(args) -> tuple[dict, int]:
     m, file_dims = matrix_from_json(_read_json(args.input))
-    dims = factor_dims(_resolve_dims(file_dims, args.dims, m.shape[0]), 2)
+    dims = _resolve_dims(file_dims, args.dims, m.shape[0])
     g = grading_basis(dims)
     coords = {p: g.rows(p) @ m.ravel() for p in g.patterns}
     payload = {"dims": list(dims)}
@@ -168,7 +170,7 @@ def cmd_decompose(args) -> tuple[dict, int]:
 def cmd_shadow(args) -> tuple[dict, int]:
     m, file_dims = matrix_from_json(_read_json(args.input))
     dims = _resolve_dims(file_dims, args.dims, m.shape[0])
-    state = lt_multipartite(m, dims)
+    state = lt_state(m, dims)
     payload = matrix_to_json(state.op, dims)
     payload["kernel_component_norm"] = kernel_component_norm(m, dims)
     return payload, EXIT_OK
@@ -290,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", "-o", default="-", help="output JSON file (default stdout)")
         p.add_argument("--dims", type=_parse_dims, default=None, help=dims_help)
 
-    p = sub.add_parser("decompose", help="block-coordinate split of a bipartite operator")
+    p = sub.add_parser("decompose", help="block-coordinate split of an operator")
     add_common(p)
     p.set_defaults(func=cmd_decompose)
 

@@ -1,18 +1,19 @@
 """Membership oracles, with certificates, for the four nested tensor cones.
 
-For a bipartite system the shadow-visible matrices carry four cones, nested
+For a product system the shadow-visible matrices carry four cones, nested
 as
 
     minimal (separable)  <=  positive-in-ss  <=  boxtimes  <=  maximal,
 
 where the boxtimes cone is the set of shadows of positive global states,
-i.e. the ss-supported matrices M admitting a kernel offset K (aa-supported)
-with M + K positive semidefinite.  Its oracle is exact up to a band of
-width tol at the boundary: a small semidefinite program, solved by a
-log-barrier Newton method, returns the offset K or a separating functional.
+i.e. the shadow-supported matrices M admitting a kernel offset K
+(``kernel_index`` rows) with M + K positive semidefinite.  Its oracle is
+exact up to a band of width tol at the boundary: a small semidefinite
+program, solved by a log-barrier Newton method, returns the offset K or a
+separating functional.
 The maximal cone consists of forms nonnegative on all product effects; the
-dual of the boxtimes cone is the set of positive operators inside the ss
-block, the shadow effects (see :func:`in_positive_ss_cone`).  The minimal
+dual of the boxtimes cone is the set of positive operators inside the
+shadow, the shadow effects (see :func:`in_positive_ss_cone`).  The minimal
 cone is searched by a matching pursuit over product projectors whose
 weights are refit by :func:`nnls`, the package's own active-set nonnegative
 least squares, and bounded from outside by positivity and the range
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import factor_dims, grading_basis, project_block
+from .blocks import factor_dims, grading_basis
 from .linalg import (
     eigh,
     eigvalsh,
@@ -169,13 +170,13 @@ def product_form_extremum(m: np.ndarray, dims, params: FeasibilityParams,
 
 
 def in_positive_ss_cone(m: np.ndarray, dims, tol: float = 1e-8) -> ConeMembershipResult:
-    """Membership in the cone of positive operators supported on the ss block.
+    """Membership in the cone of positive operators supported on the shadow.
 
     These are exactly the shadow effects (``lt-shadow cone --cone effect``).
     Entangled ones exist (see the unextendible-product-basis state), which
     is how the boxtimes cone is separated from the maximal cone.
     """
-    m, dims = require_shadow_support(m, dims, 2)
+    m, dims = require_shadow_support(m, dims)
     w, v = eigh(m)
     lam = float(w[0])
     if lam >= -tol:
@@ -192,12 +193,13 @@ def in_positive_ss_cone(m: np.ndarray, dims, tol: float = 1e-8) -> ConeMembershi
 
 def replay_boxtimes_member(m: np.ndarray, dims, k: np.ndarray,
                            psd_tol: float = 1e-8) -> bool:
-    """Check a member certificate: K lies in the aa span, up to the
+    """Check a member certificate: K lies in the kernel_index span, up to the
     SHADOW_SUPPORT_TOL * (1 + ||K||_max) of the support gate, and M + K is
     PSD."""
-    basis = grading_basis(factor_dims(dims, 2))
+    g = grading_basis(dims)
+    kernel = g.stacked[g.kernel_index]
     k = np.asarray(k, dtype=float)
-    off_span = max_norm(k - project_block(k, basis, "aa"))
+    off_span = max_norm(k - (kernel.T @ (kernel @ k.ravel())).reshape(k.shape))
     if off_span > SHADOW_SUPPORT_TOL * (1 + max_norm(k)):
         return False
     return min_eigenvalue(np.asarray(m, dtype=float) + k) >= -psd_tol
@@ -207,14 +209,15 @@ def replay_separating_functional(m: np.ndarray, dims, f: np.ndarray,
                                  tol: float = 1e-8):
     """Check a non-member certificate for the boxtimes cone.
 
-    The functional is projected onto the ss block (so it annihilates every
-    kernel offset exactly) and then must satisfy the sound inequality
+    The functional is projected onto the shadow_index span (so it annihilates
+    every kernel offset exactly) and then must satisfy the sound inequality
         <f, M> + max(0, -lambda_min(f)) * max(Tr M, 0) < -tol,
     which rules out any PSD completion of M.  Returns (ok, f_projected,
     pairing).
     """
-    basis = grading_basis(factor_dims(dims, 2))
-    fh = project_block(sym_part(np.asarray(f, dtype=float)), basis, "ss")
+    g, f = grading_basis(dims), sym_part(np.asarray(f, dtype=float))
+    shadow = g.stacked[g.shadow_index]
+    fh = (shadow.T @ (shadow @ f.ravel())).reshape(f.shape)
     lam = min_eigenvalue(fh)
     pairing = trace_inner(fh, np.asarray(m, dtype=float))
     slack = max(0.0, -lam) * max(float(np.trace(m)), 0.0)
@@ -222,13 +225,14 @@ def replay_separating_functional(m: np.ndarray, dims, f: np.ndarray,
 
 
 def in_boxtimes_cone(m: np.ndarray, dims, params: FeasibilityParams) -> ConeMembershipResult:
-    """Does some kernel offset K (aa-supported) make M + K positive?
+    """Does some kernel offset K make M + K positive?
 
     Decides the sign of the optimum of the small semidefinite program
 
         t* = max t  subject to  M + sum_i c_i K_i - t I >= 0
 
-    over the orthonormal aa basis K_i (Vandenberghe & Boyd, SIAM Rev. 1996),
+    over the orthonormal kernel_index rows K_i of the grading basis, at any
+    number of factors (Vandenberghe & Boyd, SIAM Rev. 1996),
     solved by :func:`_boxtimes_barrier`.  One solve yields either
     certificate: the offset K = sum_i c_i K_i with lambda_min(M + K) >=
     -tol/100 (``member``), or a unit-trace dual point, PSD and orthogonal to
@@ -237,7 +241,7 @@ def in_boxtimes_cone(m: np.ndarray, dims, params: FeasibilityParams) -> ConeMemb
     t* in the band [-tol, -tol/100), or when roundoff stops the solver first.
     Negative trace and lambda_min(M) >= -tol are decided before the solver.
     """
-    m, dims = require_shadow_support(m, dims, 2)
+    m, dims = require_shadow_support(m, dims)
     tol = params.tol
 
     # Negative trace rules out any PSD completion outright: Tr K = 0 for all
@@ -276,7 +280,8 @@ def _boxtimes_barrier(m: np.ndarray, dims, lam0: float, tol: float) -> ConeMembe
     ch. 11).
     """
     d = m.shape[0]
-    kernel = grading_basis(dims).rows("aa")
+    g = grading_basis(dims)
+    kernel = g.stacked[g.kernel_index]
     k = len(kernel)
     a_flat = np.concatenate([kernel, -np.eye(d).reshape(1, -1)])
     a = a_flat.reshape(k + 1, d, d)

@@ -44,7 +44,7 @@ import numpy as np
 
 from .blocks import grading_basis
 from .cones import FeasibilityParams, in_boxtimes_cone, MEMBER
-from .errors import DimensionMismatch, InfeasibleShadow
+from .errors import InfeasibleShadow
 from .linalg import eigh, eigvalsh, max_norm, min_eigenvalue, rng_from_seed
 from .processes import LinearProcess
 from .shadow import ShadowState, local_shadow_matrix
@@ -146,7 +146,8 @@ def sample_fiber(shadow: ShadowState, n: int, seed: int,
     raises InfeasibleShadow otherwise.  With an empty kernel the fiber is a
     single point.  Every returned representative is validated: positive
     within 1e-9, unit trace within 1e-9, and shadow equal to the input
-    within 1e-8.  Defined for two factors, where the kernel is the aa block.
+    within 1e-8.  Defined at any number of factors: the directions are
+    combinations of the ``kernel_index`` rows of the grading basis.
 
     One eigensolve per step, of R^T D R for the walk's congruence factor R
     (see the module docstring), with the directions and uniform draws taken
@@ -155,9 +156,8 @@ def sample_fiber(shadow: ShadowState, n: int, seed: int,
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if len(shadow.dims) != 2:
-        raise DimensionMismatch(f"sample_fiber is defined for two factors, got {shadow.dims}")
-    kernel = grading_basis(shadow.dims).rows("aa")
+    g = grading_basis(shadow.dims)
+    kernel = g.stacked[g.kernel_index]
     k = kernel.shape[0]
     if k == 0:
         start = shadow.op.copy()

@@ -15,6 +15,7 @@ then the shadow-to-shadow block.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,8 +62,8 @@ class LinearProcess:
     def __post_init__(self):
         in_dims = factor_dims(self.in_dims)
         out_dims = factor_dims(self.out_dims)
-        n_in = grading_basis(in_dims).size
-        n_out = grading_basis(out_dims).size
+        n_in = math.prod(in_dims) ** 2  # D^2 grading coordinates, basis not built
+        n_out = math.prod(out_dims) ** 2
         m = np.array(self.matrix, dtype=float)
         if m.shape != (n_out, n_in):
             raise DimensionMismatch(

@@ -4,12 +4,13 @@ A local agent pair only ever sees the pairing of a global state with product
 effects, so the observable content of a state W is its shadow: the component
 of W in the product of the one-factor symmetric operator spaces.  For real
 matrices this projection is the factor-wise symmetrizer (partial-transpose
-averaging applied to every factor); its kernel on symmetric bipartite
-operators is the aa block, and states differing by a kernel element are
-locally indistinguishable.
+averaging applied to every factor); its kernel on symmetric operators is
+spanned by the ``kernel_index`` rows of the grading basis (for two factors
+the aa block), and states differing by a kernel element are locally
+indistinguishable.
 
-Shadows are kept in ambient coordinates (D x D matrices supported on the ss
-block) rather than as abstract tensors, so positivity tests and cone oracles
+Shadows are kept in ambient coordinates (D x D matrices supported on the
+shadow) rather than as abstract tensors, so positivity tests and cone oracles
 reuse the same matrix type.
 """
 
@@ -28,10 +29,11 @@ INDISTINGUISHABILITY_TOL = 1e-9
 SHADOW_SUPPORT_TOL = 1e-9
 
 
-def _check_dims(w: np.ndarray, dims, stack: bool = False) -> tuple[int, ...]:
-    """The factor dimensions as ints (by :func:`factor_dims`), checked
-    against W's shape: (D, D), or also (R, D, D) when ``stack`` is set."""
-    dims = factor_dims(dims)
+def _check_dims(w: np.ndarray, dims, stack: bool = False,
+                parties: int | None = None) -> tuple[int, ...]:
+    """The dims as ints (by :func:`factor_dims`, ``parties`` of them when
+    given), checked against W's shape: (D, D), or (R, D, D) with ``stack``."""
+    dims = factor_dims(dims, parties)
     shape = np.shape(w)
     total = math.prod(dims)
     if (shape[1:] if stack and len(shape) == 3 else shape) != (total, total):
@@ -66,10 +68,14 @@ def local_shadow_matrix(w: np.ndarray, dims) -> np.ndarray:
     gets the same bits as it would alone.
     """
     dims = _check_dims(w, dims, stack=True)
-    out = np.asarray(w, dtype=float)
+    return _symmetrize(np.asarray(w, dtype=float), dims)
+
+
+def _symmetrize(w: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
+    """:func:`local_shadow_matrix` of a float array whose dims are checked."""
     for k in range(len(dims)):
-        out = (out + _partial_transpose(out, dims, k)) / 2
-    return out
+        w = (w + _partial_transpose(w, dims, k)) / 2
+    return w
 
 
 def require_shadow_support(m: np.ndarray, dims,
@@ -84,8 +90,8 @@ def require_shadow_support(m: np.ndarray, dims,
     subspace is at most SHADOW_SUPPORT_TOL * (1 + ||M||_max).
     """
     m = np.asarray(m, dtype=float)
-    dims = _check_dims(m, factor_dims(dims, parties))
-    defect = max_norm(m - local_shadow_matrix(m, dims))
+    dims = _check_dims(m, dims, parties=parties)
+    defect = max_norm(m - _symmetrize(m, dims))
     if defect > SHADOW_SUPPORT_TOL * (1 + max_norm(m)):
         raise SupportViolation(
             f"matrix is not supported on the shadow subspace (defect {defect:.3e})"
@@ -101,7 +107,7 @@ def kernel_component_norm(w: np.ndarray, dims) -> float:
 
 @dataclass(frozen=True)
 class ShadowState:
-    """A state as local agents see it: an ss-supported matrix plus metadata.
+    """A state as local agents see it: a shadow-supported matrix plus metadata.
 
     ``kernel_part``, when known, is W - op for a symmetric matrix W whose
     shadow this is: the part of W that local agents cannot see.  op +
@@ -125,33 +131,20 @@ class ShadowState:
 
 
 def lt_state(w: np.ndarray, dims) -> ShadowState:
-    """Shadow of a bipartite state: the ss-block projection of W.
+    """Shadow of a state W on any number of factors (the identity for one).
 
-    For symmetric W the discarded component lies entirely in the aa block;
-    the returned ShadowState keeps it as ``kernel_part``.
+    For symmetric W it keeps W - shadow, which lies in the span of the
+    ``kernel_index`` rows, as ``kernel_part``, unchecked.  A projection is
+    shadow-supported, so the support test of ``ShadowState(...)`` is skipped.
     """
-    return lt_multipartite(w, factor_dims(dims, 2))
-
-
-def lt_multipartite(w: np.ndarray, dims) -> ShadowState:
-    """Factor-wise shadow for any number of factors (identity for one factor);
-    for symmetric W it keeps W - shadow as ``kernel_part``, unchecked."""
     dims = _check_dims(w, dims)
     w = np.asarray(w, dtype=float)
-    shadow = local_shadow_matrix(w, dims)
+    op = _symmetrize(w, dims)
     symmetric = max_norm(w - w.T) <= 1e-12 * (1 + max_norm(w))
-    return _projected_state(shadow, dims, w - shadow if symmetric else None)
-
-
-def _projected_state(op: np.ndarray, dims: tuple[int, ...],
-                     kernel_part: np.ndarray | None) -> ShadowState:
-    """ShadowState of a fresh float array op = local_shadow_matrix(W, dims)
-    with checked dims: a projection is shadow-supported by construction, so
-    the support test of ``ShadowState(...)`` (a second projection) is
-    skipped."""
     state = object.__new__(ShadowState)
     op.flags.writeable = False
-    for name, value in (("op", op), ("dims", dims), ("kernel_part", kernel_part)):
+    for name, value in (("op", op), ("dims", dims),
+                        ("kernel_part", w - op if symmetric else None)):
         object.__setattr__(state, name, value)
     return state
 
@@ -202,10 +195,6 @@ def locally_indistinguishable(w1: np.ndarray, w2: np.ndarray, dims,
 
 
 def aa_projection(w: np.ndarray, dims) -> np.ndarray:
-    """Component of W in the shadow kernel: its symmetric part minus its shadow.
-
-    For two factors this is the aa block; for more, every block with an even,
-    nonzero number of antisymmetric factors.
-    """
-    shadow = local_shadow_matrix(w, dims)
-    return sym_part(w) - shadow
+    """Component of W in the shadow kernel (the ``kernel_index`` rows of the
+    grading basis): its symmetric part minus its shadow."""
+    return sym_part(w) - local_shadow_matrix(w, dims)

@@ -28,9 +28,16 @@ def expected_sizes(dim_a, dim_b):
     }
 
 
+def random_shadow_matrix(dims, rng):
+    """Random symmetric matrix on the shadow rows of the grading basis (iid
+    normal coefficients), for any number of factors."""
+    basis = grading_basis(dims)
+    rows = basis.stacked[basis.shadow_index]
+    c = rng.standard_normal(len(rows))
+    d = basis.dim
+    return (c @ rows).reshape(d, d)
+
+
 def random_ss_matrix(dim_a, dim_b, rng):
     """Random symmetric matrix supported on the ss block (iid normal coefficients)."""
-    basis = grading_basis((dim_a, dim_b))
-    c = rng.standard_normal(basis.sizes["ss"])
-    d = basis.dim
-    return (c @ basis.rows("ss")).reshape(d, d)
+    return random_shadow_matrix((dim_a, dim_b), rng)

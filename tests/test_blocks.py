@@ -226,3 +226,17 @@ def test_grading_basis_takes_lists_and_refuses_fractional_dims():
     assert grading_basis([2, 3]) is grading_basis((2, 3))
     with pytest.raises(DimensionMismatch):
         grading_basis((2.5, 2))
+
+
+@pytest.mark.parametrize("true", [True, np.bool_(True)])
+def test_bool_dims_are_refused_warm_and_cold(true):
+    """True equals 1 and hashes like it: a cached (1, 4) basis must not
+    answer for (True, 4), before or after the cache holds it."""
+    ltshadow.blocks._BASES.pop((1, 4), None)
+    with pytest.raises(DimensionMismatch):
+        grading_basis((true, 4))
+    assert grading_basis((1, 4)).dims == (1, 4)
+    with pytest.raises(DimensionMismatch):
+        grading_basis((true, 4))
+    with pytest.raises(DimensionMismatch):
+        to_coords(np.eye(4), (true, 4))

@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -178,6 +179,63 @@ def test_factor_above_nine_exit_3():
     assert proc.returncode == 0, proc.stderr
 
 
+def _three_qubit_shadow(tmp_path):
+    """The (2,2,2) shadow of a seeded full-rank state."""
+    a = np.random.default_rng(0).standard_normal((8, 16))
+    rho = a @ a.T / np.trace(a @ a.T)
+    path = tmp_path / "three.json"
+    path.write_text(dumps(matrix_to_json(local_shadow_matrix(rho, (2, 2, 2)), dims=(2, 2, 2))))
+    return path
+
+
+def test_three_factor_shadows_through_the_cli(tmp_path, capsys):
+    """boxtimes, psd-ss, fiber and decompose take (2,2,2) input, with
+    byte-identical output across runs; min and max are bipartite and exit 3."""
+    path = str(_three_qubit_shadow(tmp_path))
+    outputs = {}
+    for name, argv in (("boxtimes", ["cone", "--cone", "boxtimes", "-i", path]),
+                       ("psd-ss", ["cone", "--cone", "psd-ss", "-i", path]),
+                       ("fiber", ["fiber", "--shadow", path, "--n", "50", "--seed", "1"]),
+                       ("decompose", ["decompose", "-i", path])):
+        runs = []
+        for _ in range(2):
+            assert cli.main(argv) == 0
+            runs.append(capsys.readouterr().out)
+        assert runs[0] == runs[1]
+        outputs[name] = json.loads(runs[0])
+    assert outputs["boxtimes"]["verdict"] == "member"
+    fiber = outputs["fiber"]
+    assert (fiber["kernel_dim"], fiber["n_accepted"], fiber["rejected"]) == (9, 50, 0)
+    assert set(outputs["decompose"]["coords"]) == {
+        "sss", "ssa", "sas", "saa", "ass", "asa", "aas", "aaa"}
+    for cone in ("min", "max"):
+        assert cli.main(["cone", "--cone", cone, "--seed", "1", "-i", path]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: factor dimensions must be 2")
+
+
+def test_total_dimension_above_81_exit_3(capsys, monkeypatch):
+    """Dims whose product is above 81 exit 3 before any grading basis is
+    built: a 1x1 process on in_dims (9, 9, 2) would need gigabytes."""
+    cases = [(["map", "--check", "local-positive"],
+              {"in_dims": [9, 9, 2], "out_dims": [1], "matrix": [[1.0]]}),
+             (["map", "--check", "shadow"],
+              {"in_dims": [1], "out_dims": [5, 5, 4], "matrix": [[1.0]]}),
+             (["shadow"], {"dims": [5, 5, 4], "rows": np.eye(100).tolist()})]
+    for argv, payload in cases:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
+        tracemalloc.start()
+        try:
+            code = cli.main(argv + ["-i", "-"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert peak < 4_000_000
+        out, err = capsys.readouterr()
+        assert out == "" and "products above 81 are not supported" in err
+
+
 def test_map_factor_above_nine_exit_3():
     size = {(2, 2): 16, (10, 2): 400, (2, 10): 400}  # grading coordinates per dims
     for in_dims, out_dims in (((10, 2), (2, 2)), ((2, 2), (2, 10))):
@@ -252,15 +310,19 @@ def test_fiber_command_middle_rank_shadow(tmp_path):
     assert json.loads(proc.stdout)["n_accepted"] == 100
 
 
-@pytest.mark.parametrize("dims", ["4", "2,2,2"])
-def test_fiber_not_bipartite_exit_3(tmp_path, capsys, dims):
+@pytest.mark.parametrize("dims, kernel_dim, n_accepted", [
+    pytest.param("4", 0, 1, id="4"),
+    pytest.param("2,2,2", 9, 100, id="2,2,2"),
+])
+def test_fiber_at_any_factor_count(tmp_path, capsys, dims, kernel_dim, n_accepted):
+    """One factor has an empty kernel, so the fiber is one point; three
+    qubits walk the 9 directions of their kernel."""
     d = int(np.prod([int(x) for x in dims.split(",")]))
     path = tmp_path / "mixed.json"
     path.write_text(dumps(matrix_to_json(np.eye(d) / d)))
-    assert cli.main(["fiber", "--shadow", str(path), "--dims", dims, "--seed", "1"]) == 3
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("error: ") and "two factors" in err
+    assert cli.main(["fiber", "--shadow", str(path), "--dims", dims, "--seed", "1"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["kernel_dim"], out["n_accepted"], out["rejected"]) == (kernel_dim, n_accepted, 0)
 
 
 def test_fiber_trivial_factor_is_a_single_point(tmp_path, capsys):

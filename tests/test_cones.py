@@ -1,6 +1,8 @@
 """Cone oracles: verdicts, certificates, replay, and the inclusion chain."""
 
+import functools
 import json
+import math
 
 import extremum_reference
 import numpy as np
@@ -178,6 +180,31 @@ def test_boxtimes_decides_middle_rank_shadows(dims, rank, eigensolves):
     assert eigensolves["n"] <= 150
     assert res.verdict == MEMBER
     assert replay_boxtimes_member(m, dims, res.certificate["kernel_offset"])
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 2, 3), (2, 2, 2, 2)])
+def test_boxtimes_decides_shadows_of_more_factors(dims, eigensolves):
+    """The barrier takes the kernel rows of the grading basis at any factor
+    count: a rank-1 state's shadow is not PSD and is a member with a
+    replaying offset; subtracting a product projector F past <F, M> gives a
+    non-member whose functional replays."""
+    d = math.prod(dims)
+    rng = rng_from_seed(37, d)
+    a = rng.standard_normal(d)
+    m = local_shadow_matrix(np.outer(a, a) / (a @ a), dims)
+    assert min_eigenvalue(m) < -1e-3
+    eigensolves["n"] = 0
+    res = in_boxtimes_cone(m, dims, PARAMS)
+    assert eigensolves["n"] <= 150
+    assert res.verdict == MEMBER
+    assert replay_boxtimes_member(m, dims, res.certificate["kernel_offset"])
+    x = functools.reduce(np.kron, [rng.standard_normal(n) for n in dims])
+    f = np.outer(x, x) / (x @ x)  # a unit product projector: <F, F> = 1
+    outside = m - (float(np.sum(f * m)) + 1e-3) * f  # <F, outside> = -1e-3
+    res = in_boxtimes_cone(outside, dims, PARAMS)
+    assert res.verdict == NON_MEMBER
+    assert replay_separating_functional(outside, dims,
+                                        res.certificate["separating_functional"])[0]
 
 
 @pytest.mark.parametrize("c", [1e-2, 1e-3, 1e-4, 1e-5])

@@ -363,6 +363,28 @@ def test_long_walks_stay_in_the_fiber(dims, rank):
         assert spread <= 1e-9
 
 
+@pytest.mark.parametrize("rank", [1, 2, None])
+def test_three_qubit_walks_stay_in_the_fiber(rank):
+    """At (2,2,2) the kernel has 9 directions (the three blocks with two
+    antisymmetric factors): every walk point validates, from the state's own
+    start and from the oracle's, and a pure state's fiber is the state."""
+    dims = (2, 2, 2)
+    rho = state_of_rank(8, rank or 8, rng_from_seed(82, rank or 8))
+    for state in (lt_state(rho, dims), bare_shadow(rho, dims)):
+        sample = sample_fiber(state, n=500, seed=26)
+        assert sample.kernel_dim == 9
+        assert sample.rejected == 0 and sample.n_accepted == 500
+        reps = sample.representatives
+        assert eigvalsh(reps)[:, 0].min() >= -1e-11
+        assert np.abs(np.trace(reps, axis1=1, axis2=2) - 1.0).max() <= 1e-9
+        assert np.abs(local_shadow_matrix(reps, dims) - state.op).max() <= 1e-8
+        spread = np.abs(eigvalsh(reps - rho)).sum(axis=1).max()
+        if rank == 1:
+            assert spread <= 1e-9
+        elif rank is None:
+            assert spread > 1e-3
+
+
 def test_segment_fiber_draws_are_uniform():
     """The (2, 2) fiber of a mixed state is a segment, and every hit-and-run
     chord is the whole segment, so the walk points are i.i.d. uniform on it.

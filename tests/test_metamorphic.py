@@ -1,6 +1,6 @@
 """Metamorphic properties: merged code paths agree, and oracle verdicts
 respect the symmetries of the cones (positive scaling, local orthogonal
-conjugation O_A x O_B, factor swap).
+conjugation O_1 x ... x O_n, factor permutation), at two and three factors.
 
 The oracles' tol is absolute, so inputs are built with a margin m to the
 cone boundary and scaled by c in [1e-3, 1e3] (boxtimes: [1e-6, 1e3] with
@@ -8,9 +8,13 @@ c * |m| >= 10 tol) with c * m above tol: the properties test the symmetries,
 not the tolerance band.
 """
 
+import functools
+import itertools
+import math
+
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
-from matrix_helpers import random_ss_matrix
+from matrix_helpers import random_shadow_matrix, random_ss_matrix
 
 from ltshadow.blocks import grading_basis, project_block
 from ltshadow.cones import (
@@ -33,32 +37,39 @@ from ltshadow.shadow import (
 )
 
 DIMS = [(2, 2), (2, 3), (3, 3)]
+# The psd-ss and boxtimes oracles take any number of factors.
+CONE_DIMS = DIMS + [(2, 2, 2), (2, 2, 3)]
 TOL = 1e-8
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
 seeds = st.integers(0, 2**32 - 1)
 dims_st = st.sampled_from(DIMS)
+cone_dims_st = st.sampled_from(CONE_DIMS)
 scales = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
 boxtimes_scales = st.floats(-6.0, 3.0).map(lambda e: 10.0**e)
 margins = st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(0.05, 1.0)).map(lambda p: p[0] * p[1])
-symmetries = st.sampled_from(["scale", "local", "swap"])
+symmetries = st.sampled_from(["scale", "local", "permute"])
 
 
-def swap(m, dims):
-    """Conjugation by the tensor swap; the result lives on dims reversed."""
-    da, db = dims
-    return m.reshape(da, db, da, db).transpose(1, 0, 3, 2).reshape(da * db, da * db)
+def permute(m, dims, perm):
+    """Conjugation by a permutation of the tensor factors; the result lives
+    on the permuted dims."""
+    n = len(dims)
+    t = m.reshape(dims + dims).transpose(list(perm) + [n + p for p in perm])
+    return t.reshape(m.shape), tuple(dims[p] for p in perm)
 
 
 def transform(m, dims, symmetry, c, rng):
-    """Apply one cone symmetry (always with the scaling by c)."""
+    """Apply one cone symmetry (always with the scaling by c).  A permutation
+    is never the identity; at two factors it is the swap."""
     m = c * m
     if symmetry == "local":
-        o = kron(random_orthogonal(dims[0], rng), random_orthogonal(dims[1], rng))
+        o = functools.reduce(kron, [random_orthogonal(d, rng) for d in dims])
         return o @ m @ o.T, dims
-    if symmetry == "swap":
-        return swap(m, dims), dims[::-1]
+    if symmetry == "permute":
+        perms = list(itertools.permutations(range(len(dims))))[1:]
+        return permute(m, dims, perms[int(rng.integers(len(perms)))])
     return m, dims
 
 
@@ -91,9 +102,9 @@ def boxtimes_boundary_matrix(dims, rng):
     optimum is >= 0, and <F, M> = <F, X> = 0 bounds it by 0 from above.
     Returns None when lambda_min(M) is too close to 0 to rescale.
     """
-    d = dims[0] * dims[1]
+    d = math.prod(dims)
     p = int(rng.integers(1, 3))
-    z = np.stack([np.kron(rng.standard_normal(dims[0]), rng.standard_normal(dims[1]))
+    z = np.stack([functools.reduce(np.kron, [rng.standard_normal(n) for n in dims])
                   for _ in range(p)], axis=1)
     complement = np.linalg.qr(z, mode="complete")[0][:, p:]
     b = complement @ rng.standard_normal((d - p, d - p))
@@ -166,10 +177,10 @@ def test_shadow_is_idempotent_and_kernel_invariant(seed, dims):
 
 
 @PROPERTY
-@given(seed=seeds, dims=dims_st, margin=margins, c=scales, symmetry=symmetries)
+@given(seed=seeds, dims=cone_dims_st, margin=margins, c=scales, symmetry=symmetries)
 def test_positive_ss_verdict_respects_symmetries(seed, dims, margin, c, symmetry):
     rng = rng_from_seed(seed)
-    r = random_ss_matrix(*dims, rng)
+    r = random_shadow_matrix(dims, rng)
     m = r + (margin - min_eigenvalue(r)) * np.eye(r.shape[0])  # lambda_min(m) = margin
     expected = MEMBER if margin > 0 else NON_MEMBER
     res = in_positive_ss_cone(m, dims, tol=TOL)
@@ -182,7 +193,7 @@ def test_positive_ss_verdict_respects_symmetries(seed, dims, margin, c, symmetry
 
 
 @settings(PROPERTY, max_examples=60)
-@given(seed=seeds, dims=dims_st, margin=margins, c=boxtimes_scales, symmetry=symmetries)
+@given(seed=seeds, dims=cone_dims_st, margin=margins, c=boxtimes_scales, symmetry=symmetries)
 def test_boxtimes_verdict_respects_symmetries(seed, dims, margin, c, symmetry):
     # A non-member's separating functional has unit trace, so its pairing
     # with M is about c * margin; below tol the absolute tolerance band, not

@@ -14,7 +14,6 @@ from ltshadow.shadow import (
     defining_system_shadow,
     local_shadow_matrix,
     locally_indistinguishable,
-    lt_multipartite,
     lt_state,
     lt_state_oracle,
     partial_transpose,
@@ -108,9 +107,7 @@ def test_lt_state_idempotent_and_trace_preserving():
         assert abs(s.trace - np.trace(w)) <= 1e-12
 
 
-def test_lt_state_requires_bipartite():
-    with pytest.raises(DimensionMismatch):
-        lt_state(np.eye(8), (2, 2, 2))
+def test_lt_state_checks_the_shape():
     with pytest.raises(DimensionMismatch):
         lt_state(np.eye(4), (2, 3))
 
@@ -142,21 +139,21 @@ def test_oracle_epr_and_maximally_mixed():
 def test_multipartite_single_factor_is_identity():
     rng = rng_from_seed(25)
     w = random_density(3, rng)
-    np.testing.assert_array_equal(lt_multipartite(w, (3,)).op, w)
+    np.testing.assert_array_equal(lt_state(w, (3,)).op, w)
 
 
 def test_multipartite_product_unchanged():
     rng = rng_from_seed(26)
     ps = [np.outer(v, v) / (v @ v) for v in rng.standard_normal((3, 2))]
     m = kron(kron(ps[0], ps[1]), ps[2])
-    np.testing.assert_allclose(lt_multipartite(m, (2, 2, 2)).op, m, atol=1e-14)
+    np.testing.assert_allclose(lt_state(m, (2, 2, 2)).op, m, atol=1e-14)
 
 
 def test_multipartite_matches_oracle_three_factors():
     for k in range(5):
         rng = rng_from_seed(27, k)
         w = random_density(8, rng)
-        direct = lt_multipartite(w, (2, 2, 2)).op
+        direct = lt_state(w, (2, 2, 2)).op
         oracle = lt_state_oracle(w, (2, 2, 2)).op
         assert max_norm(direct - oracle) <= 1e-9
 
@@ -202,8 +199,8 @@ def test_lt_state_projects_once(monkeypatch):
     """lt_state takes one projection; a ShadowState built by a caller still
     tests its support, with a projection of its own."""
     calls = []
-    project = shadow.local_shadow_matrix
-    monkeypatch.setattr(shadow, "local_shadow_matrix",
+    project = shadow._symmetrize
+    monkeypatch.setattr(shadow, "_symmetrize",
                         lambda w, dims: calls.append(dims) or project(w, dims))
     w = random_density(9, rng_from_seed(32))
     s = lt_state(w, (3, 3))
@@ -214,6 +211,27 @@ def test_lt_state_projects_once(monkeypatch):
     assert len(calls) == 2
     with pytest.raises(SupportViolation):
         ShadowState(op=w, dims=(3, 3))
+
+
+@pytest.mark.parametrize("dims, parties", [((3, 3), None), ([2, 3], 2), ((2, 2, 2), None)])
+def test_support_gate_runs_the_dims_rule_once(monkeypatch, dims, parties):
+    """require_shadow_support (and so ShadowState) turns the dims into ints
+    once per call, and still refuses off-support operands."""
+    calls = []
+    rule = shadow.factor_dims
+    monkeypatch.setattr(shadow, "factor_dims",
+                        lambda dims, parties=None: calls.append(dims) or rule(dims, parties))
+    d = math.prod(dims)
+    w = random_density(d, rng_from_seed(34, d))
+    m = local_shadow_matrix(w, dims)
+    calls.clear()
+    assert shadow.require_shadow_support(m, dims, parties)[1] == tuple(dims)
+    assert len(calls) == 1
+    ShadowState(op=m, dims=dims)
+    assert len(calls) == 2
+    with pytest.raises(SupportViolation):
+        shadow.require_shadow_support(w, dims, parties)
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (2, 2, 2)])
@@ -238,11 +256,10 @@ def test_shadows_of_states_make_no_eigensolves(dims, eigensolves):
     d = math.prod(dims)
     w = random_density(d, rng_from_seed(31, d))
     eigensolves["n"] = 0
-    states = [lt_multipartite(w, dims)] + ([lt_state(w, dims)] if len(dims) == 2 else [])
+    s = lt_state(w, dims)
     assert eigensolves["n"] == 0
-    for s in states:
-        np.testing.assert_allclose(s.op + s.kernel_part, w, atol=1e-14)
-    assert lt_multipartite(w + 1e-3 * np.triu(np.ones((d, d)), 1), dims).kernel_part is None
+    np.testing.assert_allclose(s.op + s.kernel_part, w, atol=1e-14)
+    assert lt_state(w + 1e-3 * np.triu(np.ones((d, d)), 1), dims).kernel_part is None
 
 
 def test_state_shadows_are_definitionally_boxtimes_members():
