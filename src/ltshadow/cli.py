@@ -11,14 +11,15 @@ Subcommands:
 All input and output is JSON (see serialize).  Stochastic subcommands
 require an explicit seed and echo it in the output.  Exit codes: 0 success,
 1 a check of ``examples`` failed, 2 malformed input (entries above 1e150 in
-magnitude or too large for a float, ``fiber --n`` above MAX_FIBER_N) or an
-output file that cannot be written, 3 dimension mismatch, a factor above 9
-or a product of factors above 81 (of a matrix or a process), or dims that
-are not integers >= 1 (``"dims": [2.5, 2]`` or ``[true, 4]``, a process's
+magnitude or too large for a float, ``fiber --n`` above MAX_FIBER_N, a
+``--seed`` that is not an integer >= 0) or an output file that cannot be
+written, 3 dimension mismatch, a factor above 9 or a product of factors
+above 81 (of a matrix or a process), or dims that are not integers >= 1
+(``"dims": [2.5, 2]`` or ``[true, 4]``, a process's
 ``"in_dims": [2.5, 2]``; 2.0 counts as 2), 4 infeasible or undecided where
 a decision was required, 5 internal numeric failure (``LinAlgError``, or a
-non-finite number in the output).  Output is
-byte-identical across runs for identical (input, flags, seed).
+non-finite number in the output).  Output is byte-identical across runs for
+identical (input, flags, seed).
 """
 
 from __future__ import annotations
@@ -56,12 +57,11 @@ from .processes import (
 from .serialize import (
     cone_result_to_json,
     dumps,
-    jsonable,
     matrix_from_json,
     matrix_to_json,
     process_from_json,
 )
-from .shadow import ShadowState, kernel_component_norm, lt_state
+from .shadow import ShadowState, lt_state
 from .verify import run_verification_report
 
 EXIT_OK = 0
@@ -84,6 +84,13 @@ def _parse_dims(text: str) -> tuple[int, ...]:
     if not dims or any(d < 1 for d in dims):
         raise argparse.ArgumentTypeError(f"dims must be positive integers, got {text!r}")
     return dims
+
+
+def _parse_seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be an integer >= 0, got {text!r}")
+    return seed
 
 
 def _parse_tol(text: str) -> float:
@@ -118,18 +125,21 @@ def _write(payload: dict, path: str) -> None:
             fh.write(text)
 
 
-def _resolve_dims(file_dims, arg_dims, dim: int) -> tuple[int, ...]:
+def _read_matrix(path: str, arg_dims) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The matrix at path and its factor dims: --dims, else the file's
+    "dims", checked against the matrix's dimension and the factor limits."""
+    m, file_dims = matrix_from_json(_read_json(path))
     dims = arg_dims if arg_dims is not None else file_dims
     if dims is None:
         raise DimensionMismatch(
             "factor dimensions required: pass --dims or include \"dims\" in the input"
         )
-    if math.prod(dims) != dim:
+    if math.prod(dims) != len(m):
         raise DimensionMismatch(
-            f"dims {list(dims)} have product {math.prod(dims)}, matrix has dimension {dim}"
+            f"dims {list(dims)} have product {math.prod(dims)}, matrix has dimension {len(m)}"
         )
     _check_factor_limit(dims)
-    return dims
+    return m, dims
 
 
 def _check_factor_limit(dims) -> None:
@@ -141,8 +151,8 @@ def _check_factor_limit(dims) -> None:
 
 
 def _read_process(path: str):
-    # The factor limits are checked before process_from_json builds the
-    # grading bases of the dims, whose size grows like the fourth power of D.
+    # The factor limits are checked first, so that input beyond them gets
+    # the limit error, not the shape error of process_from_json.
     obj = _read_json(path)
     if isinstance(obj, dict):
         for key in ("in_dims", "out_dims"):
@@ -157,22 +167,20 @@ def _read_process(path: str):
 
 
 def cmd_decompose(args) -> tuple[dict, int]:
-    m, file_dims = matrix_from_json(_read_json(args.input))
-    dims = _resolve_dims(file_dims, args.dims, m.shape[0])
+    m, dims = _read_matrix(args.input, args.dims)
     g = grading_basis(dims)
     coords = {p: g.rows(p) @ m.ravel() for p in g.patterns}
     payload = {"dims": list(dims)}
     payload.update({f"{p}_norm": float(np.linalg.norm(c)) for p, c in coords.items()})
-    payload["coords"] = {p: jsonable(c) for p, c in coords.items()}
+    payload["coords"] = coords
     return payload, EXIT_OK
 
 
 def cmd_shadow(args) -> tuple[dict, int]:
-    m, file_dims = matrix_from_json(_read_json(args.input))
-    dims = _resolve_dims(file_dims, args.dims, m.shape[0])
+    m, dims = _read_matrix(args.input, args.dims)
     state = lt_state(m, dims)
     payload = matrix_to_json(state.op, dims)
-    payload["kernel_component_norm"] = kernel_component_norm(m, dims)
+    payload["kernel_component_norm"] = np.linalg.norm(m - state.op)
     return payload, EXIT_OK
 
 
@@ -180,8 +188,7 @@ _CONE_NEEDS_SEED = {"min", "max"}
 
 
 def cmd_cone(args) -> tuple[dict, int]:
-    m, file_dims = matrix_from_json(_read_json(args.input))
-    dims = _resolve_dims(file_dims, args.dims, m.shape[0])
+    m, dims = _read_matrix(args.input, args.dims)
     if args.cone in _CONE_NEEDS_SEED and args.seed is None:
         raise _BadInput(f"--seed is required for cone {args.cone!r}")
     if args.cone in ("psd-ss", "effect"):  # shadow effects are the psd-ss operators
@@ -218,8 +225,8 @@ def cmd_map(args) -> tuple[dict, int]:
         payload["defect"] = check.defect
         payload["tolerance"] = check.tol
         if check.witness_kernel_element is not None:
-            payload["witness_kernel_element"] = jsonable(check.witness_kernel_element)
-            payload["witness_shadow_image"] = jsonable(check.witness_shadow_image)
+            payload["witness_kernel_element"] = check.witness_kernel_element
+            payload["witness_shadow_image"] = check.witness_shadow_image
     elif args.check == "positive":
         if args.seed is None:
             raise _BadInput("--seed is required for --check positive")
@@ -230,21 +237,18 @@ def cmd_map(args) -> tuple[dict, int]:
         payload["min_value"] = verdict.value
         payload["heuristic"] = verdict.heuristic
         if verdict.witness is not None:
-            payload["witness_vector"] = jsonable(verdict.witness)
+            payload["witness_vector"] = verdict.witness
         if verdict.verdict == UNDECIDED:
             code = EXIT_UNDECIDED
     else:  # shadow
-        shadow = shadow_of_map(proc)
-        blocks = block_matrix(shadow)
-        payload["shadow_matrix"] = jsonable(blocks.phi_ss)
+        payload["shadow_matrix"] = block_matrix(shadow_of_map(proc)).phi_ss
     return payload, code
 
 
 def cmd_fiber(args) -> tuple[dict, int]:
     if args.n > MAX_FIBER_N:
         raise _BadInput(f"--n {args.n} is above the limit of {MAX_FIBER_N}")
-    m, file_dims = matrix_from_json(_read_json(args.shadow))
-    dims = _resolve_dims(file_dims, args.dims, m.shape[0])
+    m, dims = _read_matrix(args.shadow, args.dims)
     shadow = ShadowState(op=m, dims=dims)
     sample = sample_fiber(shadow, n=args.n, seed=args.seed)
     payload = {
@@ -305,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cone", required=True,
                    choices=("min", "psd-ss", "boxtimes", "max", "effect"))
     p.add_argument("--tol", type=_parse_tol, default=1e-8)
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=_parse_seed, default=None,
                    help="required for min/max")
     p.set_defaults(func=cmd_cone)
 
@@ -315,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", required=True,
                    choices=("local-positive", "positive", "shadow"))
     p.add_argument("--tol", type=_parse_tol, default=1e-8)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_parse_seed, default=None)
     p.set_defaults(func=cmd_map)
 
     p = sub.add_parser("fiber", help="sample the fiber of a shadow")
@@ -324,13 +328,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", type=_parse_dims, default=None)
     p.add_argument("--n", type=int, default=100, help=f"sample size, at most {MAX_FIBER_N}"
                    "; a spreading --map costs time quadratic in n (minutes at the cap)")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_parse_seed, required=True)
     p.add_argument("--map", default=None, help="optional process JSON to push through")
     p.set_defaults(func=cmd_fiber)
 
     p = sub.add_parser("examples", help="run the built-in verification report")
     p.add_argument("--output", "-o", default="-")
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--seed", type=_parse_seed, default=7)
     p.add_argument("--upb", action="store_true",
                    help="include the unextendible-product-basis state in the output")
     p.set_defaults(func=cmd_examples)

@@ -214,10 +214,10 @@ def _valid_representatives(xs: np.ndarray, shadow: ShadowState) -> np.ndarray:
 
 def _pushed_shadows(reps: np.ndarray, proc: LinearProcess):
     """Per pass of VALIDATION_BLOCK representatives, the shadows of their
-    images that are positive within REP_PSD_TOL (one stacked eigensolve and
-    one stacked shadow per pass)."""
+    images that are positive within REP_PSD_TOL (one stacked apply, one
+    stacked eigensolve and one stacked shadow per pass)."""
     for i in range(0, len(reps), VALIDATION_BLOCK):
-        images = np.stack([proc.apply(rep) for rep in reps[i:i + VALIDATION_BLOCK]])
+        images = proc.apply(reps[i:i + VALIDATION_BLOCK])
         positive = eigvalsh(images)[:, 0] >= -REP_PSD_TOL
         yield local_shadow_matrix(images[positive], proc.out_dims)
 

@@ -36,19 +36,21 @@ _STREAM_GENERATOR = 13
 
 
 def to_coords(x: np.ndarray, dims) -> np.ndarray:
+    """Grading coordinates of a (D, D) matrix or of each of an (R, D, D) stack."""
     g = grading_basis(dims)
     x = np.asarray(x, dtype=float)
-    if x.shape != (g.dim, g.dim):
+    if x.ndim not in (2, 3) or x.shape[-2:] != (g.dim, g.dim):
         raise DimensionMismatch(f"operator shape {x.shape} does not match dims {g.dims}")
-    return g.stacked @ x.ravel()
+    return (g.stacked @ x.reshape(x.shape[:-2] + (g.size, 1)))[..., 0]
 
 
 def from_coords(c: np.ndarray, dims) -> np.ndarray:
+    """The operator of a coordinate vector or of each row of an (R, D^2) array."""
     g = grading_basis(dims)
     c = np.asarray(c, dtype=float)
-    if c.shape != (g.size,):
+    if c.ndim not in (1, 2) or c.shape[-1] != g.size:
         raise DimensionMismatch(f"coordinate length {c.shape} does not match dims {g.dims}")
-    return (c @ g.stacked).reshape(g.dim, g.dim)
+    return (c[..., None, :] @ g.stacked).reshape(c.shape[:-1] + (g.dim, g.dim))
 
 
 @dataclass(frozen=True)
@@ -64,7 +66,8 @@ class LinearProcess:
         out_dims = factor_dims(self.out_dims)
         n_in = math.prod(in_dims) ** 2  # D^2 grading coordinates, basis not built
         n_out = math.prod(out_dims) ** 2
-        m = np.array(self.matrix, dtype=float)
+        # C order: the bits of apply depend on the matrix's memory layout.
+        m = np.array(self.matrix, dtype=float, order="C")
         if m.shape != (n_out, n_in):
             raise DimensionMismatch(
                 f"process matrix shape {m.shape} does not match coordinate sizes "
@@ -76,7 +79,10 @@ class LinearProcess:
         object.__setattr__(self, "matrix", m)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return from_coords(self.matrix @ to_coords(x, self.in_dims), self.out_dims)
+        """The image of a (D, D) matrix, or of each matrix of an (R, D, D)
+        stack with the bits it would get alone (so do the coordinate maps)."""
+        c = to_coords(x, self.in_dims)
+        return from_coords((self.matrix @ c[..., None])[..., 0], self.out_dims)
 
     def compose(self, inner: "LinearProcess") -> "LinearProcess":
         """self after inner."""
@@ -95,12 +101,8 @@ def process_from_function(fn, in_dims, out_dims) -> LinearProcess:
     """Materialize a matrix from the action of fn on every input basis element."""
     gin = grading_basis(in_dims)
     gout = grading_basis(out_dims)
-    cols = np.empty((gout.size, gin.size))
-    din = gin.dim
-    for k in range(gin.size):
-        e = gin.stacked[k].reshape(din, din)
-        cols[:, k] = to_coords(fn(e), gout.dims)
-    return LinearProcess(gin.dims, gout.dims, cols)
+    images = np.stack([fn(e) for e in gin.stacked.reshape(-1, gin.dim, gin.dim)])
+    return LinearProcess(gin.dims, gout.dims, to_coords(images, gout.dims).T)
 
 
 def identity_process(dims) -> LinearProcess:

@@ -12,7 +12,9 @@ reject entries above MAX_ENTRY in magnitude (and non-finite ones), so
 squares and sums over the entries of the largest supported operators stay
 finite.  Floats are emitted with 17 significant digits, which
 round-trips IEEE doubles exactly; emission is a pure function of the value,
-so identical inputs produce byte-identical output.
+so identical inputs produce byte-identical output.  :func:`dumps` is the one
+converter of numpy values: it writes arrays, numpy scalars and tuples
+directly, so payloads keep them as they are.
 """
 
 from __future__ import annotations
@@ -72,23 +74,6 @@ def _emit(obj, parts: list[str]) -> None:
         parts.append("]")
     else:
         raise TypeError(f"cannot serialize object of type {type(obj)!r}")
-
-
-def jsonable(obj):
-    """Recursively convert numpy containers to plain Python structures."""
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, dict):
-        return {k: jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
-    return obj
 
 
 def matrix_to_json(m: np.ndarray, dims=None) -> dict:
@@ -154,5 +139,5 @@ def cone_result_to_json(result) -> dict:
         "verdict": result.verdict,
         "iterations": int(result.iterations),
         "residual": float(result.residual),
-        "certificate": jsonable(result.certificate),
+        "certificate": result.certificate,
     }

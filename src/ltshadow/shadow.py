@@ -99,12 +99,6 @@ def require_shadow_support(m: np.ndarray, dims,
     return m, dims
 
 
-def kernel_component_norm(w: np.ndarray, dims) -> float:
-    """Frobenius norm of the part of W invisible to local agents."""
-    diff = np.asarray(w, dtype=float) - local_shadow_matrix(w, dims)
-    return float(np.linalg.norm(diff))
-
-
 @dataclass(frozen=True)
 class ShadowState:
     """A state as local agents see it: a shadow-supported matrix plus metadata.

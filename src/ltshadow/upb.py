@@ -16,7 +16,6 @@ import numpy as np
 
 from .cones import FeasibilityParams, product_form_extremum
 from .errors import DimensionMismatch
-from .linalg import kron
 
 _STREAM_MARGIN = 21
 # Restarts of the product-form search behind the unextendibility margin.
@@ -51,9 +50,6 @@ class ProductVectorFamily:
 
     def product_vectors(self) -> list[np.ndarray]:
         return [np.kron(x, y) for x, y in self.pairs]
-
-    def projectors(self) -> list[np.ndarray]:
-        return [kron(np.outer(x, x), np.outer(y, y)) for x, y in self.pairs]
 
     def gram(self) -> np.ndarray:
         vs = self.product_vectors()

@@ -43,7 +43,7 @@ from .processes import (
     random_locally_positive_process,
     swap_process,
 )
-from .serialize import jsonable, matrix_to_json
+from .serialize import matrix_to_json
 from .shadow import defining_system_shadow, local_shadow_matrix, lt_state
 from .upb import separating_max_cone_form, tiles_upb
 
@@ -120,9 +120,7 @@ def run_verification_report(seed: int = 7, include_upb: bool = False) -> dict:
     checks: list[dict] = []
 
     def add(name: str, passed: bool, **values):
-        entry = {"name": name, "pass": bool(passed)}
-        entry.update({k: jsonable(v) for k, v in values.items()})
-        checks.append(entry)
+        checks.append({"name": name, "pass": bool(passed), **values})
 
     # --- The real EPR state's shadow and its negative eigenvalue ---------
     zz = real_epr_state()
@@ -263,5 +261,5 @@ def run_verification_report(seed: int = 7, include_upb: bool = False) -> dict:
     }
     if include_upb:
         report["upb_state"] = matrix_to_json(rho, dims=(3, 3))
-        report["upb_vectors"] = [{"x": jsonable(x), "y": jsonable(y)} for x, y in family.pairs]
+        report["upb_vectors"] = [{"x": x.tolist(), "y": y.tolist()} for x, y in family.pairs]
     return report

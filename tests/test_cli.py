@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ltshadow import cli
+from ltshadow import cli, shadow
 from ltshadow.linalg import kron, sym_part
 from ltshadow.processes import swap_process
 from ltshadow.serialize import dumps, matrix_to_json, process_to_json
@@ -155,6 +155,44 @@ def test_map_tol_must_be_finite_and_positive(capsys):
         cli.main(["map", "--check", "positive", "--seed", "3", "--tol", "inf"])
     assert exc.value.code == 2
     assert "tol must be finite and positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["cone", "--cone", "boxtimes"],
+    ["cone", "--cone", "min"],
+    ["cone", "--cone", "max"],
+    ["map", "--check", "positive"],
+    ["fiber"],
+    ["examples"],
+])
+@pytest.mark.parametrize("seed", ["-1", "1.5", "x"])
+def test_malformed_seed_exit_2_before_any_work(capsys, monkeypatch, argv, seed):
+    """A seed that is not an integer >= 0 exits 2 at parsing, whatever the
+    input (a one-factor shadow never reaches a generator)."""
+    monkeypatch.setattr(cli, "_read_json", lambda path: pytest.fail("read input"))
+    monkeypatch.setattr(cli, "run_verification_report", lambda **kw: pytest.fail("ran"))
+    files = {"cone": ["-i", "in.json"], "map": ["-i", "in.json"],
+             "fiber": ["--shadow", "in.json", "--dims", "4"], "examples": []}
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--seed", seed] + files[argv[0]])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "argument --seed" in err
+    if seed == "-1":
+        assert err.splitlines()[-1].endswith("seed must be an integer >= 0, got '-1'")
+
+
+def test_shadow_command_projects_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    project = shadow._symmetrize
+    monkeypatch.setattr(shadow, "_symmetrize",
+                        lambda w, dims: calls.append(dims) or project(w, dims))
+    path = tmp_path / "epr.json"
+    path.write_text(epr_json())
+    assert cli.main(["shadow", "-i", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert calls == [(2, 2)]
+    assert out["kernel_component_norm"] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_malformed_json_exit_2():
@@ -432,7 +470,7 @@ def test_fiber_n_above_limit_exit_2_before_sampling(tmp_path, capsys, monkeypatc
 
 
 def test_non_finite_payload_exit_5(capsys, monkeypatch, tmp_path):
-    monkeypatch.setattr(cli, "kernel_component_norm", lambda m, dims: float("inf"))
+    monkeypatch.setattr(cli, "matrix_to_json", lambda m, dims: {"rows": [[float("inf")]]})
     assert cli.main(["shadow", "-i", str(epr_shadow_file(tmp_path))]) == 5
     out, err = capsys.readouterr()
     assert out == ""

@@ -35,6 +35,7 @@ from ltshadow.linalg import (
     trace_norm,
 )
 from ltshadow.processes import (
+    LinearProcess,
     identity_process,
     random_kernel_leaking_process,
     random_locally_positive_process,
@@ -324,6 +325,23 @@ def test_push_holds_one_pass_when_the_shadows_coincide():
         tracemalloc.stop()
     assert report.n == len(reps) and report.diameter == 0.0 and report.deterministic
     assert peak < reps.nbytes / 4
+
+
+@pytest.mark.parametrize("make", [random_locally_positive_process,
+                                  random_kernel_leaking_process])
+def test_push_applies_the_map_once_per_pass(monkeypatch, make):
+    """300 representatives are pushed in three passes of VALIDATION_BLOCK,
+    with one apply call each."""
+    state = lt_state(random_density(4, rng_from_seed(78)), (2, 2))
+    sample = sample_fiber(state, n=300, seed=23)
+    proc = make((2, 2), seed=24)
+    calls = []
+    apply = LinearProcess.apply
+    monkeypatch.setattr(LinearProcess, "apply",
+                        lambda self, x: calls.append(len(x)) or apply(self, x))
+    report = push_and_spread(sample, proc)
+    assert report.n + report.excluded == sample.n_accepted == 300
+    assert calls == [VALIDATION_BLOCK, VALIDATION_BLOCK, 300 - 2 * VALIDATION_BLOCK]
 
 
 def test_push_takes_the_passes_again_when_a_later_pass_spreads():

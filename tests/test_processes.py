@@ -68,6 +68,31 @@ def test_coords_round_trip():
         np.testing.assert_allclose(from_coords(to_coords(m, dims), dims), m, atol=1e-12)
 
 
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (2, 2, 2)])
+def test_stacks_get_the_bits_of_each_matrix_alone(dims):
+    """to_coords, from_coords and apply take an (R, D, D) stack (or an
+    (R, D^2) array of coordinates) and give each matrix the bits it gets alone."""
+    g = grading_basis(dims)
+    rng = rng_from_seed(51, *dims)
+    xs = rng.standard_normal((7, g.dim, g.dim))
+    cs = rng.standard_normal((7, g.size))
+    proc = random_locally_positive_process(dims, seed=3)
+    np.testing.assert_array_equal(to_coords(xs, dims), [to_coords(x, dims) for x in xs])
+    np.testing.assert_array_equal(from_coords(cs, dims), [from_coords(c, dims) for c in cs])
+    np.testing.assert_array_equal(proc.apply(xs), [proc.apply(x) for x in xs])
+
+
+def test_apply_bits_do_not_depend_on_the_matrix_layout():
+    """A process built from an F-ordered copy of a matrix applies with the
+    bits of one built from a C-ordered copy."""
+    proc = random_kernel_leaking_process((2, 2), seed=7)
+    fortran = LinearProcess((2, 2), (2, 2), np.asfortranarray(proc.matrix))
+    xs = rng_from_seed(52).standard_normal((40, 4, 4))
+    np.testing.assert_array_equal(fortran.apply(xs), proc.apply(xs))
+    for x in xs:
+        np.testing.assert_array_equal(fortran.apply(x), proc.apply(x))
+
+
 def test_grading_sizes():
     g = grading_basis((2, 2))
     assert [g.slices[p].stop - g.slices[p].start for p in g.patterns] == [9, 3, 3, 1]

@@ -1,5 +1,7 @@
 """The verification report's stacked cross-checks."""
 
+import json
+
 import pytest
 import verify_reference
 
@@ -15,3 +17,14 @@ def test_stacked_report_checks_match_serial_reference(seed):
     assert (verify.kernel_invariance_deviation(seed)
             == verify_reference.kernel_invariance_deviation(seed))
     assert verify.shadow_vs_defining_system(seed) > 0  # the checks compare something
+
+
+def test_report_is_plain_python():
+    """The report goes through the standard library's json, and every check
+    value is a plain bool, int, float, str or None (numpy's float64 is a
+    float subclass, so the test is on the exact type)."""
+    report = verify.run_verification_report(7, include_upb=True)
+    json.dumps(report)
+    for check in report["checks"]:
+        for key, value in check.items():
+            assert type(value) in (bool, int, float, str, type(None)), (check["name"], key)
