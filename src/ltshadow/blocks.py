@@ -14,12 +14,13 @@ the Kronecker products of one-factor basis elements, lexicographic within
 each block (see :func:`symmetric_basis` / :func:`antisymmetric_basis`), so
 coordinates are reproducible across runs and platforms.
 
-Every other module reaches the basis through :func:`grading_basis`, and
-turns caller factor dimensions into ints through :func:`factor_dims`: the
-coefficients of an operator X in block p are ``g.rows(p) @ X.ravel()``, and
-process matrices in :mod:`ltshadow.processes` are written in this basis,
-whose cached row indices split it into the shadow (all s), the shadow kernel
-(an even, nonzero number of a) and the antisymmetric operators (odd).
+Every other module reaches the basis through :func:`grading_basis`, turns
+caller factor dimensions into ints through :func:`factor_dims`, and checks a
+(matrix, dims) operand through :func:`operand`: the coefficients of an
+operator X in block p are ``g.rows(p) @ X.ravel()``, and process matrices in
+:mod:`ltshadow.processes` are written in this basis, whose cached row
+indices split it into the shadow (all s) and the shadow kernel (an even,
+nonzero number of a), and whose ``odd`` flags mark the antisymmetric rows.
 """
 
 from __future__ import annotations
@@ -77,7 +78,8 @@ class GradingBasis:
     view (:meth:`rows`, :meth:`block`) is a read-only slice of that one
     array.  The read-only ``*_index`` arrays hold the rows of each part, in
     order; ``stacked[kernel_index]`` is the shadow kernel at any number of
-    factors (for two, the aa rows).
+    factors (for two, the aa rows).  The read-only bool ``odd`` flags the
+    rows with an odd number of a (the antisymmetric operators).
     """
 
     dims: tuple[int, ...]
@@ -86,7 +88,7 @@ class GradingBasis:
     stacked: np.ndarray  # (n_elements, D^2) vectorized orthonormal basis
     shadow_index: np.ndarray
     kernel_index: np.ndarray
-    odd_index: np.ndarray
+    odd: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -130,19 +132,29 @@ def factor_dims(dims, parties: int | None = None) -> tuple[int, ...]:
     return out
 
 
+def operand(x, dims, stack: bool = False,
+            parties: int | None = None) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The package's one shape rule: (X as a float array, dims as ints).
+
+    Raises DimensionMismatch unless dims pass :func:`factor_dims` (with
+    ``parties`` factors, when given) and X is one (D, D) matrix, or with
+    ``stack`` an (R, D, D) stack, for D the product of the dims.
+    """
+    dims = factor_dims(dims, parties)
+    x = np.asarray(x, dtype=float)
+    total = math.prod(dims)
+    if x.ndim not in ((2, 3) if stack else (2,)) or x.shape[-2:] != (total, total):
+        raise DimensionMismatch(
+            f"operator shape {x.shape} does not match factor dimensions {dims} "
+            f"(product {total})")
+    return x, dims
+
+
 _BASES: dict[tuple[int, ...], GradingBasis] = {}
 
 
 def grading_basis(dims) -> GradingBasis:
-    """The grading basis for factor dimensions dims, cached under the
-    caller's tuple: :func:`factor_dims` runs only on a miss (lists always
-    take it), and a tuple equal to a cached one, such as (2.0, 2) after
-    (2, 2), gets that basis.  A bool equals 1, so its tuple takes the rule."""
-    try:
-        if type(dims) is tuple and _BOOLS.isdisjoint(map(type, dims)):
-            return _BASES[dims]
-    except (KeyError, TypeError):  # a miss, or an unhashable entry
-        pass
+    """The grading basis for factor dimensions dims (by :func:`factor_dims`)."""
     dims = factor_dims(dims)
     if dims in _BASES:
         return _BASES[dims]
@@ -169,7 +181,7 @@ def grading_basis(dims) -> GradingBasis:
     n_anti = np.asarray(n_anti)
     parts = [np.flatnonzero(n_anti == 0),
              np.flatnonzero((n_anti > 0) & (n_anti % 2 == 0)),
-             np.flatnonzero(n_anti % 2 == 1)]
+             n_anti % 2 == 1]
     for a in [stacked, *parts]:
         a.flags.writeable = False
     basis = _BASES[dims] = GradingBasis(dims, patterns, slices, stacked, *parts)
@@ -178,11 +190,6 @@ def grading_basis(dims) -> GradingBasis:
 
 def project_block(w: np.ndarray, basis: GradingBasis, block: str) -> np.ndarray:
     """Orthogonal projection of W onto the named block."""
-    w = np.asarray(w, dtype=float)
-    if w.shape != (basis.dim, basis.dim):
-        raise DimensionMismatch(
-            f"operator shape {w.shape} does not match basis dimension "
-            f"{basis.dim}x{basis.dim} for factors {basis.dims}"
-        )
+    w, _ = operand(w, basis.dims)
     stacked = basis.rows(block)
     return (stacked.T @ (stacked @ w.ravel())).reshape(w.shape)

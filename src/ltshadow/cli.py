@@ -32,7 +32,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .blocks import factor_dims, grading_basis
+from .blocks import factor_dims, grading_basis, operand
 from .cones import (
     FeasibilityParams,
     UNDECIDED,
@@ -134,10 +134,7 @@ def _read_matrix(path: str, arg_dims) -> tuple[np.ndarray, tuple[int, ...]]:
         raise DimensionMismatch(
             "factor dimensions required: pass --dims or include \"dims\" in the input"
         )
-    if math.prod(dims) != len(m):
-        raise DimensionMismatch(
-            f"dims {list(dims)} have product {math.prod(dims)}, matrix has dimension {len(m)}"
-        )
+    m, dims = operand(m, dims)
     _check_factor_limit(dims)
     return m, dims
 
@@ -291,10 +288,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, dims_help="factor dimensions, e.g. 2,2"):
+    def add_common(p):
         p.add_argument("--input", "-i", default="-", help="input JSON file (default stdin)")
         p.add_argument("--output", "-o", default="-", help="output JSON file (default stdout)")
-        p.add_argument("--dims", type=_parse_dims, default=None, help=dims_help)
+        p.add_argument("--dims", type=_parse_dims, default=None, help="factor dimensions, e.g. 2,2")
 
     p = sub.add_parser("decompose", help="block-coordinate split of an operator")
     add_common(p)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import factor_dims, grading_basis
+from .blocks import grading_basis, operand
 from .linalg import (
     eigh,
     eigvalsh,
@@ -110,8 +110,8 @@ class ConeMembershipResult:
 
 def product_quadratic_value(m: np.ndarray, dims, x: np.ndarray, y: np.ndarray) -> float:
     """q(x, y) = <x o y, M (x o y)> for unit vectors on the two factors."""
-    da, db = factor_dims(dims, 2)
-    m4 = np.asarray(m, dtype=float).reshape(da, db, da, db)
+    m, (da, db) = operand(m, dims, parties=2)
+    m4 = m.reshape(da, db, da, db)
     return float(np.einsum("ijkl,i,j,k,l->", m4, x, y, x, y))
 
 
@@ -136,8 +136,8 @@ def product_form_extremum(m: np.ndarray, dims, params: FeasibilityParams,
     Returns (value, x, y) of the best restart, the lowest index on ties; the
     value is recomputed from the returned pair.
     """
-    da, db = factor_dims(dims, 2)
-    m4 = np.asarray(m, dtype=float).reshape(da, db, da, db)
+    m, (da, db) = operand(m, dims, parties=2)
+    m4 = m.reshape(da, db, da, db)
     m_y = m4.transpose(1, 3, 0, 2).reshape(db * db, da * da)  # M[(j,l),(i,k)]
     m_x = m4.transpose(0, 2, 1, 3).reshape(da * da, db * db)  # M[(i,k),(j,l)]
     idx = 0 if minimize else -1
@@ -358,11 +358,11 @@ def in_max_cone(m: np.ndarray, dims, params: FeasibilityParams) -> ConeMembershi
 
 def separable_certificate_error(m: np.ndarray, dims, weights, xs, ys) -> float:
     """Frobenius reconstruction error of a separable decomposition."""
-    da, db = factor_dims(dims, 2)
-    acc = np.zeros((da * db, da * db))
+    m, _ = operand(m, dims, parties=2)
+    acc = np.zeros(m.shape)
     for w, x, y in zip(weights, xs, ys):
         acc += w * np.kron(np.outer(x, x), np.outer(y, y))
-    return float(np.linalg.norm(np.asarray(m, dtype=float) - acc))
+    return float(np.linalg.norm(m - acc))
 
 
 def nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float, bool]:

@@ -6,11 +6,12 @@ input and output operator spaces (the grading basis of
 coordinates are orthonormal, so matrix transpose is the trace-inner-product
 adjoint.
 
-A positive map preserves the symmetric and antisymmetric subspaces of the
-global space, so restricted to symmetric operators it has a 2 x 2 operator
-matrix over (shadow block) + (kernel blocks).  The map descends to shadow
-space iff the kernel-to-shadow block vanishes; the induced shadow map is
-then the shadow-to-shadow block.
+A real completely positive map preserves the parity grading (symmetric
+and antisymmetric operators) of the global space, so restricted to
+symmetric operators it has a 2 x 2 operator matrix over (shadow block) +
+(kernel blocks).  A grading-preserving map descends to shadow space iff the
+kernel-to-shadow block vanishes; the induced shadow map is then the
+shadow-to-shadow block.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import factor_dims, grading_basis
+from .blocks import factor_dims, grading_basis, operand
 from .cones import UNDECIDED, FeasibilityParams, product_form_extremum
 from .errors import DimensionMismatch, NotLocallyPositive
 from .linalg import (
@@ -37,10 +38,8 @@ _STREAM_GENERATOR = 13
 
 def to_coords(x: np.ndarray, dims) -> np.ndarray:
     """Grading coordinates of a (D, D) matrix or of each of an (R, D, D) stack."""
+    x, dims = operand(x, dims, stack=True)
     g = grading_basis(dims)
-    x = np.asarray(x, dtype=float)
-    if x.ndim not in (2, 3) or x.shape[-2:] != (g.dim, g.dim):
-        raise DimensionMismatch(f"operator shape {x.shape} does not match dims {g.dims}")
     return (g.stacked @ x.reshape(x.shape[:-2] + (g.size, 1)))[..., 0]
 
 
@@ -172,7 +171,7 @@ def trace_unit_process(dims) -> LinearProcess:
 
 @dataclass(frozen=True)
 class ProcessBlockMatrix:
-    """Shadow-valued blocks of a symmetric-subspace-preserving map.
+    """Shadow-valued blocks of a grading-preserving map.
 
     phi_ss: shadow -> shadow,  phi_sa: kernel -> shadow.
     """
@@ -184,20 +183,18 @@ class ProcessBlockMatrix:
 def block_matrix(proc: LinearProcess) -> ProcessBlockMatrix:
     """Extract the operator blocks of the restriction to symmetric operators.
 
-    Raises ValueError when the map does not preserve the symmetric subspace:
-    the antisymmetric images of the shadow + kernel basis columns exceed
-    1e-10 (1 + ||matrix||_max).
+    Raises ValueError when the map does not preserve the parity grading: an
+    entry between an even (symmetric) and an odd (antisymmetric) row of the
+    grading basis, either way, exceeds 1e-10 (1 + ||matrix||_max).  Odd ->
+    even entries act on no symmetric input, but a tensor square of such a
+    map leaks the shadow kernel into the shadow.
     """
     gin = grading_basis(proc.in_dims)
     gout = grading_basis(proc.out_dims)
     m = proc.matrix
-    sym_cols = np.concatenate([gin.shadow_index, gin.kernel_index])
-    leak = max_norm(m[np.ix_(gout.odd_index, sym_cols)])
+    leak = max_norm(m[gout.odd[:, None] != gin.odd])
     if leak > 1e-10 * (1 + max_norm(m)):
-        raise ValueError(
-            "process does not preserve the symmetric subspace "
-            f"(antisymmetric leakage {leak:.3e})"
-        )
+        raise ValueError(f"process does not preserve the parity grading (leakage {leak:.3e})")
     return ProcessBlockMatrix(
         phi_ss=m[np.ix_(gout.shadow_index, gin.shadow_index)],
         phi_sa=m[np.ix_(gout.shadow_index, gin.kernel_index)],
@@ -215,6 +212,10 @@ class LocalPositivityCheck:
 
 def is_locally_positive(proc: LinearProcess) -> LocalPositivityCheck:
     """A map descends to shadow spaces iff its kernel-to-shadow block vanishes.
+
+    It counts as locally positive only if it also preserves the parity
+    grading (else :func:`block_matrix` raises ValueError), which keeps the
+    property under tensor products of such maps.
 
     The block counts as zero up to tol = 1e-9 (1 + ||matrix||_max), which
     the returned check reports.  On failure the returned witness is a kernel
@@ -239,7 +240,7 @@ def shadow_block_process(proc: LinearProcess) -> LinearProcess:
 
     This is the unique candidate for a shadow of the map; it genuinely is
     one only when the map is locally positive (see :func:`shadow_of_map`,
-    which also checks that the map preserves the symmetric subspace).
+    which also checks that the map preserves the parity grading).
     """
     gin = grading_basis(proc.in_dims)
     gout = grading_basis(proc.out_dims)

@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .blocks import factor_dims
+from .blocks import factor_dims, operand
 from .errors import DimensionMismatch
 
 MAX_ENTRY = 1e150
@@ -103,12 +103,7 @@ def matrix_from_json(obj) -> tuple[np.ndarray, tuple[int, ...] | None]:
         )
     dims = obj.get("dims")
     if dims is not None:
-        dims = factor_dims(dims)
-        if math.prod(dims) != m.shape[0]:
-            raise DimensionMismatch(
-                f'declared "dims" {list(dims)} have product {math.prod(dims)}, '
-                f"but the matrix has dimension {m.shape[0]}"
-            )
+        m, dims = operand(m, dims)
     return m, dims
 
 

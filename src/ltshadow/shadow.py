@@ -16,32 +16,16 @@ reuse the same matrix type.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocks import factor_dims, grading_basis
-from .errors import DimensionMismatch, SupportViolation
+from .blocks import grading_basis, operand
+from .errors import SupportViolation
 from .linalg import max_norm, sym_part
 
 INDISTINGUISHABILITY_TOL = 1e-9
 SHADOW_SUPPORT_TOL = 1e-9
-
-
-def _check_dims(w: np.ndarray, dims, stack: bool = False,
-                parties: int | None = None) -> tuple[int, ...]:
-    """The dims as ints (by :func:`factor_dims`, ``parties`` of them when
-    given), checked against W's shape: (D, D), or (R, D, D) with ``stack``."""
-    dims = factor_dims(dims, parties)
-    shape = np.shape(w)
-    total = math.prod(dims)
-    if (shape[1:] if stack and len(shape) == 3 else shape) != (total, total):
-        raise DimensionMismatch(
-            f"operator shape {shape} does not match factor dimensions {dims} "
-            f"(product {total})"
-        )
-    return dims
 
 
 def _partial_transpose(w: np.ndarray, dims: tuple[int, ...], factor: int) -> np.ndarray:
@@ -55,8 +39,7 @@ def _partial_transpose(w: np.ndarray, dims: tuple[int, ...], factor: int) -> np.
 
 def partial_transpose(w: np.ndarray, dims, factor: int) -> np.ndarray:
     """Transpose of one tensor factor of an operator on a product space."""
-    dims = _check_dims(w, dims)
-    return _partial_transpose(np.asarray(w, dtype=float), dims, factor)
+    return _partial_transpose(*operand(w, dims), factor)
 
 
 def local_shadow_matrix(w: np.ndarray, dims) -> np.ndarray:
@@ -67,8 +50,7 @@ def local_shadow_matrix(w: np.ndarray, dims) -> np.ndarray:
     W may be one (D, D) matrix or an (R, D, D) stack; each matrix of a stack
     gets the same bits as it would alone.
     """
-    dims = _check_dims(w, dims, stack=True)
-    return _symmetrize(np.asarray(w, dtype=float), dims)
+    return _symmetrize(*operand(w, dims, stack=True))
 
 
 def _symmetrize(w: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
@@ -83,14 +65,13 @@ def require_shadow_support(m: np.ndarray, dims,
     """(M as a float array, dims as ints): the package's one gate for
     shadow-space operands.
 
-    Raises DimensionMismatch unless dims pass
-    :func:`~ltshadow.blocks.factor_dims` (with ``parties`` factors, when
-    given) and M is one (D, D) matrix.  Raises SupportViolation unless the
-    max-norm of the component of M outside the shadow (all-symmetric)
-    subspace is at most SHADOW_SUPPORT_TOL * (1 + ||M||_max).
+    Raises DimensionMismatch unless M and dims pass
+    :func:`~ltshadow.blocks.operand` (with ``parties`` factors, when given).
+    Raises SupportViolation unless the max-norm of the component of M
+    outside the shadow (all-symmetric) subspace is at most
+    SHADOW_SUPPORT_TOL * (1 + ||M||_max).
     """
-    m = np.asarray(m, dtype=float)
-    dims = _check_dims(m, dims, parties=parties)
+    m, dims = operand(m, dims, parties=parties)
     defect = max_norm(m - _symmetrize(m, dims))
     if defect > SHADOW_SUPPORT_TOL * (1 + max_norm(m)):
         raise SupportViolation(
@@ -131,8 +112,7 @@ def lt_state(w: np.ndarray, dims) -> ShadowState:
     ``kernel_index`` rows, as ``kernel_part``, unchecked.  A projection is
     shadow-supported, so the support test of ``ShadowState(...)`` is skipped.
     """
-    dims = _check_dims(w, dims)
-    w = np.asarray(w, dtype=float)
+    w, dims = operand(w, dims)
     op = _symmetrize(w, dims)
     symmetric = max_norm(w - w.T) <= 1e-12 * (1 + max_norm(w))
     state = object.__new__(ShadowState)
@@ -163,16 +143,12 @@ def defining_system_shadow(w: np.ndarray, dims) -> np.ndarray:
     same bits as it would alone (matrix-vector products per matrix, and one
     LU factorization of the Gram matrix).
     """
-    dims = _check_dims(w, dims, stack=True)
-    w = np.asarray(w, dtype=float)
+    w, dims = operand(w, dims, stack=True)
     flat = w.reshape(-1, w.shape[-1] ** 2)
     products = grading_basis(dims).rows("s" * len(dims))
     gram = products @ products.T
     rhs = (products @ flat[:, :, None])[:, :, 0]
-    try:
-        coeff = np.linalg.solve(gram, rhs.T).T
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - orthonormal bases
-        raise RuntimeError("singular Gram system for product symmetric basis") from exc
+    coeff = np.linalg.solve(gram, rhs.T).T
     return (coeff[:, None, :] @ products).reshape(w.shape)
 
 

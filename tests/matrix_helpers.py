@@ -41,3 +41,14 @@ def random_shadow_matrix(dims, rng):
 def random_ss_matrix(dim_a, dim_b, rng):
     """Random symmetric matrix supported on the ss block (iid normal coefficients)."""
     return random_shadow_matrix((dim_a, dim_b), rng)
+
+
+def parity_breaking_map():
+    """phi at (2,2): the identity plus 0.5 from the first sa column to the
+    first shadow row, so it acts as the identity on symmetric operators."""
+    from ltshadow.processes import LinearProcess
+
+    g = grading_basis((2, 2))
+    m = np.eye(g.size)
+    m[g.shadow_index[0], g.slices["sa"].start] = 0.5
+    return LinearProcess((2, 2), (2, 2), m)

@@ -1,5 +1,6 @@
 """Grading basis construction, block coordinates, and projections."""
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from matrix_helpers import antisym_part, expected_sizes, random_ss_matrix, random_symmetric
 
 import ltshadow
-from ltshadow.blocks import factor_dims, grading_basis, project_block
+from ltshadow.blocks import factor_dims, grading_basis, operand, project_block
 from ltshadow.errors import DimensionMismatch
 from ltshadow.linalg import kron, max_norm, rng_from_seed, sym_part, trace_inner
 from ltshadow.processes import from_coords, to_coords
@@ -188,8 +189,9 @@ def test_blocks_is_the_only_module_that_builds_basis_elements():
 
 @pytest.mark.parametrize("dims", [(1,), (2, 2), (2, 3), (2, 2, 2), (3, 2, 2)])
 def test_part_indices_follow_the_patterns(dims):
-    """The shadow, kernel and odd row indices are the rows of the patterns
-    with no, an even nonzero and an odd number of a's, and are read-only."""
+    """The shadow and kernel row indices and the odd flags mark the rows of
+    the patterns with no, an even nonzero and an odd number of a's, and are
+    read-only."""
     g = grading_basis(dims)
 
     def rows(keep):
@@ -198,10 +200,11 @@ def test_part_indices_follow_the_patterns(dims):
 
     for index, keep in ((g.shadow_index, lambda a: a == 0),
                         (g.kernel_index, lambda a: a > 0 and a % 2 == 0),
-                        (g.odd_index, lambda a: a % 2 == 1)):
+                        (np.flatnonzero(g.odd), lambda a: a % 2 == 1)):
         assert index.tolist() == rows(keep)
+    for part in (g.shadow_index, g.kernel_index, g.odd):
         with pytest.raises(ValueError):
-            index[:1] = 0
+            part[:1] = 0
 
 
 @pytest.mark.parametrize("dims, parties, expected", [
@@ -240,3 +243,44 @@ def test_bool_dims_are_refused_warm_and_cold(true):
         grading_basis((true, 4))
     with pytest.raises(DimensionMismatch):
         to_coords(np.eye(4), (true, 4))
+
+
+def test_grading_basis_is_one_object_per_factor_dims():
+    g = grading_basis((2, 2))
+    for dims in ([2, 2], (2.0, 2), (np.int64(2), 2), np.array([2, 2])):
+        assert grading_basis(dims) is g
+
+
+@pytest.mark.parametrize("dims", [(2, 2), [3], (2.0, 3), (1, 2, 2)])
+def test_operand_takes_a_matrix_and_a_stack_only_when_asked(dims):
+    d = math.prod(int(k) for k in dims)
+    rows = np.eye(d, dtype=int).tolist()
+    x, out = operand(rows, dims)
+    assert x.dtype == np.float64 and x.shape == (d, d)
+    assert out == tuple(map(int, dims)) and all(type(k) is int for k in out)
+    stack = np.zeros((3, d, d), dtype=np.float32)
+    x, _ = operand(stack, dims, stack=True)
+    assert x.dtype == np.float64 and x.shape == (3, d, d)
+    with pytest.raises(DimensionMismatch):
+        operand(stack, dims)
+
+
+@pytest.mark.parametrize("x, dims, stack, parties", [
+    (np.ones(4), (2, 2), True, None),              # 1-D
+    (np.zeros((1, 2, 4, 4)), (2, 2), True, None),  # 4-D
+    (np.zeros((4, 2)), (2, 2), False, None),       # not square
+    (np.zeros((3, 4, 2)), (2, 2), True, None),     # a stack of non-square matrices
+    (np.eye(6), (2, 2), False, None),              # wrong D
+    (np.eye(4), (2, 2), False, 3),                 # wrong number of factors
+    (np.eye(8), (2, 2, 2), False, 2),
+    (np.eye(4), (2.5, 2), False, None),            # the dims rule runs first
+])
+def test_operand_refuses(x, dims, stack, parties):
+    with pytest.raises(DimensionMismatch):
+        operand(x, dims, stack=stack, parties=parties)
+
+
+@pytest.mark.parametrize("w", [np.eye(4), np.zeros((2, 6, 6))])
+def test_project_block_refuses_other_shapes(w):
+    with pytest.raises(DimensionMismatch):
+        project_block(w, grading_basis((2, 3)), "ss")

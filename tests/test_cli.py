@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from matrix_helpers import parity_breaking_map
 
 from ltshadow import cli, shadow
 from ltshadow.linalg import kron, sym_part
@@ -304,6 +305,15 @@ def test_map_command_shadow_refusal_exit_4():
     proc = run_cli(["map", "--check", "shadow"],
                    stdin_text=dumps(process_to_json(epsilon_functional((2, 2)))))
     assert proc.returncode == 4
+
+
+@pytest.mark.parametrize("check", ["local-positive", "shadow"])
+def test_map_command_refuses_odd_to_even_leakage_exit_2(tmp_path, capsys, check):
+    path = tmp_path / "phi.json"
+    path.write_text(dumps(process_to_json(parity_breaking_map())))
+    assert cli.main(["map", "--check", check, "-i", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "parity grading" in captured.err
 
 
 def test_map_command_positive():

@@ -29,7 +29,7 @@ from ltshadow.cones import (
     replay_separating_functional,
     separable_certificate_error,
 )
-from ltshadow.errors import SupportViolation
+from ltshadow.errors import DimensionMismatch, SupportViolation
 from ltshadow.linalg import kron, max_norm, min_eigenvalue, rng_from_seed
 from ltshadow.shadow import local_shadow_matrix
 from ltshadow.upb import upb_state
@@ -602,3 +602,14 @@ def test_boxtimes_members_pass_max_heuristic():
         box = in_boxtimes_cone(m, (2, 2), PARAMS)
         if box.verdict == MEMBER:
             assert in_max_cone(m, (2, 2), PARAMS).verdict == MEMBER
+
+
+@pytest.mark.parametrize("call", [
+    lambda m: product_quadratic_value(m, (2, 2), np.ones(2), np.ones(2)),
+    lambda m: product_form_extremum(m, (2, 2), FeasibilityParams(seed=0)),
+    lambda m: separable_certificate_error(m, (2, 2), [1.0], [np.ones(2)], [np.ones(2)]),
+])
+@pytest.mark.parametrize("m", [np.eye(6), np.eye(4)[:, :2], np.zeros((2, 4, 4))])
+def test_product_form_helpers_take_the_shape_rule(call, m):
+    with pytest.raises(DimensionMismatch):
+        call(m)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from matrix_helpers import parity_breaking_map
 
 from ltshadow import processes
 from ltshadow.cones import (
@@ -385,3 +386,17 @@ def test_maps_take_their_blocks_once(monkeypatch):
         calls.update(block_matrix=0, conjugation_process=0)
         random_kernel_leaking_process((2, 3), seed=seed)
         assert calls["block_matrix"] == calls["conjugation_process"] >= 1
+
+
+def test_odd_to_even_leakage_is_refused():
+    """phi leaves every symmetric input alone, but its tensor square leaks
+    the shadow kernel into the shadow: the parity gate refuses it, as it
+    refuses leakage the other way."""
+    phi = parity_breaking_map()
+    x = rng_from_seed(61).standard_normal((4, 4))
+    np.testing.assert_allclose(phi.apply(x + x.T), x + x.T, atol=1e-14)
+    for check in (block_matrix, is_locally_positive, shadow_of_map):
+        with pytest.raises(ValueError, match="parity grading"):
+            check(phi)
+    with pytest.raises(ValueError, match="parity grading"):
+        block_matrix(LinearProcess((2, 2), (2, 2), phi.matrix.T))

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ltshadow import shadow
+from ltshadow import blocks, shadow
 from ltshadow.blocks import grading_basis
 from ltshadow.errors import DimensionMismatch, SupportViolation
 from ltshadow.linalg import kron, max_norm, random_density, rng_from_seed, sym_part
@@ -47,8 +47,8 @@ def test_dims_are_checked_once_per_shadow(monkeypatch):
     """local_shadow_matrix checks the dims once, not again per factor;
     partial_transpose still checks them for its own callers."""
     checks = []
-    check = shadow._check_dims
-    monkeypatch.setattr(shadow, "_check_dims",
+    check = shadow.operand
+    monkeypatch.setattr(shadow, "operand",
                         lambda w, dims, **kw: checks.append(dims) or check(w, dims, **kw))
     m = rng_from_seed(24).standard_normal((12, 12))
     out = local_shadow_matrix(m, (2, 3, 2))
@@ -218,8 +218,8 @@ def test_support_gate_runs_the_dims_rule_once(monkeypatch, dims, parties):
     """require_shadow_support (and so ShadowState) turns the dims into ints
     once per call, and still refuses off-support operands."""
     calls = []
-    rule = shadow.factor_dims
-    monkeypatch.setattr(shadow, "factor_dims",
+    rule = blocks.factor_dims
+    monkeypatch.setattr(blocks, "factor_dims",
                         lambda dims, parties=None: calls.append(dims) or rule(dims, parties))
     d = math.prod(dims)
     w = random_density(d, rng_from_seed(34, d))
@@ -273,3 +273,12 @@ def test_state_shadows_are_definitionally_boxtimes_members():
             w = random_density(d, rng_from_seed(30, d, k))
             shadow = lt_state(w, dims).op
             assert replay_boxtimes_member(shadow, dims, aa_projection(w, dims))
+
+
+def test_a_singular_defining_system_reaches_the_caller(monkeypatch):
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+        lt_state_oracle(np.eye(4) / 4, (2, 2))
