@@ -57,7 +57,6 @@ from .shadow import (
     partial_transpose,
 )
 from .upb import (
-    ProductVectorFamily,
     separating_max_cone_form,
     tiles_upb,
     unextendibility_margin,

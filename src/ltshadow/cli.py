@@ -11,11 +11,12 @@ Subcommands:
 All input and output is JSON (see serialize).  Stochastic subcommands
 require an explicit seed and echo it in the output.  Exit codes: 0 success,
 1 a check of ``examples`` failed, 2 malformed input (entries above 1e150 in
-magnitude or too large for a float, ``fiber --n`` above MAX_FIBER_N, a
-``--seed`` that is not an integer >= 0) or an output file that cannot be
-written, 3 dimension mismatch, a factor above 9 or a product of factors
-above 81 (of a matrix or a process), or dims that are not integers >= 1
-(``"dims": [2.5, 2]`` or ``[true, 4]``, a process's
+magnitude or too large for a float, ``--dims`` text that does not split into
+integers, a ``fiber --n`` below 1 or above MAX_FIBER_N or a ``--seed`` that
+is not an integer >= 0, both refused before any work) or an output file that
+cannot be written, 3 dimension mismatch, a factor above 9 or a product of
+factors above 81 (of a matrix or a process), or dims that are not integers
+>= 1 (``--dims 0,4``, ``"dims": [2.5, 2]`` or ``[true, 4]``, a process's
 ``"in_dims": [2.5, 2]``; 2.0 counts as 2), 4 infeasible or undecided where
 a decision was required, 5 internal numeric failure (``LinAlgError``, or a
 non-finite number in the output).  Output is byte-identical across runs for
@@ -77,13 +78,11 @@ MAX_FIBER_N = 10_000
 
 
 def _parse_dims(text: str) -> tuple[int, ...]:
+    # Only the text -> ints split: the dims rule itself is factor_dims's.
     try:
-        dims = tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"cannot parse dims {text!r}; expected e.g. 2,2") from exc
-    if not dims or any(d < 1 for d in dims):
-        raise argparse.ArgumentTypeError(f"dims must be positive integers, got {text!r}")
-    return dims
 
 
 def _parse_seed(text: str) -> int:
@@ -243,6 +242,8 @@ def cmd_map(args) -> tuple[dict, int]:
 
 
 def cmd_fiber(args) -> tuple[dict, int]:
+    if args.n < 1:
+        raise _BadInput(f"--n must be an integer >= 1, got {args.n}")
     if args.n > MAX_FIBER_N:
         raise _BadInput(f"--n {args.n} is above the limit of {MAX_FIBER_N}")
     m, dims = _read_matrix(args.shadow, args.dims)

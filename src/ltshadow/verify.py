@@ -44,7 +44,7 @@ from .processes import (
 )
 from .serialize import matrix_to_json
 from .shadow import defining_system_shadow, local_shadow_matrix, lt_state
-from .upb import separating_max_cone_form, tiles_upb
+from .upb import product_vectors, separating_max_cone_form, tiles_upb
 
 
 def real_epr_state() -> np.ndarray:
@@ -187,9 +187,10 @@ def run_verification_report(seed: int = 7, include_upb: bool = False) -> dict:
     )
 
     # --- Unextendible product basis witness chain -------------------------
-    family = tiles_upb()
-    gram_dev = max_norm(family.gram() - np.eye(len(family)))
-    x_form, rho, margin = separating_max_cone_form(family, seed=seed)
+    xs, ys = tiles_upb()
+    z = product_vectors(xs, ys)
+    gram_dev = max_norm(z @ z.T - np.eye(len(z)))
+    x_form, rho, margin = separating_max_cone_form(seed=seed)
     aa_norm = float(np.linalg.norm(grading_basis((3, 3)).rows("aa") @ rho.ravel()))
     # A shadow effect is a psd-ss operator: one verdict fills both fields.
     pss_rho = in_positive_ss_cone(rho, (3, 3))
@@ -201,12 +202,12 @@ def run_verification_report(seed: int = 7, include_upb: bool = False) -> dict:
     )
     add(
         "upb_witness_chain",
-        len(family) == 5 and gram_dev <= 1e-12 and aa_norm <= 1e-12
+        len(z) == 5 and gram_dev <= 1e-12 and aa_norm <= 1e-12
         and margin > 0.02
         and pss_rho.verdict == MEMBER
         and min_rho.verdict == NON_MEMBER
         and x_max.verdict == MEMBER and pairing < -1e-8,
-        family_size=len(family),
+        family_size=len(z),
         gram_deviation=gram_dev,
         state_kernel_norm=aa_norm,
         unextendibility_margin=margin,
@@ -260,5 +261,5 @@ def run_verification_report(seed: int = 7, include_upb: bool = False) -> dict:
     }
     if include_upb:
         report["upb_state"] = matrix_to_json(rho, dims=(3, 3))
-        report["upb_vectors"] = [{"x": x.tolist(), "y": y.tolist()} for x, y in family.pairs]
+        report["upb_vectors"] = [{"x": x.tolist(), "y": y.tolist()} for x, y in zip(xs, ys)]
     return report

@@ -18,6 +18,7 @@ from ltshadow.linalg import kron, sym_part
 from ltshadow.processes import swap_process
 from ltshadow.serialize import dumps, matrix_to_json, process_to_json
 from ltshadow.shadow import local_shadow_matrix
+from ltshadow.upb import tiles_upb
 
 
 def run_cli(args, stdin_text=None):
@@ -407,15 +408,30 @@ def test_examples_upb_flag():
     assert len(report["upb_vectors"]) == 5
 
 
+def test_examples_upb_vectors_are_the_tiles_rows(capsys):
+    assert cli.main(["examples", "--seed", "7", "--upb"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    xs, ys = tiles_upb()
+    assert [v["x"] for v in report["upb_vectors"]] == xs.tolist()
+    assert [v["y"] for v in report["upb_vectors"]] == ys.tolist()
+
+
 @pytest.mark.parametrize("text, message", [
     ("2,x", "cannot parse dims '2,x'; expected e.g. 2,2"),
-    ("0,2", "dims must be positive integers, got '0,2'"),
 ])
 def test_dims_parse_error_reaches_stderr(capsys, text, message):
     with pytest.raises(SystemExit) as exc:
         cli.main(["decompose", "--dims", text])
     assert exc.value.code == 2
     assert capsys.readouterr().err.splitlines()[-1].endswith(f"argument --dims: {message}")
+
+
+def test_dims_below_one_exit_3_through_the_dims_rule(tmp_path, capsys):
+    """--dims 0,2 is refused by factor_dims, as "dims": [0, 2] in the file is."""
+    assert cli.main(["decompose", "--dims", "0,2", "-i", str(epr_shadow_file(tmp_path))]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: factor dimensions must be one or more integers >= 1, got (0, 2)\n"
 
 
 @pytest.mark.parametrize("argv, payload", [
@@ -477,6 +493,14 @@ def test_fiber_n_above_limit_exit_2_before_sampling(tmp_path, capsys, monkeypatc
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: --n 10001 is above the limit of {cli.MAX_FIBER_N}\n"
+
+
+def test_fiber_n_below_one_exit_2_before_reading(tmp_path, capsys):
+    argv = ["fiber", "--shadow", str(tmp_path / "missing.json"), "--seed", "1", "--n", "0"]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --n must be an integer >= 1, got 0\n"
 
 
 def test_non_finite_payload_exit_5(capsys, monkeypatch, tmp_path):

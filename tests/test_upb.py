@@ -14,6 +14,8 @@ from ltshadow.cones import (
 )
 from ltshadow.linalg import max_norm, trace_inner
 from ltshadow.upb import (
+    SEPARATION_SAFETY,
+    product_vectors,
     separating_max_cone_form,
     tiles_upb,
     unextendibility_margin,
@@ -27,20 +29,51 @@ PARAMS = FeasibilityParams(seed=301)
 TILES_MARGIN = 0.0284162133
 
 
+def _reference_span_projector():
+    """sum_i P_i as a sum of outer products of Kronecker products."""
+    return sum(np.outer(np.kron(x, y), np.kron(x, y)) for x, y in zip(*tiles_upb()))
+
+
 def test_family_size_and_unit_norms():
-    family = tiles_upb()
-    assert len(family) == 5
-    for x, y in family.pairs:
+    xs, ys = tiles_upb()
+    assert len(xs) == len(ys) == 5
+    for x, y in zip(xs, ys):
         assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-15)
         assert np.linalg.norm(y) == pytest.approx(1.0, abs=1e-15)
 
 
+def test_tiles_arrays_refuse_writes():
+    for a in tiles_upb():
+        assert a.shape == (5, 3)
+        with pytest.raises(ValueError):
+            a[0, 0] = 0.0
+
+
+def test_product_vectors_are_kronecker_products():
+    rng = np.random.default_rng(5)
+    for na, nb in ((3, 3), (2, 4), (4, 2)):
+        xs, ys = rng.standard_normal((6, na)), rng.standard_normal((6, nb))
+        expected = np.stack([np.kron(x, y) for x, y in zip(xs, ys)])
+        assert np.array_equal(product_vectors(xs, ys), expected)
+
+
 def test_gram_is_identity():
-    assert max_norm(tiles_upb().gram() - np.eye(5)) <= 1e-12
+    z = product_vectors(*tiles_upb())
+    assert max_norm(z @ z.T - np.eye(5)) <= 1e-12
+
+
+def test_state_and_form_match_the_outer_product_sum_bitwise():
+    """Z.T @ Z gives the same bits as summing outer products, so the
+    --upb report does not change with the way the projector is formed."""
+    span = _reference_span_projector()
+    assert np.array_equal(upb_state(), (np.eye(9) - span) / 4)
+    x, rho, margin = separating_max_cone_form(seed=0)
+    assert np.array_equal(x, span - (1 - SEPARATION_SAFETY) * margin * np.eye(9))
+    assert np.array_equal(rho, upb_state())
 
 
 def test_unextendibility_margin_value():
-    margin = unextendibility_margin(tiles_upb(), seed=0)
+    margin = unextendibility_margin(seed=0)
     assert margin == pytest.approx(TILES_MARGIN, abs=1e-6)
     assert margin > 0.02
 
