@@ -25,7 +25,7 @@ from .errors import (
     NotLocallyPositive,
     SupportViolation,
 )
-from .fiber import FiberSample, SpreadReport, push_and_spread, sample_fiber
+from .fiber import FiberSample, SpreadReport, push_and_spread, sample_fiber, sample_fibers
 from .linalg import (
     kron,
     rng_from_seed,

@@ -24,8 +24,13 @@ eigenvalues mu_min < 0 < mu_max of R^T D R = U diag(mu) U^T give both ends
 at once, a in [-1/mu_max, -1/mu_min], and R U diag(1 + a mu)^{-1/2} is the
 factor at the next point: one eigensolve per step.  Every walk point keeps
 x + F0 >= 0, so lambda_min(x) >= -(floor + max(0, -lambda_min(start)))
-over the whole walk, in exact arithmetic.  The walk is sequential; the work
-per representative is not: the post-burn-in points go into one (n, D, D) array
+over the whole walk, in exact arithmetic.  Each chain is sequential, but
+chains requested together (:func:`sample_fibers`, shadows of one dims) share
+each step's eigensolve: one stacked eigensolve of R_k^T D_k R_k over the
+chains still walking, with each chain's own random stream and its own
+Python-float step, so every chain is the one it would be alone, bit for bit.
+The work per representative is stacked too: a block's walk points are summed
+in one pass, the post-burn-in points of a chain go into one (n, D, D) array
 and are validated in stacked passes of VALIDATION_BLOCK points, and the push
 maps, tests and projects the representatives in passes of the same size.
 When the pushed shadows coincide to within a Frobenius bound (the locally
@@ -44,7 +49,7 @@ import numpy as np
 
 from .blocks import grading_basis
 from .cones import FeasibilityParams, in_boxtimes_cone, MEMBER
-from .errors import InfeasibleShadow
+from .errors import DimensionMismatch, InfeasibleShadow
 from .linalg import eigh, eigvalsh, max_norm, min_eigenvalue, rng_from_seed
 from .processes import LinearProcess
 from .shadow import ShadowState, local_shadow_matrix
@@ -127,20 +132,26 @@ def _congruence_factor(w: np.ndarray, v: np.ndarray, floor: float) -> np.ndarray
     return v / np.sqrt(np.maximum(w, floor))
 
 
-def _chord(factor: np.ndarray, direction: np.ndarray):
-    """(mu, U, a_minus, a_plus) for the factor R of x + F0 and a direction D:
-    R^T D R = U diag(mu) U^T, and x + alpha*D + F0 is positive exactly for
-    -a_minus <= alpha <= a_plus, a_minus = 1/mu_max, a_plus = -1/mu_min,
-    because it is congruent to I + alpha*R^T D R (Smith's hit-and-run)."""
-    mu, u = eigh(factor.T @ direction @ factor)
+def _chord_step(factor: np.ndarray, direction: np.ndarray, draws) -> tuple:
+    """(mu, U, alpha) for (L, D, D) stacks of factors R of x + F0 and of
+    directions D, and L draws in [0, 1]: R^T D R = U diag(mu) U^T per matrix,
+    and alpha[i] = [(a_minus + a_plus) * draws[i] - a_minus] is the draw's
+    point on the chord -a_minus <= alpha <= a_plus, a_minus = 1/mu_max,
+    a_plus = -1/mu_min, where x + alpha*D + F0 is positive because it is
+    congruent to I + alpha*R^T D R (Smith's hit-and-run).  On Python floats,
+    so each chain's step rounds as it does when walked alone."""
+    mu, u = eigh(factor.swapaxes(-1, -2) @ direction @ factor)
     # D is a nonzero traceless kernel element; R^T D R is congruent to it, so
     # (Sylvester's law of inertia) mu has both signs.
-    return mu, u, 1.0 / float(mu[-1]), -1.0 / float(mu[0])
+    extremes = mu[:, ::mu.shape[-1] - 1].tolist()
+    return mu, u, [[(1.0 / top - 1.0 / bottom) * r - 1.0 / top]
+                   for (bottom, top), r in zip(extremes, draws)]
 
 
 def sample_fiber(shadow: ShadowState, n: int, seed: int,
                  burn_in: int = 100) -> FiberSample:
-    """Hit-and-run sample of the fiber of a shadow.
+    """Hit-and-run sample of the fiber of a shadow: :func:`sample_fibers`
+    on a stack of one chain.
 
     Requires the shadow to admit a positive completion (boxtimes member);
     raises InfeasibleShadow otherwise.  With an empty kernel the fiber is a
@@ -151,47 +162,123 @@ def sample_fiber(shadow: ShadowState, n: int, seed: int,
 
     One eigensolve per step, of R^T D R for the walk's congruence factor R
     (see the module docstring), with the directions and uniform draws taken
-    in blocks of VALIDATION_BLOCK steps.  In exact arithmetic every walk
-    point has lambda_min >= -(floor + max(0, -lambda_min(start))).
+    in blocks of VALIDATION_BLOCK steps.  The chain is sequential; walks of
+    several shadows of one dims go faster together, through
+    :func:`sample_fibers`, which shares each step's eigensolve.  In exact
+    arithmetic every walk point has lambda_min >= -(floor + max(0,
+    -lambda_min(start))).  Raises ValueError for n < 1 or burn_in < 0.
     """
-    if n < 1:
+    return sample_fibers([shadow], [n], [seed], burn_in)[0]
+
+
+def sample_fibers(shadows, ns, seeds, burn_in: int = 100) -> list[FiberSample]:
+    """Independent hit-and-run chains on shadows of one dims, walked together.
+
+    Chain i samples the fiber of ``shadows[i]`` with ``n = ns[i]`` and
+    ``seed = seeds[i]``, and returns what ``sample_fiber(shadows[i], ns[i],
+    seeds[i], burn_in)`` would return alone, bit for bit: each chain keeps
+    its own random stream, drawn in the same blocks, and a step takes one
+    stacked eigensolve for every chain still walking (the chains are sorted
+    longest first, so those are a prefix of the stack).  Start points and
+    validation passes are per chain.
+    """
+    shadows, ns, seeds = list(shadows), list(ns), list(seeds)
+    if not len(shadows) == len(ns) == len(seeds):
+        raise ValueError("sample_fibers needs one n and one seed per shadow")
+    if any(n < 1 for n in ns):
         raise ValueError("n must be >= 1")
-    g = grading_basis(shadow.dims)
+    if burn_in < 0:
+        raise ValueError("burn_in must be >= 0")
+    if any(s.dims != shadows[0].dims for s in shadows):
+        raise DimensionMismatch("sample_fibers walks shadows of one dims")
+    if not shadows:
+        return []
+    g = grading_basis(shadows[0].dims)
     kernel = g.stacked[g.kernel_index]
     k = kernel.shape[0]
     if k == 0:
-        start = shadow.op.copy()
-        if min_eigenvalue(start) < -REP_PSD_TOL:
-            raise InfeasibleShadow("shadow with empty kernel is not positive")
-        return FiberSample(shadow=shadow, representatives=start[None], seed=seed,
-                           n_requested=n, n_accepted=1, kernel_dim=0)
+        return [_single_point(s, n, seed) for s, n, seed in zip(shadows, ns, seeds)]
 
-    start, w, v = _feasible_start(shadow)
-    factor = _congruence_factor(w, v, EIG_FLOOR * (1.0 + max_norm(start)))
-    rng = rng_from_seed(seed, _STREAM_HIT_AND_RUN)
-    x = start
-    walk = np.empty((n,) + start.shape)
-    steps = burn_in + n
-    for first in range(0, steps, VALIDATION_BLOCK):
-        size = min(VALIDATION_BLOCK, steps - first)
-        # Isotropic directions: the chord is scale-free, so they need no
-        # normalization.
-        coefficients = rng.standard_normal((size, k))
-        draws = rng.random(size)
-        for step, c, draw in zip(range(first, first + size), coefficients, draws):
-            d_mat = (c @ kernel).reshape(start.shape)
-            mu, u, a_minus, a_plus = _chord(factor, d_mat)
-            alpha = (a_minus + a_plus) * draw - a_minus
-            x = x + alpha * d_mat
-            # A draw of exactly 0 lands on the boundary, where 1 + alpha mu
-            # is 0 up to rounding.
-            factor = (factor @ u) / np.sqrt(np.maximum(1.0 + alpha * mu, _FACTOR_GUARD))
-            if step >= burn_in:
-                walk[step - burn_in] = x
+    order = sorted(range(len(shadows)), key=lambda c: -ns[c])
+    starts = [_feasible_start(shadows[c]) for c in order]
+    steps = [burn_in + ns[c] for c in order]
+    rngs = [rng_from_seed(seeds[c], _STREAM_HIT_AND_RUN) for c in order]
+    walks = [np.empty((ns[c],) + shadows[c].op.shape) for c in order]
+    x = np.array([start for start, _, _ in starts])
+    factor = np.array([_congruence_factor(w, v, EIG_FLOOR * (1.0 + max_norm(start)))
+                       for start, w, v in starts])
+    for first in range(0, steps[0], VALIDATION_BLOCK):
+        size = min(VALIDATION_BLOCK, steps[0] - first)
+        live = sum(s > first for s in steps)
+        # Each chain draws its own block, as a chain walked alone does;
+        # isotropic directions, since the chord is scale-free.
+        coefficients = np.zeros((size, live, 1, k))
+        draws = np.zeros((size, live))
+        for i in range(live):
+            m = min(VALIDATION_BLOCK, steps[i] - first)
+            coefficients[:m, i, 0] = rngs[i].standard_normal((m, k))
+            draws[:m, i] = rngs[i].random(m)
+        # Row 0 of the block's terms is its start points, row 1 + j the
+        # directions of step j, and then the steps alpha*D.  The directions
+        # are a stacked gemv per chain and step, as for one chain: a gemm
+        # over the rows would round differently.
+        terms = np.empty((size + 1, live) + x.shape[1:])
+        terms[0] = x[:live]
+        directions = terms[1:]
+        np.matmul(coefficients, kernel, out=directions.reshape(size, live, 1, -1))
+        alphas = np.zeros((size, live, 1))
+        factor = factor[:live]
+        lo = 0
+        # The chains are sorted longest first: the last of the first `chains`
+        # is the next to stop.
+        for chains in range(live, 0, -1):
+            hi = min(steps[chains - 1] - first, size)
+            if hi <= lo:
+                continue
+            factor = factor[:chains]
+            for d, draw, alpha in zip(directions[lo:hi, :chains], draws[lo:hi, :chains].tolist(),
+                                      alphas[lo:hi, :chains]):
+                mu, u, alpha[...] = _chord_step(factor, d, draw)
+                # A draw of exactly 0 lands on the boundary, where 1 + alpha mu
+                # is 0 up to rounding.
+                scale = np.sqrt(np.maximum(1.0 + alpha * mu, _FACTOR_GUARD))
+                factor = (factor @ u) / scale[:, None, :]
+            lo = hi
+        # The walk points of the block, summed in step order as one chain
+        # sums them; a finished chain's rows are never read.
+        directions *= alphas[..., None]
+        xs = np.add.accumulate(terms, out=terms)
+        x = xs[-1]
+        lo = max(first, burn_in)
+        for i in range(live):
+            hi = min(first + size, steps[i])
+            if lo < hi:
+                walks[i][lo - burn_in:hi - burn_in] = xs[1 + lo - first:1 + hi - first, i]
+
+    samples = [None] * len(shadows)
+    for c, walk, (start, _, _) in zip(order, walks, starts):
+        samples[c] = _validated(shadows[c], walk, start, seeds[c], k)
+    return samples
+
+
+def _single_point(shadow: ShadowState, n: int, seed: int) -> FiberSample:
+    """The fiber of a shadow with an empty kernel: its own operator."""
+    start = shadow.op.copy()
+    if min_eigenvalue(start) < -REP_PSD_TOL:
+        raise InfeasibleShadow("shadow with empty kernel is not positive")
+    return FiberSample(shadow=shadow, representatives=start[None], seed=seed,
+                       n_requested=n, n_accepted=1, kernel_dim=0)
+
+
+def _validated(shadow: ShadowState, walk: np.ndarray, start: np.ndarray, seed: int,
+               k: int) -> FiberSample:
+    """The walk points that pass the representative checks, in stacked passes
+    of VALIDATION_BLOCK; the start point always validates, so it stands in
+    when none does."""
+    n = len(walk)
     valid = np.concatenate([_valid_representatives(walk[i:i + VALIDATION_BLOCK], shadow)
                             for i in range(0, n, VALIDATION_BLOCK)])
     accepted = int(valid.sum())
-    # The start point always validates; fall back to it.
     reps = walk if accepted == n else walk[valid] if accepted else start[None]
     return FiberSample(shadow=shadow, representatives=reps, seed=seed,
                        n_requested=n, n_accepted=len(reps), kernel_dim=k,

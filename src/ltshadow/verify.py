@@ -26,7 +26,7 @@ from .cones import (
     in_positive_ss_cone,
     replay_boxtimes_member,
 )
-from .fiber import push_and_spread, sample_fiber
+from .fiber import FiberSample, push_and_spread, sample_fibers
 from .linalg import (
     eigh,
     eigvalsh,
@@ -113,6 +113,33 @@ def kernel_invariance_deviation(seed: int) -> float:
         coords = (g.rows("ss") @ shadows.reshape(len(shadows), -1, 1))[:, :, 0]
         worst = max(worst, float(np.abs(coords[:10] - coords[10:]).max()))
     return worst
+
+
+def random_pure_state(d: int, rng: np.random.Generator) -> np.ndarray:
+    """v (.) v for a Gaussian unit vector v in R^d."""
+    v = rng.standard_normal(d)
+    v /= np.linalg.norm(v)
+    return np.outer(v, v)
+
+
+def report_fiber_walks(seed: int) -> tuple[float, FiberSample]:
+    """The report's five fiber walks, in one stack of chains per dims.
+
+    Two random pure states at each of (2, 2) and (2, 3) are walked with
+    seeds seed and seed + 1 at n = 10; the first value is the largest
+    trace-norm distance of a representative from its state.  The demo state
+    (:func:`nondeterminism_demo_state`) is walked in the (2, 2) stack with
+    seed and n = 40, and its sample is the second value."""
+    pure22, pure23 = ([random_pure_state(dims[0] * dims[1], rng_from_seed(seed, 200 + idx, k))
+                       for k in range(2)]
+                      for idx, dims in enumerate(((2, 2), (2, 3))))
+    demo = lt_state(nondeterminism_demo_state(), (2, 2))
+    *walked22, demo_sample = sample_fibers([lt_state(p, (2, 2)) for p in pure22] + [demo],
+                                           [10, 10, 40], [seed, seed + 1, seed])
+    walked23 = sample_fibers([lt_state(p, (2, 3)) for p in pure23], [10, 10], [seed, seed + 1])
+    worst = max(float(np.abs(eigvalsh(sample.representatives - pure)).sum(axis=-1).max())
+                for pure, sample in zip(pure22 + pure23, walked22 + walked23))
+    return worst, demo_sample
 
 
 def run_verification_report(seed: int = 7, include_upb: bool = False) -> dict:
@@ -220,17 +247,7 @@ def run_verification_report(seed: int = 7, include_upb: bool = False) -> dict:
     )
 
     # --- Pure-state fiber rigidity ----------------------------------------
-    worst_rigidity = 0.0
-    for idx, dims in enumerate(((2, 2), (2, 3))):
-        d = dims[0] * dims[1]
-        for k in range(2):
-            rng = rng_from_seed(seed, 200 + idx, k)
-            v = rng.standard_normal(d)
-            v /= np.linalg.norm(v)
-            pure = np.outer(v, v)
-            sample = sample_fiber(lt_state(pure, dims), n=10, seed=seed + k)
-            deviations = np.abs(eigvalsh(sample.representatives - pure)).sum(axis=-1)
-            worst_rigidity = max(worst_rigidity, float(deviations.max()))
+    worst_rigidity, demo_sample = report_fiber_walks(seed)
     add("pure_state_fiber_rigidity", worst_rigidity <= 1e-7,
         max_trace_norm_deviation=worst_rigidity)
 
@@ -239,16 +256,13 @@ def run_verification_report(seed: int = 7, include_upb: bool = False) -> dict:
     add("kernel_invariance", worst_kernel <= 1e-13, max_coordinate_deviation=worst_kernel)
 
     # --- Non-deterministic shadows -----------------------------------------
-    demo = nondeterminism_demo_state()
-    demo_shadow = lt_state(demo, (2, 2))
-    sample = sample_fiber(demo_shadow, n=40, seed=seed)
     local = random_locally_positive_process((2, 2), seed=seed)
-    spread_leaky = push_and_spread(sample, leaky)
-    spread_local = push_and_spread(sample, local)
+    spread_leaky = push_and_spread(demo_sample, leaky)
+    spread_local = push_and_spread(demo_sample, local)
     add(
         "nondeterministic_shadow_demo",
         spread_leaky.diameter > 0.01 and spread_local.diameter <= 1e-7,
-        fiber_points=sample.n_accepted,
+        fiber_points=demo_sample.n_accepted,
         leaky_diameter=spread_leaky.diameter,
         local_diameter=spread_local.diameter,
     )

@@ -1,4 +1,10 @@
-"""Serial reference for the per-representative work of ``ltshadow.fiber``.
+"""Serial reference for the walk and the per-representative work of
+``ltshadow.fiber``.
+
+:func:`walk` is one chain of hit-and-run on 2-D arrays: one eigensolve of
+R^T D R per step, with Python-float chord ends.  The sampler walks a stack of
+chains with one stacked eigensolve per step, so tests require every chain to
+equal this walk bit for bit.
 
 One matrix at a time: each walk point is validated on its own (positive
 within REP_PSD_TOL, trace within REP_TRACE_TOL of the shadow's, shadow
@@ -11,9 +17,61 @@ within 1e-12.
 
 import numpy as np
 
-from ltshadow.fiber import REP_PSD_TOL, REP_SHADOW_TOL, REP_TRACE_TOL
-from ltshadow.linalg import max_norm, min_eigenvalue, trace_norm
+from ltshadow.blocks import grading_basis
+from ltshadow.fiber import (
+    _FACTOR_GUARD,
+    _STREAM_HIT_AND_RUN,
+    EIG_FLOOR,
+    REP_PSD_TOL,
+    REP_SHADOW_TOL,
+    REP_TRACE_TOL,
+    VALIDATION_BLOCK,
+    FiberSample,
+    _congruence_factor,
+    _feasible_start,
+    _valid_representatives,
+)
+from ltshadow.linalg import eigh, max_norm, min_eigenvalue, rng_from_seed, trace_norm
 from ltshadow.shadow import local_shadow_matrix
+
+
+def _chord(factor, direction):
+    mu, u = eigh(factor.T @ direction @ factor)
+    return mu, u, 1.0 / float(mu[-1]), -1.0 / float(mu[0])
+
+
+def walk(shadow, n, seed, burn_in=100):
+    """One hit-and-run chain of ``burn_in + n`` steps, validated as the
+    sampler validates: a FiberSample of the walk points that pass, or of the
+    start point if none does."""
+    g = grading_basis(shadow.dims)
+    kernel = g.stacked[g.kernel_index]
+    k = kernel.shape[0]
+    start, w, v = _feasible_start(shadow)
+    factor = _congruence_factor(w, v, EIG_FLOOR * (1.0 + max_norm(start)))
+    rng = rng_from_seed(seed, _STREAM_HIT_AND_RUN)
+    x = start
+    points = np.empty((n,) + start.shape)
+    steps = burn_in + n
+    for first in range(0, steps, VALIDATION_BLOCK):
+        size = min(VALIDATION_BLOCK, steps - first)
+        coefficients = rng.standard_normal((size, k))
+        draws = rng.random(size)
+        for step, c, draw in zip(range(first, first + size), coefficients, draws):
+            d_mat = (c @ kernel).reshape(start.shape)
+            mu, u, a_minus, a_plus = _chord(factor, d_mat)
+            alpha = (a_minus + a_plus) * draw - a_minus
+            x = x + alpha * d_mat
+            factor = (factor @ u) / np.sqrt(np.maximum(1.0 + alpha * mu, _FACTOR_GUARD))
+            if step >= burn_in:
+                points[step - burn_in] = x
+    valid = np.concatenate([_valid_representatives(points[i:i + VALIDATION_BLOCK], shadow)
+                            for i in range(0, n, VALIDATION_BLOCK)])
+    accepted = int(valid.sum())
+    reps = points if accepted == n else points[valid] if accepted else start[None]
+    return FiberSample(shadow=shadow, representatives=reps, seed=seed,
+                       n_requested=n, n_accepted=len(reps), kernel_dim=k,
+                       rejected=n - accepted)
 
 
 def valid_representative(x, shadow):

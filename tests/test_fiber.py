@@ -11,17 +11,18 @@ from hypothesis import given, settings, strategies as st
 from ltshadow import fiber
 from ltshadow.blocks import grading_basis
 from ltshadow.cones import FeasibilityParams
-from ltshadow.errors import InfeasibleShadow
+from ltshadow.errors import DimensionMismatch, InfeasibleShadow
 from ltshadow.fiber import (
     EIG_FLOOR,
     SPREAD_ZERO_TOL,
     VALIDATION_BLOCK,
     FiberSample,
-    _chord,
+    _chord_step,
     _congruence_factor,
     _valid_representatives,
     push_and_spread,
     sample_fiber,
+    sample_fibers,
 )
 from ltshadow.linalg import (
     eigh,
@@ -171,6 +172,14 @@ def state_of_rank(d, rank, rng):
     return x / np.trace(x)
 
 
+def chord_ends(factor, direction):
+    """The ends of the chord through x along the direction, as the draws 0
+    and 1 pick them: -a_minus exactly, and a_plus up to rounding."""
+    (_, _, [[low]]), (_, _, [[high]]) = (_chord_step(factor[None], direction[None], [draw])
+                                         for draw in (0.0, 1.0))
+    return low, high
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 2**32 - 1), dims=st.sampled_from([(2, 2), (2, 3), (3, 3)]))
 def test_interval_ends_are_on_the_cone_boundary(seed, dims):
@@ -179,9 +188,9 @@ def test_interval_ends_are_on_the_cone_boundary(seed, dims):
     x = state_of_rank(d, 2 * d, rng)  # positive definite
     direction = kernel_direction(dims, rng)
     scale = 1.0 + max_norm(x)
-    _, _, a_minus, a_plus = _chord(_congruence_factor(*eigh(x), EIG_FLOOR * scale), direction)
-    assert a_minus > 0 and a_plus > 0
-    for end in (a_plus, -a_minus):
+    low, high = chord_ends(_congruence_factor(*eigh(x), EIG_FLOOR * scale), direction)
+    assert low < 0 < high
+    for end in (high, low):
         assert abs(min_eigenvalue(x + end * direction)) <= 1e-10 * scale
         assert min_eigenvalue(x + (1 + 1e-6) * end * direction) < 0
 
@@ -198,8 +207,8 @@ def test_interval_is_a_point_at_low_rank_states(dims, rank):
         rng = rng_from_seed(74, d, rank, k)
         x = state_of_rank(d, rank, rng)
         factor = _congruence_factor(*eigh(x), EIG_FLOOR * (1.0 + max_norm(x)))
-        _, _, a_minus, a_plus = _chord(factor, kernel_direction(dims, rng))
-        assert 0 <= a_minus + a_plus <= 1e-9
+        low, high = chord_ends(factor, kernel_direction(dims, rng))
+        assert 0 <= high - low <= 1e-9
 
 
 def test_push_and_spread_matches_pairwise_loop(eigensolves):
@@ -246,6 +255,15 @@ def test_sample_fiber_eigensolves_per_step(eigensolves):
     assert sample.n_accepted == 50
     # one per step, one for the start point, one stacked validation pass
     assert eigensolves["n"] == 150 + 1 + math.ceil(50 / VALIDATION_BLOCK)
+
+    # Three chains: one stacked call per step of the longest chain, and per
+    # chain one for the start point and one per validation pass.
+    states = [lt_state(random_density(9, rng_from_seed(76, k)), (3, 3)) for k in range(3)]
+    ns = [50, 20, 300]
+    eigensolves["n"] = 0
+    samples = sample_fibers(states, ns, [19, 20, 21], burn_in=100)
+    assert [s.n_accepted for s in samples] == ns
+    assert eigensolves["n"] == (100 + 300) + 3 + sum(math.ceil(n / VALIDATION_BLOCK) for n in ns)
 
 
 def test_stacked_validation_matches_serial_reference():
@@ -440,3 +458,59 @@ def test_kernel_part_off_the_slice_falls_back_to_the_oracle_start():
     assert sample.rejected == 0 and sample.n_accepted == 20
     shadows = local_shadow_matrix(sample.representatives, (2, 2))
     assert np.abs(shadows - op).max() <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# chains walked together
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (2, 2, 2)])
+def test_stacked_chains_match_the_serial_walk(dims):
+    """Every chain of a stack equals the one-chain walk bit for bit: rank 1
+    and full rank, a start from the state and from the oracle, n of 10, 40
+    and 200 (110, 140 and 300 steps: the blocks end at 128 and 256), chains
+    sharing a seed (one of them twice over), in an order that is not
+    sorted."""
+    d = math.prod(dims)
+    full = state_of_rank(d, 2 * d, rng_from_seed(83, d))
+    pure = state_of_rank(d, 1, rng_from_seed(84, d))
+    chains = [(lt_state(full, dims), 40, 5), (lt_state(pure, dims), 200, 6),
+              (bare_shadow(full, dims), 10, 5), (lt_state(full, dims), 200, 7),
+              (lt_state(full, dims), 40, 5), (lt_state(pure, dims), 10, 5)]
+    shadows, ns, seeds = zip(*chains)
+    samples = sample_fibers(shadows, ns, seeds)
+    for (shadow, n, seed), sample in zip(chains, samples):
+        alone = fiber_reference.walk(shadow, n, seed)
+        assert np.array_equal(sample.representatives, alone.representatives)
+        assert (sample.n_accepted, sample.rejected) == (alone.n_accepted, alone.rejected)
+        assert (sample.n_requested, sample.seed, sample.kernel_dim) == (n, seed, alone.kernel_dim)
+        assert sample.shadow is shadow
+    np.testing.assert_array_equal(samples[0].representatives, samples[4].representatives)
+    # The stack of one is the same walk.
+    alone = fiber_reference.walk(shadows[1], 200, 6).representatives
+    assert np.array_equal(sample_fiber(shadows[1], 200, 6).representatives, alone)
+
+
+@pytest.mark.parametrize("burn_in", [-5, -200])
+def test_negative_burn_in_is_refused(burn_in):
+    """A negative burn-in would read walk rows that were never written (or
+    none at all); it is refused like n < 1."""
+    shadow = lt_state(demo_state(), (2, 2))
+    with pytest.raises(ValueError, match="burn_in"):
+        sample_fiber(shadow, n=10, seed=1, burn_in=burn_in)
+    with pytest.raises(ValueError, match="burn_in"):
+        sample_fibers([shadow, shadow], [10, 20], [1, 2], burn_in=burn_in)
+    assert sample_fiber(shadow, n=10, seed=1, burn_in=0).n_accepted == 10
+
+
+def test_sample_fibers_refuses_mismatched_stacks():
+    two = lt_state(demo_state(), (2, 2))
+    three = lt_state(random_density(6, rng_from_seed(85)), (2, 3))
+    with pytest.raises(DimensionMismatch):
+        sample_fibers([two, three], [10, 10], [1, 2])
+    with pytest.raises(ValueError, match="one n and one seed"):
+        sample_fibers([two, two], [10], [1, 2])
+    with pytest.raises(ValueError, match="n must be"):
+        sample_fibers([two, two], [10, 0], [1, 2])
+    assert sample_fibers([], [], []) == []

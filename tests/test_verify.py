@@ -10,13 +10,19 @@ from ltshadow import verify
 
 @pytest.mark.parametrize("seed", [7, 11])
 def test_stacked_report_checks_match_serial_reference(seed):
-    """Stacked projections, one solve per dims and one stacked lambda_min
-    give the one-state-at-a-time values bit for bit."""
+    """Stacked projections, one solve per dims, one stacked lambda_min and
+    the fiber walks in one stack per dims give the one-at-a-time values bit
+    for bit."""
     assert (verify.shadow_vs_defining_system(seed)
             == verify_reference.shadow_vs_defining_system(seed))
     assert (verify.kernel_invariance_deviation(seed)
             == verify_reference.kernel_invariance_deviation(seed))
     assert verify.shadow_vs_defining_system(seed) > 0  # the checks compare something
+    checks = {c["name"]: c for c in verify.run_verification_report(seed)["checks"]}
+    for name in ("pure_state_fiber_rigidity", "nondeterministic_shadow_demo"):
+        serial = getattr(verify_reference, name)(seed)
+        assert {key: checks[name][key] for key in serial} == serial
+    assert checks["nondeterministic_shadow_demo"]["leaky_diameter"] > 0.01
 
 
 def test_report_is_plain_python():
