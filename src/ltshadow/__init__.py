@@ -51,9 +51,7 @@ from .processes import (
 from .shadow import (
     ShadowState,
     local_shadow_matrix,
-    locally_indistinguishable,
     lt_state,
-    lt_state_oracle,
     partial_transpose,
 )
 from .upb import (

@@ -98,10 +98,6 @@ class GradingBasis:
     def size(self) -> int:
         return self.stacked.shape[0]
 
-    @property
-    def sizes(self) -> dict[str, int]:
-        return {p: s.stop - s.start for p, s in self.slices.items()}
-
     def rows(self, pattern: str) -> np.ndarray:
         """(n_elements, D^2) rows of the named block."""
         if pattern not in self.slices:

@@ -13,8 +13,10 @@ require an explicit seed and echo it in the output.  Exit codes: 0 success,
 1 a check of ``examples`` failed, 2 malformed input (entries above 1e150 in
 magnitude or too large for a float, ``--dims`` text that does not split into
 integers, a ``fiber --n`` below 1 or above MAX_FIBER_N or a ``--seed`` that
-is not an integer >= 0, both refused before any work) or an output file that
-cannot be written, 3 dimension mismatch, a factor above 9 or a product of
+is not an integer >= 0, both refused before any work), a ``fiber --map``
+that cannot be read (refused before the walk) or an output file that cannot
+be written, 3 dimension mismatch (a ``fiber --map`` whose input dims are not
+the shadow's is refused before the walk), a factor above 9 or a product of
 factors above 81 (of a matrix or a process), or dims that are not integers
 >= 1 (``--dims 0,4``, ``"dims": [2.5, 2]`` or ``[true, 4]``, a process's
 ``"in_dims": [2.5, 2]``; 2.0 counts as 2), 4 infeasible or undecided where
@@ -26,6 +28,7 @@ identical (input, flags, seed).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -248,6 +251,10 @@ def cmd_fiber(args) -> tuple[dict, int]:
         raise _BadInput(f"--n {args.n} is above the limit of {MAX_FIBER_N}")
     m, dims = _read_matrix(args.shadow, args.dims)
     shadow = ShadowState(op=m, dims=dims)
+    proc = None if args.map is None else _read_process(args.map)
+    if proc is not None and proc.in_dims != dims:
+        raise DimensionMismatch(
+            f"--map input dims {list(proc.in_dims)} do not match the shadow's dims {list(dims)}")
     sample = sample_fiber(shadow, n=args.n, seed=args.seed)
     payload = {
         "seed": args.seed,
@@ -257,8 +264,7 @@ def cmd_fiber(args) -> tuple[dict, int]:
         "kernel_dim": sample.kernel_dim,
         "rejected": sample.rejected,
     }
-    if args.map is not None:
-        proc = _read_process(args.map)
+    if proc is not None:
         report = push_and_spread(sample, proc)
         payload["spread"] = {
             "n": report.n,
@@ -280,7 +286,10 @@ def cmd_examples(args) -> tuple[dict, int]:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # Built once per process; the cmd_* functions it dispatches to look
+    # their helpers up when called.
     parser = argparse.ArgumentParser(
         prog="lt-shadow",
         description="Shadows of real quantum states: block decomposition, "

@@ -108,13 +108,6 @@ class ConeMembershipResult:
 # ---------------------------------------------------------------------------
 
 
-def product_quadratic_value(m: np.ndarray, dims, x: np.ndarray, y: np.ndarray) -> float:
-    """q(x, y) = <x o y, M (x o y)> for unit vectors on the two factors."""
-    m, (da, db) = operand(m, dims, parties=2)
-    m4 = m.reshape(da, db, da, db)
-    return float(np.einsum("ijkl,i,j,k,l->", m4, x, y, x, y))
-
-
 def _pairs(v: np.ndarray) -> np.ndarray:
     """Row r of the result is the outer product v_r v_r^T, flattened."""
     return (v[:, :, None] * v[:, None, :]).reshape(len(v), -1)

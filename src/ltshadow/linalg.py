@@ -68,11 +68,6 @@ def min_eigenvalue(m: np.ndarray) -> float:
     return float(eigvalsh(m)[0])
 
 
-def trace_norm(m: np.ndarray) -> float:
-    """Sum of absolute eigenvalues of the symmetric part."""
-    return float(np.sum(np.abs(eigvalsh(m))))
-
-
 # ---------------------------------------------------------------------------
 # Seeded randomness (Philox: counter-based, stable across platforms)
 # ---------------------------------------------------------------------------

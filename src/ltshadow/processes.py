@@ -92,9 +92,6 @@ class LinearProcess:
             )
         return LinearProcess(inner.in_dims, self.out_dims, self.matrix @ inner.matrix)
 
-    def norm(self) -> float:
-        return max_norm(self.matrix)
-
 
 def process_from_function(fn, in_dims, out_dims) -> LinearProcess:
     """Materialize a matrix from the action of fn on every input basis element."""

@@ -22,9 +22,8 @@ import numpy as np
 
 from .blocks import grading_basis, operand
 from .errors import SupportViolation
-from .linalg import max_norm, sym_part
+from .linalg import max_norm
 
-INDISTINGUISHABILITY_TOL = 1e-9
 SHADOW_SUPPORT_TOL = 1e-9
 
 
@@ -123,13 +122,6 @@ def lt_state(w: np.ndarray, dims) -> ShadowState:
     return state
 
 
-def lt_state_oracle(w: np.ndarray, dims) -> ShadowState:
-    """Independent shadow computation from the defining linear system
-    (:func:`defining_system_shadow`); used as the anti-bug cross-check for
-    the closed form."""
-    return ShadowState(op=defining_system_shadow(w, dims), dims=dims)
-
-
 def defining_system_shadow(w: np.ndarray, dims) -> np.ndarray:
     """The shadow of W, or of each matrix of an (R, D, D) stack, from the
     defining linear system.
@@ -150,21 +142,3 @@ def defining_system_shadow(w: np.ndarray, dims) -> np.ndarray:
     rhs = (products @ flat[:, :, None])[:, :, 0]
     coeff = np.linalg.solve(gram, rhs.T).T
     return (coeff[:, None, :] @ products).reshape(w.shape)
-
-
-def locally_indistinguishable(w1: np.ndarray, w2: np.ndarray, dims,
-                              tol: float = INDISTINGUISHABILITY_TOL) -> bool:
-    """True iff the two states have the same shadow within tol.
-
-    The tolerance is relative to the larger input (max-norm), so the answer
-    does not change when both states are scaled by the same factor.
-    """
-    s1 = local_shadow_matrix(w1, dims)
-    s2 = local_shadow_matrix(w2, dims)
-    return max_norm(s1 - s2) <= tol * max(max_norm(w1), max_norm(w2))
-
-
-def aa_projection(w: np.ndarray, dims) -> np.ndarray:
-    """Component of W in the shadow kernel (the ``kernel_index`` rows of the
-    grading basis): its symmetric part minus its shadow."""
-    return sym_part(w) - local_shadow_matrix(w, dims)

@@ -16,6 +16,7 @@ within 1e-12.
 """
 
 import numpy as np
+from matrix_helpers import trace_norm
 
 from ltshadow.blocks import grading_basis
 from ltshadow.fiber import (
@@ -31,7 +32,7 @@ from ltshadow.fiber import (
     _feasible_start,
     _valid_representatives,
 )
-from ltshadow.linalg import eigh, max_norm, min_eigenvalue, rng_from_seed, trace_norm
+from ltshadow.linalg import eigh, max_norm, min_eigenvalue, rng_from_seed
 from ltshadow.shadow import local_shadow_matrix
 
 

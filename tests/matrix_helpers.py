@@ -2,8 +2,11 @@
 
 import numpy as np
 
-from ltshadow.blocks import grading_basis
-from ltshadow.linalg import sym_part
+from ltshadow.blocks import grading_basis, operand
+from ltshadow.linalg import eigvalsh, max_norm, sym_part
+from ltshadow.shadow import local_shadow_matrix
+
+INDISTINGUISHABILITY_TOL = 1e-9
 
 
 def antisym_part(a):
@@ -52,3 +55,38 @@ def parity_breaking_map():
     m = np.eye(g.size)
     m[g.shadow_index[0], g.slices["sa"].start] = 0.5
     return LinearProcess((2, 2), (2, 2), m)
+
+
+def block_sizes(basis):
+    """Number of rows of each block of a grading basis."""
+    return {p: s.stop - s.start for p, s in basis.slices.items()}
+
+
+def trace_norm(m: np.ndarray) -> float:
+    """Sum of absolute eigenvalues of the symmetric part."""
+    return float(np.sum(np.abs(eigvalsh(m))))
+
+
+def product_quadratic_value(m: np.ndarray, dims, x: np.ndarray, y: np.ndarray) -> float:
+    """q(x, y) = <x o y, M (x o y)> for unit vectors on the two factors."""
+    m, (da, db) = operand(m, dims, parties=2)
+    m4 = m.reshape(da, db, da, db)
+    return float(np.einsum("ijkl,i,j,k,l->", m4, x, y, x, y))
+
+
+def locally_indistinguishable(w1: np.ndarray, w2: np.ndarray, dims,
+                              tol: float = INDISTINGUISHABILITY_TOL) -> bool:
+    """True iff the two states have the same shadow within tol.
+
+    The tolerance is relative to the larger input (max-norm), so the answer
+    does not change when both states are scaled by the same factor.
+    """
+    s1 = local_shadow_matrix(w1, dims)
+    s2 = local_shadow_matrix(w2, dims)
+    return max_norm(s1 - s2) <= tol * max(max_norm(w1), max_norm(w2))
+
+
+def aa_projection(w: np.ndarray, dims) -> np.ndarray:
+    """Component of W in the shadow kernel (the ``kernel_index`` rows of the
+    grading basis): its symmetric part minus its shadow."""
+    return sym_part(w) - local_shadow_matrix(w, dims)

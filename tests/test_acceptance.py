@@ -12,7 +12,13 @@ import time
 
 import numpy as np
 from boxtimes_reference import line_maximum
-from matrix_helpers import expected_sizes, random_ss_matrix
+from matrix_helpers import (
+    block_sizes,
+    expected_sizes,
+    locally_indistinguishable,
+    random_ss_matrix,
+    trace_norm,
+)
 
 from ltshadow.blocks import grading_basis
 from ltshadow.cones import (
@@ -32,7 +38,6 @@ from ltshadow.linalg import (
     min_eigenvalue,
     random_density,
     rng_from_seed,
-    trace_norm,
 )
 from ltshadow.processes import (
     epsilon_functional,
@@ -44,10 +49,9 @@ from ltshadow.processes import (
 )
 from ltshadow.shadow import (
     ShadowState,
+    defining_system_shadow,
     local_shadow_matrix,
-    locally_indistinguishable,
     lt_state,
-    lt_state_oracle,
 )
 from ltshadow.upb import upb_state
 
@@ -111,7 +115,7 @@ def test_criterion_3_oracle_equivalence_200_states():
         for k in range(n):
             rng = rng_from_seed(SEED, 10 + idx, k)
             w = random_density(d, rng)
-            dev = max_norm(lt_state(w, dims).op - lt_state_oracle(w, dims).op)
+            dev = max_norm(lt_state(w, dims).op - defining_system_shadow(w, dims))
             worst = max(worst, dev)
             count += 1
     elapsed = time.perf_counter() - start
@@ -126,7 +130,7 @@ def test_criterion_4_block_structure():
     for da in range(1, 5):
         for db in range(1, 5):
             basis = grading_basis((da, db))
-            sizes = basis.sizes
+            sizes = block_sizes(basis)
             d = da * db
             sizes_ok = sizes == expected_sizes(da, db)
             sum_ok = sum(sizes.values()) == d * d
@@ -167,7 +171,7 @@ def _behavioral_conditions(proc, seed):
     """(kernel preservation, indistinguishability preservation, commuting square)."""
     dims = (2, 2)
     kernel = grading_basis(dims).block("aa")
-    scale_tol = 1e-9 * (1 + proc.norm())
+    scale_tol = 1e-9 * (1 + max_norm(proc.matrix))
     kernel_ok = all(
         max_norm(local_shadow_matrix(proc.apply(k), dims)) <= scale_tol for k in kernel
     )

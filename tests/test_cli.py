@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: subcommands, exit codes, determinism."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -493,6 +494,53 @@ def test_fiber_n_above_limit_exit_2_before_sampling(tmp_path, capsys, monkeypatc
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: --n 10001 is above the limit of {cli.MAX_FIBER_N}\n"
+
+
+def _fiber_with_map(tmp_path, monkeypatch, map_path):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the --map check")
+
+    monkeypatch.setattr(cli, "sample_fiber", no_sampling)
+    path = epr_shadow_file(tmp_path)
+    return cli.main(["fiber", "--shadow", str(path), "--seed", "1", "--n", "10",
+                     "--map", str(map_path)])
+
+
+def test_fiber_unreadable_map_exit_2_before_sampling(tmp_path, capsys, monkeypatch):
+    missing = tmp_path / "missing.json"
+    assert _fiber_with_map(tmp_path, monkeypatch, missing) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: cannot read {missing}: ")
+
+
+def test_fiber_map_dims_mismatch_exit_3_before_sampling(tmp_path, capsys, monkeypatch):
+    map_path = tmp_path / "map.json"
+    map_path.write_text(dumps(process_to_json(swap_process((2, 3)))))
+    assert _fiber_with_map(tmp_path, monkeypatch, map_path) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --map input dims [2, 3] do not match the shadow's dims [2, 2]\n"
+
+
+def test_two_main_calls_build_one_parser(tmp_path, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    getattr(cli.build_parser, "cache_clear", lambda: None)()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    argv = ["shadow", "-i", str(epr_shadow_file(tmp_path))]
+    assert cli.main(argv) == 0
+    first = len(built)
+    assert first > 0 and built[0] == "lt-shadow"
+    assert cli.main(argv) == 0
+    assert len(built) == first
+    out, _ = capsys.readouterr()
+    assert len(out.splitlines()) == 2
 
 
 def test_fiber_n_below_one_exit_2_before_reading(tmp_path, capsys):

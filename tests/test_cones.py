@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from boxtimes_reference import line_maximum
 from hypothesis import given, settings, strategies as st
-from matrix_helpers import antisym_part, random_ss_matrix
+from matrix_helpers import antisym_part, product_quadratic_value, random_ss_matrix
 from nnls_reference import brute_force_nnls
 
 from ltshadow import cli, cones
@@ -24,7 +24,6 @@ from ltshadow.cones import (
     in_positive_ss_cone,
     nnls,
     product_form_extremum,
-    product_quadratic_value,
     replay_boxtimes_member,
     replay_separating_functional,
     separable_certificate_error,

@@ -7,6 +7,7 @@ import fiber_reference
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from matrix_helpers import aa_projection, trace_norm
 
 from ltshadow import fiber
 from ltshadow.blocks import grading_basis
@@ -33,7 +34,6 @@ from ltshadow.linalg import (
     random_density,
     rng_from_seed,
     trace_inner,
-    trace_norm,
 )
 from ltshadow.processes import (
     LinearProcess,
@@ -43,7 +43,7 @@ from ltshadow.processes import (
     is_locally_positive,
     process_from_function,
 )
-from ltshadow.shadow import ShadowState, aa_projection, local_shadow_matrix, lt_state
+from ltshadow.shadow import ShadowState, local_shadow_matrix, lt_state
 
 PARAMS = FeasibilityParams(seed=401)
 

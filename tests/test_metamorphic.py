@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
-from matrix_helpers import random_shadow_matrix, random_ss_matrix
+from matrix_helpers import aa_projection, random_shadow_matrix, random_ss_matrix
 
 from ltshadow.blocks import grading_basis, project_block
 from ltshadow.cones import (
@@ -31,7 +31,6 @@ from ltshadow.linalg import kron, max_norm, min_eigenvalue, random_orthogonal, r
 from ltshadow.shadow import (
     SHADOW_SUPPORT_TOL,
     ShadowState,
-    aa_projection,
     local_shadow_matrix,
     require_shadow_support,
 )

@@ -2,14 +2,18 @@
 
 import numpy as np
 import pytest
-from matrix_helpers import parity_breaking_map
+from matrix_helpers import (
+    aa_projection,
+    locally_indistinguishable,
+    parity_breaking_map,
+    product_quadratic_value,
+)
 
 from ltshadow import processes
 from ltshadow.cones import (
     MEMBER,
     FeasibilityParams,
     in_boxtimes_cone,
-    product_quadratic_value,
     replay_boxtimes_member,
 )
 from ltshadow.errors import NotLocallyPositive
@@ -42,7 +46,7 @@ from ltshadow.processes import (
     to_coords,
     trace_unit_process,
 )
-from ltshadow.shadow import local_shadow_matrix, locally_indistinguishable
+from ltshadow.shadow import local_shadow_matrix
 
 PARAMS = FeasibilityParams(seed=201, restarts=12)
 J = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -230,7 +234,7 @@ def test_local_positivity_behavioral_equivalence():
         blocks_ok = is_locally_positive(proc).locally_positive
         # (a) kernel maps into kernel
         kernel_ok = all(
-            max_norm(local_shadow_matrix(proc.apply(k), (2, 2))) <= 1e-9 * (1 + proc.norm())
+            max_norm(local_shadow_matrix(proc.apply(k), (2, 2))) <= 1e-9 * (1 + max_norm(proc.matrix))
             for k in kernel
         )
         # (b) locally indistinguishable pairs stay indistinguishable
@@ -239,7 +243,7 @@ def test_local_positivity_behavioral_equivalence():
             w = random_density(4, rng)
             t = 0.4 * float(np.linalg.eigvalsh(w)[0])
             w2 = w + t * kernel[0]
-            tol = 1e-9 * (1 + proc.norm())
+            tol = 1e-9 * (1 + max_norm(proc.matrix))
             pairs_ok &= locally_indistinguishable(proc.apply(w), proc.apply(w2),
                                                   (2, 2), tol=tol)
         # (c) the commuting square with the shadow-block candidate
@@ -249,7 +253,7 @@ def test_local_positivity_behavioral_equivalence():
             w = random_density(4, rng)
             lhs = local_shadow_matrix(proc.apply(w), (2, 2))
             rhs = candidate.apply(local_shadow_matrix(w, (2, 2)))
-            square_ok &= max_norm(lhs - rhs) <= 1e-9 * (1 + proc.norm())
+            square_ok &= max_norm(lhs - rhs) <= 1e-9 * (1 + max_norm(proc.matrix))
         return blocks_ok, kernel_ok, pairs_ok, square_ok
 
     for k in range(6):
@@ -286,7 +290,7 @@ def test_choi_product_form_is_v_phi_v(in_dims, out_dims):
         x, v = unit(rng, gin.dim), unit(rng, gout.dim)
         direct = v @ proc.apply(np.outer(x, x)) @ v
         form = product_quadratic_value(c, (gout.dim, gin.dim), v, x)
-        assert abs(direct - form) <= 1e-12 * (1 + proc.norm())
+        assert abs(direct - form) <= 1e-12 * (1 + max_norm(proc.matrix))
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
@@ -301,7 +305,7 @@ def test_generated_maps_are_positive_without_a_search(dims, eigensolves):
         for _ in range(200):
             x = unit(rng, d)
             lam = np.linalg.eigvalsh(proc.apply(np.outer(x, x)))[0]
-            assert lam >= -1e-12 * (1 + proc.norm())
+            assert lam >= -1e-12 * (1 + max_norm(proc.matrix))
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
@@ -354,8 +358,6 @@ def test_pushed_shadows_stay_in_boxtimes():
     """Shadows of outputs of positive locally positive maps are boxtimes
     members, certified by the kernel part of the actual output."""
     rng = rng_from_seed(63)
-    from ltshadow.shadow import aa_projection
-
     for k in range(5):
         proc = random_locally_positive_process((2, 2), seed=640 + k)
         w = random_density(4, rng)

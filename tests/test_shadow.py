@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from matrix_helpers import aa_projection, locally_indistinguishable
 
 from ltshadow import blocks, shadow
 from ltshadow.blocks import grading_basis
@@ -13,9 +14,7 @@ from ltshadow.shadow import (
     ShadowState,
     defining_system_shadow,
     local_shadow_matrix,
-    locally_indistinguishable,
     lt_state,
-    lt_state_oracle,
     partial_transpose,
 )
 
@@ -124,16 +123,16 @@ def test_oracle_agrees_on_random_densities(dims):
         rng = rng_from_seed(24, d, k)
         w = random_density(d, rng)
         direct = lt_state(w, dims).op
-        oracle = lt_state_oracle(w, dims).op
+        oracle = defining_system_shadow(w, dims)
         assert max_norm(direct - oracle) <= 1e-9
 
 
 def test_oracle_epr_and_maximally_mixed():
     np.testing.assert_allclose(
-        lt_state_oracle(epr_projector(), (2, 2)).op, epr_shadow_closed_form(), atol=1e-12
+        defining_system_shadow(epr_projector(), (2, 2)), epr_shadow_closed_form(), atol=1e-12
     )
     eye = np.eye(6) / 6
-    np.testing.assert_allclose(lt_state_oracle(eye, (2, 3)).op, eye, atol=1e-14)
+    np.testing.assert_allclose(defining_system_shadow(eye, (2, 3)), eye, atol=1e-14)
 
 
 def test_multipartite_single_factor_is_identity():
@@ -154,7 +153,7 @@ def test_multipartite_matches_oracle_three_factors():
         rng = rng_from_seed(27, k)
         w = random_density(8, rng)
         direct = lt_state(w, (2, 2, 2)).op
-        oracle = lt_state_oracle(w, (2, 2, 2)).op
+        oracle = defining_system_shadow(w, (2, 2, 2))
         assert max_norm(direct - oracle) <= 1e-9
 
 
@@ -238,7 +237,7 @@ def test_support_gate_runs_the_dims_rule_once(monkeypatch, dims, parties):
 def test_defining_system_of_a_stack_is_per_matrix(dims):
     d = math.prod(dims)
     ws = np.stack([random_density(d, rng_from_seed(33, d, k)) for k in range(7)])
-    expected = np.stack([lt_state_oracle(w, dims).op for w in ws])
+    expected = np.stack([defining_system_shadow(w, dims) for w in ws])
     np.testing.assert_array_equal(defining_system_shadow(ws, dims), expected)
 
 
@@ -265,7 +264,6 @@ def test_shadows_of_states_make_no_eigensolves(dims, eigensolves):
 def test_state_shadows_are_definitionally_boxtimes_members():
     """The kernel component of the state itself replays as a certificate."""
     from ltshadow.cones import replay_boxtimes_member
-    from ltshadow.shadow import aa_projection
 
     for dims in ((2, 2), (2, 3), (3, 3)):
         d = dims[0] * dims[1]
@@ -281,4 +279,4 @@ def test_a_singular_defining_system_reaches_the_caller(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "solve", singular)
     with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
-        lt_state_oracle(np.eye(4) / 4, (2, 2))
+        defining_system_shadow(np.eye(4) / 4, (2, 2))

@@ -1,7 +1,7 @@
 """Serial reference for the stacked cross-checks of ``ltshadow.verify``.
 
 One state at a time, with the same per-sample draws: each shadow is taken
-by ``lt_state`` and by ``lt_state_oracle`` alone, each kernel-invariance
+by ``lt_state`` and by ``defining_system_shadow`` alone, each kernel-invariance
 pair is projected and read in ss coordinates alone, and each fiber walk is
 one ``sample_fiber`` call.  The report's stacked checks project, solve,
 eigensolve and walk whole stacks, so tests require the same values bit for
@@ -14,7 +14,7 @@ from ltshadow.blocks import grading_basis
 from ltshadow.fiber import push_and_spread, sample_fiber
 from ltshadow.linalg import eigvalsh, max_norm, min_eigenvalue, random_density, rng_from_seed
 from ltshadow.processes import random_kernel_leaking_process, random_locally_positive_process
-from ltshadow.shadow import lt_state, lt_state_oracle
+from ltshadow.shadow import defining_system_shadow, lt_state
 from ltshadow.verify import nondeterminism_demo_state
 
 
@@ -24,7 +24,7 @@ def shadow_vs_defining_system(seed):
         d = dims[0] * dims[1]
         for k in range(20):
             rho = random_density(d, rng_from_seed(seed, 100 + idx, k))
-            worst = max(worst, max_norm(lt_state(rho, dims).op - lt_state_oracle(rho, dims).op))
+            worst = max(worst, max_norm(lt_state(rho, dims).op - defining_system_shadow(rho, dims)))
     return worst
 
 
