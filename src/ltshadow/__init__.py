@@ -62,4 +62,18 @@ from .upb import (
 )
 from .verify import run_verification_report
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "ConeMembershipResult", "DimensionMismatch", "FeasibilityParams", "FiberSample",
+    "InfeasibleShadow", "LinearProcess", "NotLocallyPositive", "ProcessBlockMatrix",
+    "ShadowState", "SpreadReport", "SupportViolation", "block_matrix",
+    "conjugation_process", "effect_functional", "epsilon_functional", "grading_basis",
+    "identity_process", "in_boxtimes_cone", "in_max_cone", "in_min_cone",
+    "in_positive_ss_cone", "is_locally_positive", "is_positive_map_heuristic", "kron",
+    "local_shadow_matrix", "lt_state", "partial_transpose", "preparation_process",
+    "project_block", "push_and_spread", "random_kernel_leaking_process",
+    "random_locally_positive_process", "replay_boxtimes_member",
+    "replay_separating_functional", "rng_from_seed", "run_verification_report",
+    "sample_fiber", "sample_fibers", "separating_max_cone_form", "shadow_of_map",
+    "swap_process", "sym_part", "tiles_upb", "trace_inner", "unextendibility_margin",
+    "upb_state",
+]

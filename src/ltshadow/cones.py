@@ -59,8 +59,13 @@ RANGE_CRITERION_DELTA = 0.01
 BOXTIMES_NEWTON_STEPS = 100
 BARRIER_GROWTH = 50.0
 
-# Sweep cap of each restart of the alternating product-form search.
+# Sweep cap of each restart of the alternating product-form search: at most
+# 2 * PRODUCT_FORM_SWEEPS half-steps.
 PRODUCT_FORM_SWEEPS = 120
+
+# A restart of the product-form search retires after the first half-step
+# that moves its extreme value v by at most PRODUCT_FORM_STALL (1 + |v|).
+PRODUCT_FORM_STALL = 1e-14
 
 # Atom cap of the matching pursuit in the minimal cone.
 MIN_CONE_ATOMS = 50
@@ -117,14 +122,17 @@ def product_form_extremum(m: np.ndarray, dims, params: FeasibilityParams,
                           minimize: bool = True, stream: int = _STREAM_MAX_CONE):
     """Heuristic extremum of q(x, y) over unit product vectors.
 
-    Alternating exact eigenvector steps (fix y, optimize x; fix x, optimize
-    y) from params.restarts random starts, drawn row by row from one
+    Alternating exact eigenvector half-steps (x given y, then y given x)
+    from params.restarts random starts y, drawn row by row from one
     params.rng(stream) call, so restart k's start depends on k but not on
-    the number of restarts.  All restarts still moving are stepped together,
-    one stacked eigh per half-sweep; a restart stops when its extreme
-    eigenvalue changes by at most 1e-14 (1 + |value|), or after
-    PRODUCT_FORM_SWEEPS sweeps.  Each contraction with M is a stack of row
-    vectors (flattened outer products) times one matrix, so every restart's
+    the number of restarts.  Each half-step is one stacked eigh over the
+    restarts still live.  A restart retires after the first half-step that
+    moves its extreme eigenvalue by at most PRODUCT_FORM_STALL (1 + |value|),
+    or after 2 * PRODUCT_FORM_SWEEPS half-steps.  Each half-step is an exact
+    block minimization (maximization), and the other block was optimized
+    exactly one half-step earlier, so a stalled pair is block-wise optimal
+    to the same tolerance.  Each contraction with M is a stack of row vectors
+    (flattened outer products) times one matrix, so every restart's
     arithmetic is the same whichever other restarts share the stack.
     Returns (value, x, y) of the best restart, the lowest index on ties; the
     value is recomputed from the returned pair.
@@ -139,15 +147,13 @@ def product_form_extremum(m: np.ndarray, dims, params: FeasibilityParams,
     x = np.empty((params.restarts, da))
     prev = np.full(params.restarts, np.nan)
     live = np.arange(params.restarts)
-    for _ in range(PRODUCT_FORM_SWEEPS):
-        ay = (_pairs(y[live])[:, None, :] @ m_y).reshape(-1, da, da)
-        xl = eigh(ay)[1][:, :, idx]
-        bx = (_pairs(xl)[:, None, :] @ m_x).reshape(-1, db, db)
-        w, u = eigh(bx)
-        x[live] = xl
-        y[live] = u[:, :, idx]
+    for step in range(2 * PRODUCT_FORM_SWEEPS):
+        # Even steps contract y and solve for x; odd steps the other way.
+        given, solved, layout, d = (y, x, m_y, da) if step % 2 == 0 else (x, y, m_x, db)
+        w, u = eigh((_pairs(given[live])[:, None, :] @ layout).reshape(-1, d, d))
+        solved[live] = u[:, :, idx]
         val = w[:, idx]
-        done = np.abs(val - prev[live]) <= 1e-14 * (1 + np.abs(val))
+        done = np.abs(val - prev[live]) <= PRODUCT_FORM_STALL * (1 + np.abs(val))
         prev[live] = val
         live = live[~done]
         if not live.size:

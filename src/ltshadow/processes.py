@@ -93,14 +93,6 @@ class LinearProcess:
         return LinearProcess(inner.in_dims, self.out_dims, self.matrix @ inner.matrix)
 
 
-def process_from_function(fn, in_dims, out_dims) -> LinearProcess:
-    """Materialize a matrix from the action of fn on every input basis element."""
-    gin = grading_basis(in_dims)
-    gout = grading_basis(out_dims)
-    images = np.stack([fn(e) for e in gin.stacked.reshape(-1, gin.dim, gin.dim)])
-    return LinearProcess(gin.dims, gout.dims, to_coords(images, gout.dims).T)
-
-
 def identity_process(dims) -> LinearProcess:
     g = grading_basis(dims)
     return LinearProcess(g.dims, g.dims, np.eye(g.size))
@@ -109,8 +101,10 @@ def identity_process(dims) -> LinearProcess:
 def conjugation_process(q: np.ndarray, in_dims, out_dims=None) -> LinearProcess:
     """X -> Q X Q^T.  Positive for any real Q; preserves the grading iff Q is local."""
     q = np.asarray(q, dtype=float)
-    out_dims = out_dims if out_dims is not None else in_dims
-    return process_from_function(lambda x: q @ x @ q.T, in_dims, out_dims)
+    gin = grading_basis(in_dims)
+    out_dims = gin.dims if out_dims is None else out_dims
+    images = q @ gin.stacked.reshape(-1, gin.dim, gin.dim) @ q.T
+    return LinearProcess(gin.dims, out_dims, to_coords(images, out_dims).T)
 
 
 def swap_process(dims) -> LinearProcess:

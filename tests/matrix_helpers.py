@@ -4,6 +4,7 @@ import numpy as np
 
 from ltshadow.blocks import grading_basis, operand
 from ltshadow.linalg import eigvalsh, max_norm, sym_part
+from ltshadow.processes import LinearProcess, to_coords
 from ltshadow.shadow import local_shadow_matrix
 
 INDISTINGUISHABILITY_TOL = 1e-9
@@ -90,3 +91,11 @@ def aa_projection(w: np.ndarray, dims) -> np.ndarray:
     """Component of W in the shadow kernel (the ``kernel_index`` rows of the
     grading basis): its symmetric part minus its shadow."""
     return sym_part(w) - local_shadow_matrix(w, dims)
+
+
+def process_from_function(fn, in_dims, out_dims) -> LinearProcess:
+    """Materialize a matrix from the action of fn on every input basis element."""
+    gin = grading_basis(in_dims)
+    gout = grading_basis(out_dims)
+    images = np.stack([fn(e) for e in gin.stacked.reshape(-1, gin.dim, gin.dim)])
+    return LinearProcess(gin.dims, gout.dims, to_coords(images, gout.dims).T)

@@ -256,6 +256,22 @@ def test_product_form_extremum_matches_serial_reference(dims):
                                                              minimize=minimize))
 
 
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (4, 4), (9, 9)])
+def test_product_form_half_step_stop_keeps_the_full_sweep_value(dims):
+    """Retiring a restart at its first stalled half-step gives the value
+    of the earlier rule, which waited for a full sweep that did not move it,
+    to within 1e-12 (1 + |v|)."""
+    d = dims[0] * dims[1]
+    for seed in range(4 if d <= 16 else 2):
+        m = random_symmetric_form(dims, 100 + seed)
+        params = FeasibilityParams(seed=seed)
+        for minimize in (True, False):
+            v = product_form_extremum(m, dims, params, minimize=minimize)[0]
+            old = extremum_reference.product_form_extremum(
+                m, dims, params, minimize=minimize, full_sweeps=True)[0]
+            assert abs(v - old) <= 1e-12 * (1 + abs(old))
+
+
 @pytest.mark.parametrize("dims", [(2, 3), (4, 4), (9, 9)])
 def test_product_form_extremum_starts_are_prefix_stable(dims):
     """Restart k's start does not depend on the number of restarts: with 4

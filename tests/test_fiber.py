@@ -7,7 +7,7 @@ import fiber_reference
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from matrix_helpers import aa_projection, trace_norm
+from matrix_helpers import aa_projection, process_from_function, trace_norm
 
 from ltshadow import fiber
 from ltshadow.blocks import grading_basis
@@ -41,7 +41,6 @@ from ltshadow.processes import (
     random_kernel_leaking_process,
     random_locally_positive_process,
     is_locally_positive,
-    process_from_function,
 )
 from ltshadow.shadow import ShadowState, local_shadow_matrix, lt_state
 

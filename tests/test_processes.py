@@ -6,6 +6,7 @@ from matrix_helpers import (
     aa_projection,
     locally_indistinguishable,
     parity_breaking_map,
+    process_from_function,
     product_quadratic_value,
 )
 
@@ -37,7 +38,6 @@ from ltshadow.processes import (
     is_locally_positive,
     is_positive_map_heuristic,
     preparation_process,
-    process_from_function,
     random_kernel_leaking_process,
     random_locally_positive_process,
     shadow_block_process,
@@ -121,6 +121,43 @@ def test_apply_matches_function():
     for _ in range(5):
         x = rng.standard_normal((4, 4))
         np.testing.assert_allclose(proc.apply(x), q @ x @ q.T, atol=1e-12)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (2, 2, 2)])
+def test_conjugation_process_matches_its_function(dims):
+    """The stacked conjugation has the bits of materializing X -> Q X Q^T
+    one basis element at a time."""
+    d = grading_basis(dims).dim
+    for seed in range(3):
+        q = random_orthogonal(d, rng_from_seed(seed, 65, *dims))
+        got = conjugation_process(q, dims)
+        want = process_from_function(lambda x: q @ x @ q.T, dims, dims)
+        assert (got.in_dims, got.out_dims) == (want.in_dims, want.out_dims)
+        assert np.array_equal(got.matrix, want.matrix)
+
+
+def test_swap_matches_its_function():
+    swap = swap_process((2, 3))
+    sigma = np.zeros((6, 6))
+    for i in range(2):
+        for j in range(3):
+            sigma[j * 2 + i, i * 3 + j] = 1.0
+    want = process_from_function(lambda x: sigma @ x @ sigma.T, (2, 3), (3, 2))
+    assert swap.out_dims == (3, 2)
+    assert np.array_equal(swap.matrix, want.matrix)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+def test_positivity_search_on_a_conjugation_stalls_at_its_second_half_step(dims, eigensolves):
+    """On the Choi matrix of X -> Q X Q^T every restart's value is 0 after
+    one half-step and stays there: 2 stacked eigh calls, then the eigvalsh
+    of the reported value."""
+    q = random_orthogonal(grading_basis(dims).dim, rng_from_seed(66, *dims))
+    proc = conjugation_process(q, dims)
+    eigensolves["n"] = 0
+    verdict = is_positive_map_heuristic(proc, FeasibilityParams(seed=3))
+    assert verdict.verdict == "positive"
+    assert eigensolves["n"] == 2 + 1
 
 
 def test_swap_is_locally_positive():

@@ -15,21 +15,21 @@ TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 PUBLIC = [
     "ConeMembershipResult", "DimensionMismatch", "FeasibilityParams", "FiberSample",
     "InfeasibleShadow", "LinearProcess", "NotLocallyPositive", "ProcessBlockMatrix",
-    "ShadowState", "SpreadReport", "SupportViolation", "block_matrix", "blocks", "cones",
-    "conjugation_process", "effect_functional", "epsilon_functional", "errors", "fiber",
-    "grading_basis", "identity_process", "in_boxtimes_cone", "in_max_cone", "in_min_cone",
+    "ShadowState", "SpreadReport", "SupportViolation", "block_matrix",
+    "conjugation_process", "effect_functional", "epsilon_functional", "grading_basis",
+    "identity_process", "in_boxtimes_cone", "in_max_cone", "in_min_cone",
     "in_positive_ss_cone", "is_locally_positive", "is_positive_map_heuristic", "kron",
-    "linalg", "local_shadow_matrix", "lt_state", "partial_transpose", "preparation_process",
-    "processes", "project_block", "push_and_spread", "random_kernel_leaking_process",
+    "local_shadow_matrix", "lt_state", "partial_transpose", "preparation_process",
+    "project_block", "push_and_spread", "random_kernel_leaking_process",
     "random_locally_positive_process", "replay_boxtimes_member",
     "replay_separating_functional", "rng_from_seed", "run_verification_report",
-    "sample_fiber", "sample_fibers", "separating_max_cone_form", "serialize", "shadow",
-    "shadow_of_map", "swap_process", "sym_part", "tiles_upb", "trace_inner",
-    "unextendibility_margin", "upb", "upb_state", "verify",
+    "sample_fiber", "sample_fibers", "separating_max_cone_form", "shadow_of_map",
+    "swap_process", "sym_part", "tiles_upb", "trace_inner", "unextendibility_margin",
+    "upb_state",
 ]
 
-# Helpers that restated the shadow or numpy for the tests alone; the tests
-# keep their copies in matrix_helpers.
+# Helpers that restated the shadow or numpy, or that only the tests call;
+# the tests keep their copies in matrix_helpers.
 REMOVED = [
     (ltshadow.shadow, "aa_projection"),
     (ltshadow.shadow, "lt_state_oracle"),
@@ -37,6 +37,7 @@ REMOVED = [
     (ltshadow.shadow, "INDISTINGUISHABILITY_TOL"),
     (ltshadow.cones, "product_quadratic_value"),
     (ltshadow.linalg, "trace_norm"),
+    (ltshadow.processes, "process_from_function"),
     (LinearProcess, "norm"),
     (GradingBasis, "sizes"),
 ]
@@ -51,6 +52,14 @@ def _tracing():
 
 def test_public_surface_is_pinned():
     assert sorted(ltshadow.__all__) == PUBLIC
+
+
+def test_star_import_binds_the_public_names_only():
+    """Every name of the explicit __all__ resolves, and no submodule is bound."""
+    namespace = {}
+    exec("from ltshadow import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == PUBLIC
 
 
 @pytest.mark.parametrize("owner, name", REMOVED,
