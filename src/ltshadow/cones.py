@@ -119,7 +119,8 @@ def _pairs(v: np.ndarray) -> np.ndarray:
 
 
 def product_form_extremum(m: np.ndarray, dims, params: FeasibilityParams,
-                          minimize: bool = True, stream: int = _STREAM_MAX_CONE):
+                          minimize: bool = True, stream: int = _STREAM_MAX_CONE,
+                          bound: float | None = None):
     """Heuristic extremum of q(x, y) over unit product vectors.
 
     Alternating exact eigenvector half-steps (x given y, then y given x)
@@ -136,6 +137,17 @@ def product_form_extremum(m: np.ndarray, dims, params: FeasibilityParams,
     arithmetic is the same whichever other restarts share the stack.
     Returns (value, x, y) of the best restart, the lowest index on ties; the
     value is recomputed from the returned pair.
+
+    With a bound, the search stops once its comparison with the bound is
+    decided: after a half-step at which some live restart's extreme
+    eigenvalue has crossed it (below it when minimizing, at or above it when
+    maximizing), q is recomputed for every restart's current pair, and if
+    the best of those has crossed too it is returned as above.  Each
+    half-step is an exact block minimization (maximization), so every
+    restart's value only moves towards the extremum: the full search would
+    have crossed the bound as well, and a verdict read from the comparison
+    is the same.  The value is then not the best the search could reach.
+    Without a bound the result is the full search's, bit for bit.
     """
     m, (da, db) = operand(m, dims, parties=2)
     m4 = m.reshape(da, db, da, db)
@@ -155,9 +167,18 @@ def product_form_extremum(m: np.ndarray, dims, params: FeasibilityParams,
         val = w[:, idx]
         done = np.abs(val - prev[live]) <= PRODUCT_FORM_STALL * (1 + np.abs(val))
         prev[live] = val
+        if bound is not None and np.any(val < bound if minimize else val >= bound):
+            best = _best_pair(x, y, m_x, minimize)
+            if best[0] < bound if minimize else best[0] >= bound:
+                return best
         live = live[~done]
         if not live.size:
             break
+    return _best_pair(x, y, m_x, minimize)
+
+
+def _best_pair(x, y, m_x, minimize):
+    """(q, x, y) of the restart with the best q(x_r, y_r), lowest index on ties."""
     q = (_pairs(x)[:, None, :] @ m_x @ _pairs(y)[:, :, None]).ravel()
     best = int(np.argmin(q) if minimize else np.argmax(q))
     return float(q[best]), x[best], y[best]
@@ -420,6 +441,9 @@ def _range_criterion(w, v, dims, params):
     If no unit product vector lies in the range of a PSD matrix M != 0, then
     M cannot be a mixture of product states.  The overlap maximization is
     heuristic, so the criterion only fires below 1 - RANGE_CRITERION_DELTA.
+    The search stops once some product vector reaches that bound, when the
+    criterion can no longer fire; the overlap it then reports is at least
+    the bound but not necessarily the search's best.
     Takes the eigendecomposition (w, v) of M; returns (fired, info).
     """
     lam_max = float(w[-1])
@@ -431,7 +455,8 @@ def _range_criterion(w, v, dims, params):
         return False, {"range_rank": rank, "max_product_overlap": 1.0}
     proj = v[:, support] @ v[:, support].T
     val, x, y = product_form_extremum(proj, dims, params, minimize=False,
-                                      stream=_STREAM_MIN_RANGE)
+                                      stream=_STREAM_MIN_RANGE,
+                                      bound=1.0 - RANGE_CRITERION_DELTA)
     info = {
         "criterion": "range",
         "range_rank": rank,

@@ -295,11 +295,14 @@ def is_positive_map_heuristic(proc: LinearProcess,
     reported value is lambda_min(Phi(x x^T)) for the x it returns.  A value
     below -tol is a certified non-positivity witness; within the band
     [-tol, -tol/2] the verdict is undecided; otherwise positive (heuristic:
-    no witness found).
+    no witness found).  The search is bounded by -tol: it stops after the
+    half-step that first finds a pair (v, x) with v^T Phi(x x^T) v < -tol,
+    so a witness's value is lambda_min(Phi(x x^T)) at that first certified
+    x, not the most negative value the search could reach.
     """
     dims = (grading_basis(proc.out_dims).dim, grading_basis(proc.in_dims).dim)
     _, _, x = product_form_extremum(choi_matrix(proc), dims, params,
-                                    stream=_STREAM_POSITIVITY)
+                                    stream=_STREAM_POSITIVITY, bound=-params.tol)
     value = min_eigenvalue(proc.apply(np.outer(x, x)))
     if value < -params.tol:
         return PositiveMapVerdict(NOT_POSITIVE, value, x, heuristic=False)
@@ -347,6 +350,6 @@ def random_kernel_leaking_process(dims, seed: int) -> LinearProcess:
         rng = rng_from_seed(seed, _STREAM_GENERATOR, attempt)
         q = random_orthogonal(d, rng)
         proc = conjugation_process(q, dims)
-        if is_locally_positive(proc).defect >= 1e-4:
+        if max_norm(block_matrix(proc).phi_sa) >= 1e-4:
             return proc
     raise RuntimeError("could not generate a kernel-leaking orthogonal conjugation")

@@ -96,3 +96,11 @@ def product_form_extremum(m, dims, params, minimize=True, stream=1, full_sweeps=
     else:
         best = max(range(len(results)), key=lambda k: (results[k][0], -k))
     return results[best]
+
+
+def unbounded(search):
+    """The engine with any ``bound`` its caller passes dropped: the full
+    search, to compare a bounded caller's output with."""
+    def run(*args, bound=None, **kwargs):
+        return search(*args, **kwargs)
+    return run

@@ -312,6 +312,75 @@ def test_product_form_extremum_ties_go_to_restart_zero():
                 assert any(not np.array_equal(r[1], got[1]) for r in restarts[1:])
 
 
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+def test_bounded_product_form_extremum_crosses_its_bound_with_the_full_search(dims):
+    """A bounded search returns a value past its bound exactly when the full
+    search's value is past it; a value not past it is the full search's,
+    bit for bit, and a value past it is q of the returned pair."""
+    for seed in range(4):
+        m = random_symmetric_form(dims, 200 + seed)
+        params = FeasibilityParams(seed=seed)
+        for minimize in (True, False):
+            full = product_form_extremum(m, dims, params, minimize=minimize)
+            v = full[0]
+            gap = 1e-9 * (1 + abs(v))
+            for bound in (v - 1.0, v - 0.1, v - gap, v + gap, v + 0.1, v + 1.0):
+                got = product_form_extremum(m, dims, params, minimize=minimize,
+                                            bound=bound)
+                past = got[0] < bound if minimize else got[0] >= bound
+                assert past == (v < bound if minimize else v >= bound)
+                if past:
+                    q = product_quadratic_value(m, dims, got[1], got[2])
+                    assert abs(got[0] - q) <= 1e-12 * (1 + abs(q))
+                else:
+                    assert_same_extremum(got, full)
+
+
+def test_bounded_product_form_extremum_stops_at_the_first_half_step_past_it(eigensolve_log):
+    """With a bound that the first half-step already crosses, the search
+    makes one stacked eigensolve; without it, it runs to its stall."""
+    m = random_symmetric_form((3, 3), 210)
+    v = product_form_extremum(m, (3, 3), PARAMS)[0]
+    eigensolve_log.clear()
+    product_form_extremum(m, (3, 3), PARAMS, bound=v + 1e3)
+    assert eigensolve_log == [("eigh", PARAMS.restarts)]
+    eigensolve_log.clear()
+    product_form_extremum(m, (3, 3), PARAMS)
+    assert len(eigensolve_log) > 2
+
+
+def test_only_the_positivity_check_and_the_range_criterion_bound_the_search(monkeypatch):
+    """The max cone, the UPB margin and the pursuit atoms report the search's
+    best value, so they pass no bound; the positivity check and the range
+    criterion pass the bound their verdict compares with."""
+    from ltshadow import processes, upb
+
+    calls = []
+
+    def recorded(*args, bound=None, stream=cones._STREAM_MAX_CONE, **kwargs):
+        calls.append((stream, bound))
+        return product_form_extremum(*args, stream=stream, bound=bound, **kwargs)
+
+    for module in (cones, processes, upb):
+        monkeypatch.setattr(module, "product_form_extremum", recorded)
+
+    in_max_cone(epr_shadow(), (2, 2), PARAMS)
+    assert calls == [(cones._STREAM_MAX_CONE, None)]
+    calls.clear()
+    upb.unextendibility_margin(seed=0)
+    assert calls == [(upb._STREAM_MARGIN, None)]
+    calls.clear()
+    m, _, _ = random_product_projector((2, 3), 43)
+    assert in_min_cone(m, (2, 3), PARAMS).verdict == MEMBER
+    range_calls = [b for s, b in calls if s == cones._STREAM_MIN_RANGE]
+    assert range_calls == [1.0 - cones.RANGE_CRITERION_DELTA]
+    atoms = [b for s, b in calls if s != cones._STREAM_MIN_RANGE]
+    assert atoms and all(b is None for b in atoms)
+    calls.clear()
+    processes.is_positive_map_heuristic(processes.identity_process((2, 2)), PARAMS)
+    assert calls == [(processes._STREAM_POSITIVITY, -PARAMS.tol)]
+
+
 # ---------------------------------------------------------------------------
 # max cone
 # ---------------------------------------------------------------------------
@@ -450,6 +519,57 @@ def test_min_cone_decomposes_m_once(eigensolves, monkeypatch):
         assert res.verdict == NON_MEMBER
         assert res.certificate["criterion"] == criterion
         assert eigensolves["n"] - searched["n"] == 1
+
+
+def min_cone_inputs():
+    """Product projectors, 2-atom mixtures, rank-deficient mixtures of 3 and
+    of D - 1 product projectors, and the tiles UPB state, with their dims."""
+    inputs = []
+    for k, dims in enumerate(((2, 2), (2, 3), (3, 3))):
+        rng = rng_from_seed(44, k)
+        d = dims[0] * dims[1]
+        for atoms in sorted({1, 2, 3, d - 1}):
+            m = sum(rng.uniform(0.2, 1.0) * random_product_projector(dims, seed)[0]
+                    for seed in rng.integers(2**31, size=atoms))
+            inputs.append((m / np.trace(m), dims))
+    inputs.append((upb_state(), (3, 3)))
+    return inputs
+
+
+def assert_same_certificate(got, want):
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got.keys() == want.keys()
+        for key in got:
+            assert np.array_equal(got[key], want[key]), key
+
+
+def test_min_cone_is_the_same_with_and_without_the_range_bound(monkeypatch):
+    """The range criterion's bound only stops a search that cannot fire, so
+    every output of the min oracle keeps its bits."""
+    search = cones.product_form_extremum
+    for m, dims in min_cone_inputs():
+        monkeypatch.setattr(cones, "product_form_extremum", search)
+        got = in_min_cone(m, dims, PARAMS)
+        monkeypatch.setattr(cones, "product_form_extremum",
+                            extremum_reference.unbounded(search))
+        want = in_min_cone(m, dims, PARAMS)
+        assert (got.verdict, got.iterations, got.residual) == \
+            (want.verdict, want.iterations, want.residual)
+        assert_same_certificate(got.certificate, want.certificate)
+
+
+@pytest.mark.parametrize("dims, calls, matrices", [((2, 2), 5, 57), ((2, 3), 6, 89),
+                                                   ((3, 3), 6, 89)])
+def test_min_cone_eigensolves_on_a_product_projector(dims, calls, matrices, eigensolve_log):
+    """One eigh of M; the range search stops once a product vector reaches
+    the bound, one half-step at (2,2) and two above (32 matrices each); then
+    one atom of 8 restarts, stalled at its third half-step."""
+    m, _, _ = random_product_projector(dims, 45)
+    eigensolve_log.clear()
+    assert in_min_cone(m, dims, PARAMS).verdict == MEMBER
+    assert {name for name, _ in eigensolve_log} == {"eigh"}
+    assert (len(eigensolve_log), sum(n for _, n in eigensolve_log)) == (calls, matrices)
 
 
 def test_min_cone_refit_at_its_cap_is_undecided(monkeypatch):

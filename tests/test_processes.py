@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from extremum_reference import unbounded
 from matrix_helpers import (
     aa_projection,
     locally_indistinguishable,
@@ -364,6 +365,57 @@ def test_not_positive_witness_replays(dims):
     lam = np.linalg.eigvalsh(proc.apply(np.outer(x, x)))[0]
     assert lam < -PARAMS.tol
     assert abs(lam - verdict.value) <= 1e-12
+
+
+def partial_transpose_conjugation(dims, q):
+    """X -> Q PT_B(X) Q^T, not positive: an entangled x x^T goes negative."""
+    da, db = dims
+
+    def fn(x):
+        return q @ x.reshape(da, db, da, db).transpose(0, 3, 2, 1).reshape(da * db, -1) @ q.T
+
+    return process_from_function(fn, dims, dims)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+def test_positivity_verdict_is_the_same_with_and_without_the_bound(dims, monkeypatch):
+    """Stopping at the first certified witness changes no verdict, and every
+    witness still replays: lambda_min(Phi(x x^T)) < -tol, the reported value."""
+    d = grading_basis(dims).dim
+    rng = rng_from_seed(67, *dims)
+    maps = [identity_process(dims),
+            process_from_function(lambda x: x.T, dims, dims),
+            random_locally_positive_process(dims, seed=1),
+            random_kernel_leaking_process(dims, seed=1)]
+    for _ in range(3):
+        maps.append(conjugation_process(random_orthogonal(d, rng), dims))
+        maps.append(partial_transpose_conjugation(dims, random_orthogonal(d, rng)))
+    search = processes.product_form_extremum
+    for k, proc in enumerate(maps):
+        params = FeasibilityParams(seed=k)
+        monkeypatch.setattr(processes, "product_form_extremum", search)
+        got = is_positive_map_heuristic(proc, params)
+        monkeypatch.setattr(processes, "product_form_extremum", unbounded(search))
+        want = is_positive_map_heuristic(proc, params)
+        assert got.verdict == want.verdict
+        assert (got.verdict == "not_positive") == (k >= 4 and k % 2 == 1)
+        if got.verdict == "not_positive":
+            assert got.heuristic is False
+            lam = np.linalg.eigvalsh(proc.apply(np.outer(got.witness, got.witness)))[0]
+            assert lam < -params.tol and abs(lam - got.value) <= 1e-12
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+def test_positivity_search_on_a_non_positive_map_stops_at_its_first_half_step(
+        dims, eigensolve_log):
+    """The first half-step already finds a pair below -tol: one stacked eigh
+    over the 32 restarts, then the eigvalsh of the reported value."""
+    q = random_orthogonal(grading_basis(dims).dim, rng_from_seed(68, *dims))
+    proc = partial_transpose_conjugation(dims, q)
+    eigensolve_log.clear()
+    verdict = is_positive_map_heuristic(proc, FeasibilityParams(seed=3))
+    assert verdict.verdict == "not_positive"
+    assert eigensolve_log == [("eigh", 32), ("eigvalsh", 1)]
 
 
 def test_transpose_map_is_positive():
