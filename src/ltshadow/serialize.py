@@ -10,17 +10,16 @@ Readers accept integer entries, hold dims to the rule of
 :func:`~ltshadow.blocks.factor_dims` (2.0 passes, 2.5 and true do not), and
 reject entries above MAX_ENTRY in magnitude (and non-finite ones), so
 squares and sums over the entries of the largest supported operators stay
-finite.  Floats are emitted with 17 significant digits, which
-round-trips IEEE doubles exactly; emission is a pure function of the value,
-so identical inputs produce byte-identical output.  :func:`dumps` is the one
-converter of numpy values: it writes arrays, numpy scalars and tuples
-directly, so payloads keep them as they are.
+finite.  Floats are emitted in Python's shortest round-trip form (their
+``repr``), which parses back to the same IEEE double; emission is a pure
+function of the value, so identical inputs produce byte-identical output.
+:func:`dumps` is the one converter of numpy values: it writes arrays, numpy
+scalars and tuples directly, so payloads keep them as they are.
 """
 
 from __future__ import annotations
 
 import json
-import math
 
 import numpy as np
 
@@ -30,50 +29,19 @@ from .errors import DimensionMismatch
 MAX_ENTRY = 1e150
 
 
-def _format_float(x: float) -> str:
-    if not math.isfinite(x):
-        raise ValueError(f"cannot serialize non-finite float {x!r}")
-    return format(x, ".17g")
+def _plain(obj):
+    """The Python value of a numpy array or scalar, for the encoder."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"cannot serialize object of type {type(obj)!r}")
 
 
 def dumps(obj) -> str:
-    """Serialize to JSON with deterministic float formatting."""
-    parts: list[str] = []
-    _emit(obj, parts)
-    return "".join(parts)
-
-
-def _emit(obj, parts: list[str]) -> None:
-    if obj is None:
-        parts.append("null")
-    elif isinstance(obj, bool) or isinstance(obj, np.bool_):
-        parts.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        parts.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        parts.append(_format_float(float(obj)))
-    elif isinstance(obj, str):
-        parts.append(json.dumps(obj))
-    elif isinstance(obj, np.ndarray):
-        _emit(obj.tolist(), parts)
-    elif isinstance(obj, dict):
-        parts.append("{")
-        for i, (k, v) in enumerate(obj.items()):
-            if i:
-                parts.append(",")
-            parts.append(json.dumps(str(k)))
-            parts.append(":")
-            _emit(v, parts)
-        parts.append("}")
-    elif isinstance(obj, (list, tuple)):
-        parts.append("[")
-        for i, v in enumerate(obj):
-            if i:
-                parts.append(",")
-            _emit(v, parts)
-        parts.append("]")
-    else:
-        raise TypeError(f"cannot serialize object of type {type(obj)!r}")
+    """Compact JSON in the payload's key order; NaN and +-inf are refused."""
+    try:
+        return json.dumps(obj, allow_nan=False, separators=(",", ":"), default=_plain)
+    except ValueError as exc:
+        raise ValueError(f"cannot serialize non-finite float ({exc})") from exc
 
 
 def matrix_to_json(m: np.ndarray, dims=None) -> dict:

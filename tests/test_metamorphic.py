@@ -1,6 +1,7 @@
 """Metamorphic properties: merged code paths agree, and oracle verdicts
 respect the symmetries of the cones (positive scaling, local orthogonal
-conjugation O_1 x ... x O_n, factor permutation), at two and three factors.
+conjugation O_1 x ... x O_n, factor permutation), at two and three factors
+(the max and min cones at two).
 
 The oracles' tol is absolute, so inputs are built with a margin m to the
 cone boundary and scaled by c in [1e-3, 1e3] (boxtimes: [1e-6, 1e3] with
@@ -14,26 +15,44 @@ import math
 
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
-from matrix_helpers import aa_projection, random_shadow_matrix, random_ss_matrix
+from matrix_helpers import (
+    aa_projection,
+    product_quadratic_value,
+    random_shadow_matrix,
+    random_ss_matrix,
+    random_symmetric,
+)
 
 from ltshadow.blocks import grading_basis, project_block
 from ltshadow.cones import (
     MEMBER,
     NON_MEMBER,
+    RANGE_CRITERION_DELTA,
     FeasibilityParams,
     in_boxtimes_cone,
+    in_max_cone,
+    in_min_cone,
     in_positive_ss_cone,
     replay_boxtimes_member,
     replay_separating_functional,
+    separable_certificate_error,
 )
 from ltshadow.errors import SupportViolation
-from ltshadow.linalg import kron, max_norm, min_eigenvalue, random_orthogonal, rng_from_seed
+from ltshadow.linalg import (
+    kron,
+    max_norm,
+    min_eigenvalue,
+    random_orthogonal,
+    rng_from_seed,
+    trace_inner,
+)
 from ltshadow.shadow import (
     SHADOW_SUPPORT_TOL,
     ShadowState,
     local_shadow_matrix,
     require_shadow_support,
 )
+from ltshadow.upb import upb_state
 
 DIMS = [(2, 2), (2, 3), (3, 3)]
 # The psd-ss and boxtimes oracles take any number of factors.
@@ -49,6 +68,7 @@ scales = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
 boxtimes_scales = st.floats(-6.0, 3.0).map(lambda e: 10.0**e)
 margins = st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(0.05, 1.0)).map(lambda p: p[0] * p[1])
 symmetries = st.sampled_from(["scale", "local", "permute"])
+min_cone_cases = st.sampled_from(["product", "not_psd", "tiles"])
 
 
 def permute(m, dims, perm):
@@ -90,6 +110,60 @@ def assert_boxtimes_certificate_replays(m, dims, res):
     else:
         ok, _, _ = replay_separating_functional(m, dims, res.certificate["separating_functional"], TOL)
         assert ok
+
+
+def assert_max_cone_certificate_replays(m, dims, res):
+    cert = res.certificate
+    if res.verdict == MEMBER:
+        assert cert["heuristic"] is True
+        x, y, val = cert["argmin_x"], cert["argmin_y"], cert["min_quadratic"]
+    else:
+        x, y, val = cert["witness_x"], cert["witness_y"], cert["quadratic_value"]
+        assert val < -TOL
+    for v in (x, y):
+        assert abs(np.linalg.norm(v) - 1) <= 1e-12
+    assert abs(product_quadratic_value(m, dims, x, y) - val) <= 1e-12 * (1 + max_norm(m))
+
+
+def assert_min_cone_certificate_replays(m, dims, res):
+    cert = res.certificate
+    if res.verdict == MEMBER:
+        assert np.all(np.asarray(cert["weights"]) >= 0)
+        err = separable_certificate_error(m, dims, cert["weights"], cert["vectors_a"],
+                                          cert["vectors_b"])
+        assert err <= TOL
+    elif cert["criterion"] == "not_psd":
+        v = cert["witness_vector"]
+        assert abs(np.linalg.norm(v) - 1) <= 1e-12
+        assert v @ m @ v < -TOL
+    else:
+        assert cert["criterion"] == "range"
+        assert cert["max_product_overlap"] < 1 - RANGE_CRITERION_DELTA
+
+
+def product_projector(dims, rng):
+    """x_1 x_1^T o ... o x_n x_n^T for random unit vectors x_k."""
+    units = [v / np.linalg.norm(v) for v in (rng.standard_normal(d) for d in dims)]
+    return functools.reduce(np.kron, [np.outer(v, v) for v in units])
+
+
+def max_cone_matrix(dims, margin, rng):
+    """A shadow M with min q(x, y) over unit product vectors >= margin when
+    margin > 0, and <= margin when margin < 0.
+
+    S is the shadow of a state rho with lambda_min(rho) = |margin|.  The
+    shadow fixes every product projector F, so q(x, y) = <F, S> = <F, rho>
+    >= |margin|: for margin > 0, M = S.  For margin < 0, M = S - (<F, S> -
+    margin) F for one F, which stays shadow-supported and has <F, M> =
+    margin since <F, F> = 1.
+    """
+    d = math.prod(dims)
+    r = random_symmetric(d, rng)
+    s = local_shadow_matrix(r + (abs(margin) - min_eigenvalue(r)) * np.eye(d), dims)
+    if margin > 0:
+        return s
+    f = product_projector(dims, rng)
+    return s - (trace_inner(f, s) - margin) * f
 
 
 def boxtimes_boundary_matrix(dims, rng):
@@ -211,3 +285,50 @@ def test_boxtimes_verdict_respects_symmetries(seed, dims, margin, c, symmetry):
     res_t = in_boxtimes_cone(mt, dims_t, params)
     assert res_t.verdict == expected
     assert_boxtimes_certificate_replays(mt, dims_t, res_t)
+
+
+@PROPERTY
+@given(seed=seeds, dims=dims_st, margin=margins, c=scales, symmetry=symmetries)
+def test_max_cone_verdict_respects_symmetries(seed, dims, margin, c, symmetry):
+    rng = rng_from_seed(seed)
+    m = max_cone_matrix(dims, margin, rng)
+    expected = MEMBER if margin > 0 else NON_MEMBER
+    params = FeasibilityParams(seed=seed, tol=TOL)
+    res = in_max_cone(m, dims, params)
+    assert res.verdict == expected
+    assert_max_cone_certificate_replays(m, dims, res)
+    mt, dims_t = transform(m, dims, symmetry, c, rng)
+    res_t = in_max_cone(mt, dims_t, params)
+    assert res_t.verdict == expected
+    assert_max_cone_certificate_replays(mt, dims_t, res_t)
+
+
+@PROPERTY
+@given(seed=seeds, dims=dims_st, case=min_cone_cases, margin=st.floats(0.05, 1.0),
+       c=scales, symmetry=symmetries)
+def test_min_cone_verdict_respects_symmetries(seed, dims, case, margin, c, symmetry):
+    """Product projectors are members; a shadow with lambda_min = -margin
+    and the tiles state are not.  The tiles state's best product overlap
+    with its range, about 0.972, is below the range criterion's bound
+    1 - RANGE_CRITERION_DELTA = 0.99; the criterion reads the projector on
+    the range, which scaling leaves as it is, and the overlap's maximum,
+    which local conjugation and the swap leave as it is."""
+    rng = rng_from_seed(seed)
+    if case == "product":
+        m = product_projector(dims, rng)
+    elif case == "not_psd":
+        r = random_shadow_matrix(dims, rng)
+        m = r - (margin + min_eigenvalue(r)) * np.eye(r.shape[0])  # lambda_min(m) = -margin
+    else:
+        m, dims = upb_state(), (3, 3)
+    expected = MEMBER if case == "product" else NON_MEMBER
+    params = FeasibilityParams(seed=seed, tol=TOL)
+    res = in_min_cone(m, dims, params)
+    assert res.verdict == expected
+    assert_min_cone_certificate_replays(m, dims, res)
+    mt, dims_t = transform(m, dims, symmetry, c, rng)
+    res_t = in_min_cone(mt, dims_t, params)
+    assert res_t.verdict == expected
+    assert_min_cone_certificate_replays(mt, dims_t, res_t)
+    if expected == NON_MEMBER:
+        assert res_t.certificate["criterion"] == res.certificate["criterion"]

@@ -1,6 +1,7 @@
 """Wire formats: determinism, round trips, and input validation."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -39,6 +40,38 @@ def test_dumps_is_valid_json_and_deterministic():
 def test_dumps_rejects_non_finite():
     with pytest.raises(ValueError):
         dumps(float("nan"))
+
+
+def test_dumps_converts_numpy_values_and_tuples():
+    obj = {"b": np.bool_(True), "i": np.int64(-3), "f": np.float32(0.1), "z": np.array(2.5),
+           "n": [np.arange(6.0).reshape(1, 2, 3), np.array([np.int64(1)])], "t": (1, 2.0)}
+    assert dumps(obj) == ('{"b":true,"i":-3,"f":0.10000000149011612,"z":2.5,'
+                          '"n":[[[[0.0,1.0,2.0],[3.0,4.0,5.0]]],[1]],"t":[1,2.0]}')
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_dumps_refuses_non_finite_inside_nested_arrays(bad):
+    with pytest.raises(ValueError, match="^cannot serialize non-finite float"):
+        dumps({"a": [np.array([[1.0, bad]])]})
+    with pytest.raises(ValueError, match="^cannot serialize non-finite float"):
+        dumps({"a": (np.float64(bad),)})
+
+
+@pytest.mark.parametrize("obj", [object(), {1, 2}, np.complex128(1j), [np.array([1j])]])
+def test_dumps_refuses_unsupported_objects(obj):
+    with pytest.raises(TypeError):
+        dumps({"a": obj})
+
+
+def test_dumps_round_trips_extreme_doubles_bit_for_bit():
+    """Floats print in their shortest round-trip form, and -0.0 keeps its sign."""
+    values = [-0.0, 5e-324, 1e-300, 1.7976931348623157e308, 1 - 2**-52, 2.0]
+    text = dumps(values)
+    assert text == "[-0.0,5e-324,1e-300,1.7976931348623157e+308,0.9999999999999998,2.0]"
+    back = json.loads(text)
+    assert all(isinstance(v, float) for v in back)
+    assert np.array(back).tobytes() == np.array(values).tobytes()
+    assert math.copysign(1.0, json.loads(dumps(np.array([-0.0])))[0]) == -1.0
 
 
 def test_matrix_round_trip():
