@@ -10,19 +10,20 @@ Subcommands:
 
 All input and output is JSON (see serialize).  Stochastic subcommands
 require an explicit seed and echo it in the output.  Exit codes: 0 success,
-1 a check of ``examples`` failed, 2 malformed input (entries above 1e150 in
-magnitude or too large for a float, ``--dims`` text that does not split into
-integers, a ``fiber --n`` below 1 or above MAX_FIBER_N or a ``--seed`` that
-is not an integer >= 0, both refused before any work), a ``fiber --map``
-that cannot be read (refused before the walk) or an output file that cannot
-be written, 3 dimension mismatch (a ``fiber --map`` whose input dims are not
+1 a check of ``examples`` failed, 2 malformed input (entries that are not
+JSON numbers, such as ``"1"`` or ``true``, entries above 1e150 in magnitude
+or too large for a float, ``--dims`` text that does not split into integers,
+a ``fiber --n`` below 1 or above MAX_FIBER_N or a ``--seed`` that is not an
+integer >= 0, both refused before any work), a ``fiber --map`` that cannot
+be read (refused before the walk) or an output file that cannot be written,
+3 dimension mismatch (a ``fiber --map`` whose input dims are not
 the shadow's is refused before the walk), a factor above 9 or a product of
 factors above 81 (of a matrix or a process), or dims that are not integers
 >= 1 (``--dims 0,4``, ``"dims": [2.5, 2]`` or ``[true, 4]``, a process's
-``"in_dims": [2.5, 2]``; 2.0 counts as 2), 4 infeasible or undecided where
-a decision was required, 5 internal numeric failure (``LinAlgError``, or a
-non-finite number in the output).  Output is byte-identical across runs for
-identical (input, flags, seed).
+``"in_dims": [2.5, 2]``, a ``"dim"`` of ``true``; 2.0 counts as 2), 4
+infeasible or undecided where a decision was required, 5 internal numeric
+failure (``LinAlgError``, or a non-finite number in the output).  Output is
+byte-identical across runs for identical (input, flags, seed).
 """
 
 from __future__ import annotations

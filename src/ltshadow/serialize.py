@@ -8,17 +8,20 @@ Wire formats:
 
 Readers accept integer entries, hold dims to the rule of
 :func:`~ltshadow.blocks.factor_dims` (2.0 passes, 2.5 and true do not), and
-reject entries above MAX_ENTRY in magnitude (and non-finite ones), so
-squares and sums over the entries of the largest supported operators stay
-finite.  Floats are emitted in Python's shortest round-trip form (their
-``repr``), which parses back to the same IEEE double; emission is a pure
-function of the value, so identical inputs produce byte-identical output.
+reject entries that are not JSON numbers (a string such as "1" or a
+boolean, both of which numpy would convert) and entries above MAX_ENTRY in
+magnitude (and non-finite ones), so squares and sums over the entries of
+the largest supported operators stay finite.  Floats are emitted in
+Python's shortest round-trip form (their ``repr``), which parses back to the
+same IEEE double; emission is a pure function of the value, so identical
+inputs produce byte-identical output.
 :func:`dumps` is the one converter of numpy values: it writes arrays, numpy
 scalars and tuples directly, so payloads keep them as they are.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
@@ -44,6 +47,12 @@ def dumps(obj) -> str:
         raise ValueError(f"cannot serialize non-finite float ({exc})") from exc
 
 
+def _require_numbers(rows, what: str) -> None:
+    """Refuse rows (a list of lists) holding an entry that is not a JSON number."""
+    if not set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}:
+        raise ValueError(f"{what} entries must be JSON numbers, not strings or booleans")
+
+
 def matrix_to_json(m: np.ndarray, dims=None) -> dict:
     m = np.asarray(m, dtype=float)
     out = {"dim": int(m.shape[0]), "rows": m.tolist()}
@@ -62,10 +71,11 @@ def matrix_from_json(obj) -> tuple[np.ndarray, tuple[int, ...] | None]:
     m = np.asarray(rows, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"matrix rows have shape {m.shape}; expected square")
+    _require_numbers(rows, "matrix")
     if not np.all(np.abs(m) <= MAX_ENTRY):
         raise ValueError(f"matrix entries must be finite and at most {MAX_ENTRY:g} in magnitude")
     declared = obj.get("dim")
-    if declared is not None and declared != m.shape[0]:
+    if declared is not None and (isinstance(declared, bool) or declared != m.shape[0]):
         raise DimensionMismatch(
             f'declared "dim" {declared} does not match rows of size {m.shape[0]}'
         )
@@ -94,6 +104,7 @@ def process_from_json(obj):
     matrix = np.asarray(obj["matrix"], dtype=float)
     if matrix.ndim != 2 or not np.all(np.abs(matrix) <= MAX_ENTRY):
         raise ValueError(f"process matrix must be 2-D, entries at most {MAX_ENTRY:g} in magnitude")
+    _require_numbers(obj["matrix"], "process matrix")
     return LinearProcess(obj["in_dims"], obj["out_dims"], matrix)
 
 

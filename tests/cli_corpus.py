@@ -1,0 +1,166 @@
+"""The CLI's corpus: one table of commands, the inputs they read and one runner.
+
+Without an argument, runs each command twice in fresh `python -W error -m ltshadow` processes
+and checks both runs; with a git revision, classifies each command's result against its src/.
+"""
+
+import collections
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))  # this tree's ltshadow, ahead of an installed one
+import ltshadow  # noqa: E402
+from ltshadow.processes import to_coords  # noqa: E402
+from ltshadow.serialize import process_to_json  # noqa: E402
+from matrix_helpers import parity_breaking_map  # noqa: E402
+
+# name, exit code, argv.  Every file an argv names is an input, except missing.json.
+TABLE = """
+examples-7                     0 examples --seed 7 --upb
+examples-11                    0 examples --seed 11 --upb
+examples-3                     0 examples --seed 3 --upb
+decompose-rank4                0 decompose -i rank4.json
+shadow-rank9                   0 shadow -i rank9.json
+cone-boxtimes-rank4            0 cone --cone boxtimes -i rank4.json
+cone-psd-ss-rank4              0 cone --cone psd-ss -i rank4.json
+cone-effect-rank4              0 cone --cone effect -i rank4.json
+cone-max-rank4                 0 cone --cone max --seed 3 -i rank4.json
+cone-min-rank4                 0 cone --cone min --seed 3 -i rank4.json
+cone-psd-ss-rank9              0 cone --cone psd-ss -i rank9.json
+cone-boxtimes-three            0 cone --cone boxtimes -i three.json
+cone-max-tiles                 0 cone --cone max --seed 3 -i tiles-form.json
+cone-min-tiles                 0 cone --cone min --seed 3 -i tiles-state.json
+map-local-local-positive       0 map --check local-positive -i local.json
+map-local-shadow               0 map --check shadow -i local.json
+map-local-positive             0 map --check positive --seed 3 -i local.json
+map-leaking-local-positive     0 map --check local-positive -i leaking.json
+map-leaking-shadow             4 map --check shadow -i leaking.json
+map-leaking-positive           0 map --check positive --seed 3 -i leaking.json
+map-twisted-local-positive     0 map --check local-positive -i twisted-pt.json
+map-twisted-shadow             4 map --check shadow -i twisted-pt.json
+map-twisted-positive           0 map --check positive --seed 3 -i twisted-pt.json
+fiber-rank9-local              0 fiber --shadow rank9.json --n 100 --seed 1 --map local.json
+fiber-rank9-leaking            0 fiber --shadow rank9.json --n 100 --seed 1 --map leaking.json
+fiber-rank9-push300            0 fiber --shadow rank9.json --n 300 --seed 1 --map leaking.json
+fiber-rank9-2000               0 fiber --shadow rank9.json --n 2000 --seed 1
+fiber-rank4-500                0 fiber --shadow rank4.json --n 500 --seed 1
+fiber-three                    0 fiber --shadow three.json --n 100 --seed 1
+map-parity-local-positive      2 map --check local-positive -i parity.json
+map-parity-shadow              2 map --check shadow -i parity.json
+map-huge                       3 map --check local-positive -i huge.json
+cone-min-three                 3 cone --cone min --seed 1 -i three.json
+cone-negative-seed             2 cone --cone boxtimes --seed -1 -i rank4.json
+shadow-fractional              3 shadow -i fractional.json
+shadow-big                     2 shadow -i big.json
+shadow-strings                 2 shadow -i strings.json
+shadow-dims-0                  3 shadow --dims 0,4 -i rank4.json
+shadow-dims-x                  2 shadow --dims 2,x -i rank4.json
+fiber-n-0                      2 fiber --shadow rank4.json --n 0 --seed 1
+fiber-n-10001                  2 fiber --shadow rank4.json --n 10001 --seed 1
+fiber-missing-map              2 fiber --shadow rank9.json --n 10000 --seed 1 --map missing.json
+fiber-map-22                   3 fiber --shadow rank9.json --n 10000 --seed 1 --map map-22.json
+"""
+CORPUS = [(n, a, int(c)) for n, c, a in (e.split(None, 2) for e in TABLE.strip().splitlines())]
+CLASSES = ("values-equal", "verdicts-only", "differs")  # what classify returns, best first
+
+# Checks on an entry's parsed stdout d, given every input and earlier output by name in o.
+CHECKS = {
+    **dict.fromkeys(("examples-7", "examples-11", "examples-3"), lambda d, o: d["all_pass"]
+                    is True and all(c["pass"] is True for c in d["checks"])),
+    "cone-effect-rank4": lambda d, o: d["cone"] == "effect"
+    and {**d, "cone": "psd-ss"} == o["cone-psd-ss-rank4"],
+    "cone-boxtimes-three": lambda d, o: d["verdict"] == "member",
+    "cone-max-tiles": lambda d, o: d["verdict"] == "member"
+    and d["certificate"]["heuristic"] is True,
+    "cone-min-tiles": lambda d, o: d["verdict"] == "non_member"
+    and d["certificate"]["criterion"] == "range",
+    "map-local-local-positive": lambda d, o: d["locally_positive"] is True,
+    "map-leaking-local-positive": lambda d, o: d["locally_positive"] is False,
+    "fiber-rank9-local": lambda d, o: d["spread"]["deterministic"] is True
+    and d["spread"]["diameter"] == 0,
+    "fiber-rank9-leaking": lambda d, o: d["spread"]["deterministic"] is False,
+    **{name: lambda d, o, n=n: (d["rejected"], d["n_accepted"]) == (0, n)
+       for name, n in (("fiber-rank9-2000", 2000), ("fiber-rank4-500", 500), ("fiber-three", 100))},
+}
+
+
+def write_inputs(tmp) -> dict:
+    """Write every input file of the corpus into tmp; return them by file name."""
+    form, state, _ = ltshadow.separating_max_cone_form(seed=0)
+    q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((4, 4)))
+    pt = [q @ e.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4) @ q.T  # Q PT_B Q^T
+          for e in ltshadow.grading_basis((2, 2)).stacked.reshape(-1, 4, 4)]
+    inputs = {f"{name}.json": process_to_json(proc) for name, proc in {
+        "local": ltshadow.random_locally_positive_process((3, 3), seed=1),
+        "leaking": ltshadow.random_kernel_leaking_process((3, 3), seed=1),
+        "twisted-pt": ltshadow.LinearProcess((2, 2), (2, 2), to_coords(np.stack(pt), (2, 2)).T),
+        "parity": parity_breaking_map(), "map-22": ltshadow.identity_process((2, 2))}.items()} | {
+        "tiles-form.json": {"dims": [3, 3], "rows": form.tolist()},
+        "tiles-state.json": {"dims": [3, 3], "rows": state.tolist()},
+        "fractional.json": {"dims": [2.5, 2], "rows": np.eye(4).tolist()},
+        "big.json": {"dims": [2, 2], "rows": [[1e308] * 4] * 4},
+        "huge.json": {"in_dims": [9, 9, 2], "out_dims": [1], "matrix": [[1.0]]},
+        "strings.json": {"dims": [2], "rows": [["1", 0], [0, True]]}}
+    for name, dims, cols in (("rank4", (3, 3), 4), ("rank9", (3, 3), 18), ("three", (2, 2, 2), 16)):
+        a = np.random.default_rng(0).standard_normal((int(np.prod(dims)), cols))
+        shadow = ltshadow.lt_state(a @ a.T / np.trace(a @ a.T), dims).op
+        inputs[f"{name}.json"] = {"dims": list(dims), "rows": shadow.tolist()}
+    for name, payload in inputs.items():
+        (Path(tmp) / name).write_text(json.dumps(payload))
+    return inputs
+
+
+def classify(a, b) -> str:
+    """The class of two parsed results; numbers compare as IEEE doubles, bit for bit."""
+    if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
+        a, b = [a[k] for k in a], [b[k] for k in a]
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return max(map(classify, a, b), key=CLASSES.index, default=CLASSES[0])
+    if {type(a), type(b)} <= {int, float}:
+        same = float(a).hex() == float(b).hex()
+        return CLASSES[0 if same else 1 if type(a) is type(b) is float else 2]
+    return CLASSES[0 if type(a) is type(b) and a == b else 2]
+
+
+def main(rev=None) -> int:
+    counts = collections.Counter()
+    with tempfile.TemporaryDirectory() as tmp:
+        def run(src, argv):
+            proc = subprocess.run([sys.executable, "-W", "error", "-m", "ltshadow", *argv.split()],
+                                  cwd=tmp, env={**os.environ, "PYTHONPATH": str(src)},
+                                  capture_output=True, text=True, timeout=1800)
+            return [proc.returncode, proc.stdout, proc.stderr]
+        o = write_inputs(tmp)
+        if rev:  # REV's src/ lands in tmp/src
+            archive = subprocess.run(["git", "-C", ROOT, "archive", rev, "src"],
+                                     capture_output=True, check=True).stdout
+            subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+        for name, argv, code in CORPUS:
+            first, second = run(ROOT / "src", argv), run(Path(tmp if rev else ROOT) / "src", argv)
+            o[name] = json.loads(first[1] or "null")
+            if rev:
+                result = "bytes-equal" if first == second else classify(
+                    *([r[0], json.loads(r[1] or "null"), r[2]] for r in (first, second)))
+            elif first != second:
+                result = "FAIL: the two runs differ"
+            elif first[0] != code:
+                result = f"FAIL: exit {first[0]}, expected {code}: {first[2].strip()}"
+            elif "NaN" in first[1] or "Infinity" in first[1]:
+                result = "FAIL: NaN or Infinity in stdout"
+            else:
+                result = "ok" if CHECKS.get(name, lambda d, o: True)(o[name], o) else "FAIL: check"
+            counts[result.split(":")[0]] += 1
+            print(f"{result:<13} {name}", flush=True)
+    print(f"{len(CORPUS)} entries:", ", ".join(f"{n} {r}" for r, n in counts.items()))
+    return 1 if counts["FAIL"] else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(*sys.argv[1:]))

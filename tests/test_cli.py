@@ -457,6 +457,29 @@ def test_integral_float_dims_are_accepted(capsys, monkeypatch):
     assert json.loads(capsys.readouterr().out)["dims"] == [2, 2]
 
 
+@pytest.mark.parametrize("entry", ["1", " 1e0 ", True])
+@pytest.mark.parametrize("argv", [
+    ["shadow", "-i", "{matrix}"],
+    ["cone", "--cone", "psd-ss", "-i", "{matrix}"],
+    ["map", "--check", "local-positive", "-i", "{process}"],
+    ["fiber", "--shadow", "{matrix}", "--seed", "1"],
+    ["fiber", "--shadow", "{shadow}", "--seed", "1", "--map", "{process}"],
+])
+def test_entries_that_are_not_numbers_exit_2(tmp_path, capsys, argv, entry):
+    """numpy reads "1", " 1e0 " and true as 1.0; the readers refuse them."""
+    rows, matrix = np.eye(4).tolist(), np.eye(16).tolist()
+    rows[1][1] = matrix[3][3] = entry
+    files = {"matrix": tmp_path / "m.json", "process": tmp_path / "p.json",
+             "shadow": epr_shadow_file(tmp_path)}
+    files["matrix"].write_text(json.dumps({"dims": [2, 2], "rows": rows}))
+    files["process"].write_text(json.dumps({"in_dims": [2, 2], "out_dims": [2, 2],
+                                            "matrix": matrix}))
+    assert cli.main([arg.format(**files) for arg in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "entries must be JSON numbers" in err
+
+
 def _hostile_calls(tmp_path):
     """Every subcommand that reads input, on entries of magnitude 1e308."""
     matrix = tmp_path / "big.json"

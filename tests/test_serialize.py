@@ -130,5 +130,21 @@ def test_matrix_from_json_refuses_non_integer_dims(key, value):
         matrix_from_json({key: value, "rows": [[1, 0], [0, 1]]})
 
 
+@pytest.mark.parametrize("entry", ["1", " 1e0 ", True, False])
+def test_readers_refuse_entries_that_are_not_numbers(entry):
+    """A string or a boolean entry is malformed input (exit 2), not a mismatch."""
+    for read, obj in ((matrix_from_json, {"rows": [[entry]]}),
+                      (process_from_json, {"in_dims": [1], "out_dims": [1], "matrix": [[entry]]})):
+        with pytest.raises(ValueError, match="entries must be JSON numbers") as exc:
+            read(obj)
+        assert not isinstance(exc.value, DimensionMismatch)
+
+
+def test_matrix_from_json_refuses_a_boolean_dim():
+    """true == 1 in Python; a declared "dim" of true is refused as dims [true] are."""
+    with pytest.raises(DimensionMismatch):
+        matrix_from_json({"dim": True, "rows": [[1]]})
+
+
 def test_matrix_from_json_accepts_integral_floats():
     assert matrix_from_json({"dim": 2.0, "dims": [2, 1.0], "rows": [[1, 0], [0, 1]]})[1] == (2, 1)
