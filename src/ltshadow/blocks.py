@@ -9,10 +9,13 @@ product, into orthogonal blocks built from symmetric (s) and antisymmetric
 
 The ss and aa blocks together span the symmetric matrices on the composite;
 sa and as span the antisymmetric ones.  The grading basis of a factor list
-(d_1, ..., d_n) concatenates, in binary pattern order (s < a per factor),
-the Kronecker products of one-factor basis elements, lexicographic within
-each block (see :func:`symmetric_basis` / :func:`antisymmetric_basis`), so
-coordinates are reproducible across runs and platforms.
+(d_1, ..., d_n) follows one per-factor rule.  Each factor d contributes its
+symmetric rows (E_ii for i = 0..d-1, then (E_ij + E_ji)/sqrt(2) for i < j)
+or its antisymmetric rows ((E_ij - E_ji)/sqrt(2) for i < j), (i, j)
+lexicographic; the block of a pattern such as "sa" holds the Kronecker
+products of its factors' rows, first factor slowest, multiplied left to
+right; and the blocks follow in binary pattern order (s < a per factor).
+So coordinates are reproducible across runs and platforms.
 
 Every other module reaches the basis through :func:`grading_basis`, turns
 caller factor dimensions into ints through :func:`factor_dims`, and checks a
@@ -32,41 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import kron
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 _BOOLS = frozenset({bool, np.bool_})
-
-
-def symmetric_basis(dim: int) -> list[np.ndarray]:
-    """Trace-orthonormal basis of symmetric dim x dim matrices.
-
-    Ordering: E_ii for i = 0..dim-1, then (E_ij + E_ji)/sqrt(2) for i < j in
-    lexicographic (i, j) order.
-    """
-    out = []
-    for i in range(dim):
-        e = np.zeros((dim, dim))
-        e[i, i] = 1.0
-        out.append(e)
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            e = np.zeros((dim, dim))
-            e[i, j] = e[j, i] = _SQRT_HALF
-            out.append(e)
-    return out
-
-
-def antisymmetric_basis(dim: int) -> list[np.ndarray]:
-    """Trace-orthonormal basis (E_ij - E_ji)/sqrt(2), i < j lexicographic."""
-    out = []
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            e = np.zeros((dim, dim))
-            e[i, j] = _SQRT_HALF
-            e[j, i] = -_SQRT_HALF
-            out.append(e)
-    return out
 
 
 @dataclass(frozen=True)
@@ -74,9 +45,10 @@ class GradingBasis:
     """The orthonormal grading basis of a product operator space.
 
     ``stacked`` holds one vectorized basis element per row, blocks in
-    pattern order; ``slices`` maps each pattern to its rows.  Every per-block
-    view (:meth:`rows`, :meth:`block`) is a read-only slice of that one
-    array.  The read-only ``*_index`` arrays hold the rows of each part, in
+    pattern order, each block the Kronecker products of its factors' s or a
+    rows (the module's per-factor rule); ``slices`` maps each pattern to its
+    rows.  Every per-block view (:meth:`rows`, :meth:`block`) is a
+    read-only slice of that one array.  The read-only ``*_index`` arrays hold the rows of each part, in
     order; ``stacked[kernel_index]`` is the shadow kernel at any number of
     factors (for two, the aa rows).  The read-only bool ``odd`` flags the
     rows with an odd number of a (the antisymmetric operators).
@@ -149,6 +121,19 @@ def operand(x, dims, stack: bool = False,
 _BASES: dict[tuple[int, ...], GradingBasis] = {}
 
 
+def _factor_rows(d: int, part: str) -> np.ndarray:
+    """(n, d, d) one-factor basis of part "s" (E_ii for i = 0..d-1, then
+    (E_ij + E_ji)/sqrt(2)) or "a" ((E_ij - E_ji)/sqrt(2)), i < j lexicographic."""
+    i, j = np.triu_indices(d, 1)
+    diag = np.arange(d if part == "s" else 0)
+    out = np.zeros((len(diag) + len(i), d, d))
+    out[diag, diag, diag] = 1.0
+    k = np.arange(len(diag), len(out))
+    out[k, i, j] = _SQRT_HALF
+    out[k, j, i] = _SQRT_HALF if part == "s" else -_SQRT_HALF
+    return out
+
+
 def grading_basis(dims) -> GradingBasis:
     """The grading basis for factor dimensions dims (by :func:`factor_dims`)."""
     dims = factor_dims(dims)
@@ -156,25 +141,20 @@ def grading_basis(dims) -> GradingBasis:
         return _BASES[dims]
     # Pattern strings over {s, a} in binary order, e.g. (ss, sa, as, aa).
     patterns = tuple("".join(p) for p in itertools.product("sa", repeat=len(dims)))
-    elements: list[np.ndarray] = []
-    slices: dict[str, slice] = {}
-    n_anti: list[int] = []  # antisymmetric factors of each row
-    for pattern in patterns:
-        start = len(elements)
-        factor_bases = [
-            symmetric_basis(d) if c == "s" else antisymmetric_basis(d)
-            for d, c in zip(dims, pattern)
-        ]
-        for combo in itertools.product(*factor_bases):
-            acc = combo[0]
-            for f in combo[1:]:
-                acc = kron(acc, f)
-            elements.append(acc)
-        slices[pattern] = slice(start, len(elements))
-        n_anti += [pattern.count("a")] * (len(elements) - start)
-    # The all-s block is never empty, so neither is the basis.
-    stacked = np.stack([e.ravel() for e in elements])
-    n_anti = np.asarray(n_anti)
+    factor = {(d, c): _factor_rows(d, c) for d in set(dims) for c in "sa"}
+    sizes = [math.prod(len(factor[d, c]) for d, c in zip(dims, p)) for p in patterns]
+    stops = list(itertools.accumulate(sizes))
+    slices = {p: slice(stop - n, stop) for p, n, stop in zip(patterns, sizes, stops)}
+    stacked = np.empty((math.prod(dims) ** 2,) * 2)  # D^2 elements of D^2 entries
+    for pattern, rows in slices.items():
+        # Row (i, j) of acc x f is kron(acc[i], f[j]), entry by entry the one
+        # product kron takes; left to right from the empty product 1.0.
+        acc = np.ones((1, 1, 1))
+        for d, c in zip(dims, pattern):
+            f, m = factor[d, c], acc.shape[1] * d
+            acc = (acc[:, None, :, None, :, None] * f[None, :, None, :, None, :]).reshape(-1, m, m)
+        stacked[rows] = acc.reshape(-1, stacked.shape[1])
+    n_anti = np.repeat([p.count("a") for p in patterns], sizes)  # a factors of each row
     parts = [np.flatnonzero(n_anti == 0),
              np.flatnonzero((n_anti > 0) & (n_anti % 2 == 0)),
              n_anti % 2 == 1]

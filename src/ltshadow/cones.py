@@ -39,6 +39,7 @@ from .linalg import (
     eigvalsh,
     max_norm,
     min_eigenvalue,
+    product_vectors,
     rng_from_seed,
     sym_part,
     trace_inner,
@@ -101,6 +102,18 @@ class FeasibilityParams:
 
 @dataclass
 class ConeMembershipResult:
+    """A verdict, its certificate (None when undecided) and two numbers.
+
+    ``iterations`` counts psd-ss's one eigensolve, the boxtimes barrier's
+    Newton steps (0 for a negative trace, 1 for a positive M), max's
+    restarts, and min's pursuit atoms (its restarts when the range criterion
+    fires, 0 for an M that is not positive).  ``residual`` is -lambda_min of
+    M (psd-ss, min) or of M + K (boxtimes), -Tr M or minus the separating
+    pairing (boxtimes non-members), -q_min (max), 1 minus the best product
+    overlap (range criterion) or the refit's Frobenius residual (pursuit);
+    member verdicts clip it at 0.
+    """
+
     verdict: str
     certificate: dict | None
     iterations: int
@@ -111,11 +124,6 @@ class ConeMembershipResult:
 # Product-form quadratic optimization (max cone, range criterion, pursuit
 # atoms, unextendibility margin, map positivity)
 # ---------------------------------------------------------------------------
-
-
-def _pairs(v: np.ndarray) -> np.ndarray:
-    """Row r of the result is the outer product v_r v_r^T, flattened."""
-    return (v[:, :, None] * v[:, None, :]).reshape(len(v), -1)
 
 
 def product_form_extremum(m: np.ndarray, dims, params: FeasibilityParams,
@@ -162,7 +170,8 @@ def product_form_extremum(m: np.ndarray, dims, params: FeasibilityParams,
     for step in range(2 * PRODUCT_FORM_SWEEPS):
         # Even steps contract y and solve for x; odd steps the other way.
         given, solved, layout, d = (y, x, m_y, da) if step % 2 == 0 else (x, y, m_x, db)
-        w, u = eigh((_pairs(given[live])[:, None, :] @ layout).reshape(-1, d, d))
+        v = given[live]
+        w, u = eigh((product_vectors(v, v)[:, None, :] @ layout).reshape(-1, d, d))
         solved[live] = u[:, :, idx]
         val = w[:, idx]
         done = np.abs(val - prev[live]) <= PRODUCT_FORM_STALL * (1 + np.abs(val))
@@ -179,7 +188,7 @@ def product_form_extremum(m: np.ndarray, dims, params: FeasibilityParams,
 
 def _best_pair(x, y, m_x, minimize):
     """(q, x, y) of the restart with the best q(x_r, y_r), lowest index on ties."""
-    q = (_pairs(x)[:, None, :] @ m_x @ _pairs(y)[:, :, None]).ravel()
+    q = (product_vectors(x, x)[:, None, :] @ m_x @ product_vectors(y, y)[:, :, None]).ravel()
     best = int(np.argmin(q) if minimize else np.argmax(q))
     return float(q[best]), x[best], y[best]
 

@@ -14,4 +14,5 @@ class NotLocallyPositive(ValueError):
 
 
 class InfeasibleShadow(ValueError):
-    """The fiber of the given shadow contains no positive global state."""
+    """The fiber of the given shadow contains no positive global state, or the
+    boxtimes oracle could not decide that it does (verdict ``undecided``)."""

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import grading_basis
-from .cones import FeasibilityParams, in_boxtimes_cone, MEMBER
+from .cones import MEMBER, UNDECIDED, FeasibilityParams, in_boxtimes_cone
 from .errors import DimensionMismatch, InfeasibleShadow
 from .linalg import eigh, eigvalsh, max_norm, min_eigenvalue, rng_from_seed
 from .processes import LinearProcess
@@ -119,8 +119,9 @@ def _feasible_start(shadow: ShadowState) -> tuple[np.ndarray, np.ndarray, np.nda
     # The boxtimes oracle draws no random numbers, so any seed will do.
     result = in_boxtimes_cone(shadow.op, shadow.dims, FeasibilityParams(seed=0, tol=START_TOL))
     if result.verdict != MEMBER:
+        claim = "undecided whether a" if result.verdict == UNDECIDED else "no"
         raise InfeasibleShadow(
-            f"no positive state projects to this shadow (oracle verdict: {result.verdict})"
+            f"{claim} positive state projects to this shadow (oracle verdict: {result.verdict})"
         )
     start = shadow.op + result.certificate["kernel_offset"]
     return (start, *eigh(start))
@@ -154,11 +155,12 @@ def sample_fiber(shadow: ShadowState, n: int, seed: int,
     on a stack of one chain.
 
     Requires the shadow to admit a positive completion (boxtimes member);
-    raises InfeasibleShadow otherwise.  With an empty kernel the fiber is a
-    single point.  Every returned representative is validated: positive
-    within 1e-9, unit trace within 1e-9, and shadow equal to the input
-    within 1e-8.  Defined at any number of factors: the directions are
-    combinations of the ``kernel_index`` rows of the grading basis.
+    raises InfeasibleShadow otherwise, also when the oracle is undecided.
+    With an empty kernel the fiber is a single point.  Every returned
+    representative is validated: positive within 1e-9, unit trace within
+    1e-9, and shadow equal to the input within 1e-8.  Defined at any number
+    of factors: the directions are combinations of the ``kernel_index`` rows
+    of the grading basis.
 
     One eigensolve per step, of R^T D R for the walk's congruence factor R
     (see the module docstring), with the directions and uniform draws taken

@@ -2,8 +2,9 @@
 
 Everything else in the package is built on the operations here: the trace
 inner product Tr(a b^T), the symmetric part of a real matrix, Kronecker
-products, the package's only symmetric eigensolver, and seeded random
-matrices.  Operators are plain float64 numpy arrays.
+products (of matrices, and row by row of vector stacks), the package's only
+symmetric eigensolver, and seeded random matrices.  Operators are plain
+float64 numpy arrays.
 
 :func:`eigh` and :func:`eigvalsh` decompose the symmetric part of a matrix,
 or of every matrix of an (R, d, d) stack, so callers never symmetrize by
@@ -51,6 +52,11 @@ def sym_part(a: np.ndarray) -> np.ndarray:
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product.  Tr((a@b)(c@d)^T) = Tr(a c^T) Tr(b d^T)."""
     return np.kron(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+
+
+def product_vectors(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """The rows x_i o y_i (Kronecker products) of the pairs (xs[i], ys[i])."""
+    return (xs[:, :, None] * ys[:, None, :]).reshape(len(xs), -1)
 
 
 def eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

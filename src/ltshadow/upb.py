@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .cones import FeasibilityParams, product_form_extremum
+from .linalg import product_vectors
 
 _STREAM_MARGIN = 21
 # Restarts of the product-form search behind the unextendibility margin.
@@ -34,11 +35,6 @@ def tiles_upb() -> tuple[np.ndarray, np.ndarray]:
     xs.flags.writeable = False
     ys.flags.writeable = False
     return xs, ys
-
-
-def product_vectors(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """The rows x_i o y_i (Kronecker products) of the pairs (xs[i], ys[i])."""
-    return (xs[:, :, None] * ys[:, None, :]).reshape(len(xs), -1)
 
 
 def _span_projector() -> np.ndarray:

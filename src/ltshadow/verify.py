@@ -32,6 +32,7 @@ from .linalg import (
     eigvalsh,
     kron,
     max_norm,
+    product_vectors,
     random_density,
     rng_from_seed,
 )
@@ -44,7 +45,7 @@ from .processes import (
 )
 from .serialize import matrix_to_json
 from .shadow import defining_system_shadow, local_shadow_matrix, lt_state
-from .upb import product_vectors, separating_max_cone_form, tiles_upb
+from .upb import separating_max_cone_form, tiles_upb
 
 
 def real_epr_state() -> np.ndarray:

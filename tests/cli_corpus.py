@@ -6,6 +6,7 @@ and checks both runs; with a git revision, classifies each command's result agai
 
 import collections
 import json
+import math
 import os
 import subprocess
 import sys
@@ -27,6 +28,8 @@ examples-7                     0 examples --seed 7 --upb
 examples-11                    0 examples --seed 11 --upb
 examples-3                     0 examples --seed 3 --upb
 decompose-rank4                0 decompose -i rank4.json
+decompose-9-9                  0 decompose -i sym81.json
+decompose-3-3-3-3              0 decompose --dims 3,3,3,3 -i sym81.json
 shadow-rank9                   0 shadow -i rank9.json
 cone-boxtimes-rank4            0 cone --cone boxtimes -i rank4.json
 cone-psd-ss-rank4              0 cone --cone psd-ss -i rank4.json
@@ -70,8 +73,19 @@ fiber-map-22                   3 fiber --shadow rank9.json --n 10000 --seed 1 --
 CORPUS = [(n, a, int(c)) for n, c, a in (e.split(None, 2) for e in TABLE.strip().splitlines())]
 CLASSES = ("values-equal", "verdicts-only", "differs")  # what classify returns, best first
 
+
+def _symmetric_split(d, o) -> bool:
+    """Parseval for the symmetric sym81 input, with no weight on the
+    antisymmetric blocks (an odd number of a)."""
+    norms = {key[:-5]: v for key, v in d.items() if key.endswith("_norm")}
+    total = float(np.linalg.norm(o["sym81.json"]["rows"]))
+    return (abs(math.hypot(*norms.values()) - total) <= 1e-12 * total
+            and all(v <= 1e-12 * total for p, v in norms.items() if p.count("a") % 2))
+
+
 # Checks on an entry's parsed stdout d, given every input and earlier output by name in o.
 CHECKS = {
+    **dict.fromkeys(("decompose-9-9", "decompose-3-3-3-3"), _symmetric_split),
     **dict.fromkeys(("examples-7", "examples-11", "examples-3"), lambda d, o: d["all_pass"]
                     is True and all(c["pass"] is True for c in d["checks"])),
     "cone-effect-rank4": lambda d, o: d["cone"] == "effect"
@@ -95,6 +109,7 @@ def write_inputs(tmp) -> dict:
     """Write every input file of the corpus into tmp; return them by file name."""
     form, state, _ = ltshadow.separating_max_cone_form(seed=0)
     q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((4, 4)))
+    n81 = np.random.default_rng(81).standard_normal((81, 81))
     pt = [q @ e.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4) @ q.T  # Q PT_B Q^T
           for e in ltshadow.grading_basis((2, 2)).stacked.reshape(-1, 4, 4)]
     inputs = {f"{name}.json": process_to_json(proc) for name, proc in {
@@ -107,7 +122,8 @@ def write_inputs(tmp) -> dict:
         "fractional.json": {"dims": [2.5, 2], "rows": np.eye(4).tolist()},
         "big.json": {"dims": [2, 2], "rows": [[1e308] * 4] * 4},
         "huge.json": {"in_dims": [9, 9, 2], "out_dims": [1], "matrix": [[1.0]]},
-        "strings.json": {"dims": [2], "rows": [["1", 0], [0, True]]}}
+        "strings.json": {"dims": [2], "rows": [["1", 0], [0, True]]},
+        "sym81.json": {"dims": [9, 9], "rows": ((n81 + n81.T) / 2).tolist()}}
     for name, dims, cols in (("rank4", (3, 3), 4), ("rank9", (3, 3), 18), ("three", (2, 2, 2), 16)):
         a = np.random.default_rng(0).standard_normal((int(np.prod(dims)), cols))
         shadow = ltshadow.lt_state(a @ a.T / np.trace(a @ a.T), dims).op

@@ -1,10 +1,12 @@
 """Grading basis construction, block coordinates, and projections."""
 
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from basis_reference import reference_basis
 from matrix_helpers import (
     antisym_part,
     block_sizes,
@@ -189,8 +191,34 @@ def test_random_ss_matrix_is_ss_supported():
 def test_blocks_is_the_only_module_that_builds_basis_elements():
     package = Path(ltshadow.__file__).parent
     users = sorted(path.name for path in package.glob("*.py")
-                   if "symmetric_basis" in path.read_text(encoding="utf-8"))
+                   if "_factor_rows" in path.read_text(encoding="utf-8"))
     assert users == ["blocks.py"]
+
+
+@pytest.mark.parametrize("dims", [(1,), (2, 2), (2, 3), (3, 2), (1, 4), (4, 1, 2), (2, 2, 2),
+                                  (3, 2, 2), (2, 3, 4), (3, 3, 3)])
+def test_grading_basis_matches_the_element_by_element_reference(dims):
+    """Every array of the basis, its patterns and its slices are those of the
+    kron-chain reference, bit for bit."""
+    g, ref = grading_basis(dims), reference_basis(dims)
+    assert (g.dims, g.patterns, g.slices) == (ref.dims, ref.patterns, ref.slices)
+    for name in ("stacked", "shadow_index", "kernel_index", "odd"):
+        a, b = getattr(g, name), getattr(ref, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        assert a.flags.c_contiguous and not a.flags.writeable
+
+
+def test_a_cold_build_peaks_near_the_size_of_stacked(monkeypatch):
+    """Blocks are written straight into one preallocated array: a cold (3, 3, 3)
+    build holds at most half of stacked again in temporaries."""
+    monkeypatch.setattr(ltshadow.blocks, "_BASES", {})
+    tracemalloc.start()
+    try:
+        g = grading_basis((3, 3, 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * g.stacked.nbytes
 
 
 @pytest.mark.parametrize("dims", [(1,), (2, 2), (2, 3), (2, 2, 2), (3, 2, 2)])

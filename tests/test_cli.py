@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from matrix_helpers import parity_breaking_map
 
-from ltshadow import cli, shadow
+from ltshadow import cli, fiber, shadow
+from ltshadow.cones import ConeMembershipResult
 from ltshadow.linalg import kron, sym_part
 from ltshadow.processes import swap_process
 from ltshadow.serialize import dumps, matrix_to_json, process_to_json
@@ -517,6 +518,23 @@ def test_fiber_n_above_limit_exit_2_before_sampling(tmp_path, capsys, monkeypatc
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: --n 10001 is above the limit of {cli.MAX_FIBER_N}\n"
+
+
+@pytest.mark.parametrize("verdict, message", [
+    ("undecided", "undecided whether a positive state projects to this shadow"),
+    ("non_member", "no positive state projects to this shadow"),
+])
+def test_fiber_start_says_undecided_only_when_the_oracle_is(tmp_path, capsys, monkeypatch,
+                                                            verdict, message):
+    """An oracle that cannot decide the start is reported as undecided, not as
+    an infeasible shadow; both exit 4 before any walk."""
+    monkeypatch.setattr(fiber, "in_boxtimes_cone",
+                        lambda *args: ConeMembershipResult(verdict, None, 44, 1e-3))
+    path = epr_shadow_file(tmp_path)
+    assert cli.main(["fiber", "--shadow", str(path), "--n", "20", "--seed", "1"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message} (oracle verdict: {verdict})\n"
 
 
 def _fiber_with_map(tmp_path, monkeypatch, map_path):
