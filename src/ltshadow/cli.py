@@ -77,7 +77,9 @@ EXIT_NUMERIC = 5
 
 # Largest supported factor dimension, and MAX_FACTOR_DIM ** 2 the largest D.
 MAX_FACTOR_DIM = 9
-# Largest fiber sample: sampling is linear in n, push_and_spread quadratic.
+# Largest fiber sample: sampling is linear in n; push_and_spread through a map
+# that spreads the fiber is quadratic in n, except with one kernel direction
+# (two rebits), where it reads the spread off the segment in O(n log n).
 MAX_FIBER_N = 10_000
 
 
@@ -335,7 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", "-o", default="-")
     p.add_argument("--dims", type=_parse_dims, default=None)
     p.add_argument("--n", type=int, default=100, help=f"sample size, at most {MAX_FIBER_N}"
-                   "; a spreading --map costs time quadratic in n (minutes at the cap)")
+                   "; a spreading --map costs time quadratic in n (minutes at the cap)"
+                   " beyond one kernel direction")
     p.add_argument("--seed", type=_parse_seed, required=True)
     p.add_argument("--map", default=None, help="optional process JSON to push through")
     p.set_defaults(func=cmd_fiber)

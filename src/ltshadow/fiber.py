@@ -35,10 +35,23 @@ and are validated in stacked passes of VALIDATION_BLOCK points, and the push
 maps, tests and projects the representatives in passes of the same size.
 When the pushed shadows coincide to within a Frobenius bound (the locally
 positive case), the spread is reported as 0 without pairwise eigensolves,
-within SPREAD_ZERO_TOL = 1e-12 of the eigensolved value.  Coverage, not a
-certified uniform law, is the goal; the spread summaries (trace-norm
-diameter and mean pairwise distance) are pragmatic choices, not canonical
-ones.
+within SPREAD_ZERO_TOL = 1e-12 of the eigensolved value.
+
+With one kernel direction K (two rebits, where K = J o J / 2) the fiber is
+the segment start + aK, a in [-1/mu_max, -1/mu_min] for the extreme
+eigenvalues mu of R^T K R, and every chord of the walk is the whole segment,
+so the walk's points are i.i.d. uniform on it (Smith, Oper. Res. 32, 1984).
+The sampler draws them so: one eigensolve for both ends, n uniforms from the
+chain's stream and no burn-in.  The push reads the spread off the segment:
+representatives x_0 + t_i K have pushed shadows S_0 + (t_i - t_0) B, with B
+the shadow of Phi(K), so the diameter is (t_max - t_min) ||B||_tr and the
+mean pairwise distance follows from the sorted t, with one eigensolve for
+||B||_tr; representatives off that line (a hand-built sample) take the
+pairwise route.
+
+Coverage, not a certified uniform law, is the goal; the spread summaries
+(trace-norm diameter and mean pairwise distance) are pragmatic choices, not
+canonical ones.
 """
 
 from __future__ import annotations
@@ -51,7 +64,7 @@ from .blocks import grading_basis
 from .cones import MEMBER, UNDECIDED, FeasibilityParams, in_boxtimes_cone
 from .errors import DimensionMismatch, InfeasibleShadow
 from .linalg import eigh, eigvalsh, max_norm, min_eigenvalue, rng_from_seed
-from .processes import LinearProcess
+from .processes import LinearProcess, from_coords, to_coords
 from .shadow import ShadowState, local_shadow_matrix
 
 DET_TOL = 1e-7
@@ -168,7 +181,11 @@ def sample_fiber(shadow: ShadowState, n: int, seed: int,
     several shadows of one dims go faster together, through
     :func:`sample_fibers`, which shares each step's eigensolve.  In exact
     arithmetic every walk point has lambda_min >= -(floor + max(0,
-    -lambda_min(start))).  Raises ValueError for n < 1 or burn_in < 0.
+    -lambda_min(start))).  With one kernel direction the fiber is a segment,
+    and the n points are uniform draws on it, whatever the burn-in: from the
+    state's own start that is 2 + ceil(n / VALIDATION_BLOCK) eigensolves (the
+    start, both ends of the segment, the validation passes).  Raises
+    ValueError for n < 1 or burn_in < 0.
     """
     return sample_fibers([shadow], [n], [seed], burn_in)[0]
 
@@ -182,7 +199,9 @@ def sample_fibers(shadows, ns, seeds, burn_in: int = 100) -> list[FiberSample]:
     its own random stream, drawn in the same blocks, and a step takes one
     stacked eigensolve for every chain still walking (the chains are sorted
     longest first, so those are a prefix of the stack).  Start points and
-    validation passes are per chain.
+    validation passes are per chain.  With one kernel direction each chain
+    draws its n points on its segment with one eigensolve for the ends, and
+    there is no step to share.
     """
     shadows, ns, seeds = list(shadows), list(ns), list(seeds)
     if not len(shadows) == len(ns) == len(seeds):
@@ -200,6 +219,9 @@ def sample_fibers(shadows, ns, seeds, burn_in: int = 100) -> list[FiberSample]:
     k = kernel.shape[0]
     if k == 0:
         return [_single_point(s, n, seed) for s, n, seed in zip(shadows, ns, seeds)]
+    if k == 1:
+        direction = kernel[0].reshape(shadows[0].op.shape)
+        return [_segment(s, n, seed, direction) for s, n, seed in zip(shadows, ns, seeds)]
 
     order = sorted(range(len(shadows)), key=lambda c: -ns[c])
     starts = [_feasible_start(shadows[c]) for c in order]
@@ -272,6 +294,21 @@ def _single_point(shadow: ShadowState, n: int, seed: int) -> FiberSample:
                        n_requested=n, n_accepted=1, kernel_dim=0)
 
 
+def _segment(shadow: ShadowState, n: int, seed: int, kernel: np.ndarray) -> FiberSample:
+    """n points on the fiber of a shadow with one kernel direction K: the
+    segment start + alpha*K, alpha in [-1/mu_max, -1/mu_min] for the extreme
+    eigenvalues mu of R^T K R (R the walk's floored congruence factor).  Every
+    hit-and-run chord is the whole segment, so the walk's points are i.i.d.
+    uniform on it: n draws from the chain's stream, one eigensolve."""
+    start, w, v = _feasible_start(shadow)
+    factor = _congruence_factor(w, v, EIG_FLOOR * (1.0 + max_norm(start)))
+    mu = eigvalsh(factor.T @ kernel @ factor)
+    bottom, top = float(mu[0]), float(mu[-1])
+    draws = rng_from_seed(seed, _STREAM_HIT_AND_RUN).random(n)
+    alphas = (1.0 / top - 1.0 / bottom) * draws - 1.0 / top
+    return _validated(shadow, start + alphas[:, None, None] * kernel, start, seed, 1)
+
+
 def _validated(shadow: ShadowState, walk: np.ndarray, start: np.ndarray, seed: int,
                k: int) -> FiberSample:
     """The walk points that pass the representative checks, in stacked passes
@@ -301,14 +338,55 @@ def _valid_representatives(xs: np.ndarray, shadow: ShadowState) -> np.ndarray:
     return (eigvalsh(xs)[:, 0] >= -REP_PSD_TOL) & _on_slice(xs, shadow)
 
 
-def _pushed_shadows(reps: np.ndarray, proc: LinearProcess):
-    """Per pass of VALIDATION_BLOCK representatives, the shadows of their
-    images that are positive within REP_PSD_TOL (one stacked apply, one
-    stacked eigensolve and one stacked shadow per pass)."""
+def _pushed(reps: np.ndarray, proc: LinearProcess):
+    """Per pass of VALIDATION_BLOCK representatives, their images and which
+    of those are positive within REP_PSD_TOL (one stacked apply and one
+    stacked eigensolve per pass)."""
     for i in range(0, len(reps), VALIDATION_BLOCK):
         images = proc.apply(reps[i:i + VALIDATION_BLOCK])
-        positive = eigvalsh(images)[:, 0] >= -REP_PSD_TOL
+        yield images, eigvalsh(images)[:, 0] >= -REP_PSD_TOL
+
+
+def _pushed_shadows(reps: np.ndarray, proc: LinearProcess):
+    """Per pass, the shadows of the images that are positive (:func:`_pushed`)."""
+    for images, positive in _pushed(reps, proc):
         yield local_shadow_matrix(images[positive], proc.out_dims)
+
+
+def _line_coordinates(sample: FiberSample) -> tuple[np.ndarray, np.ndarray] | None:
+    """(K, t) with t_i = <x_i - x_0, K> for the representatives x_i and the
+    first kernel direction K of the sample's dims, or None when some x_i is
+    off the line x_0 + t K by more than REP_SHADOW_TOL (max-norm)."""
+    g = grading_basis(sample.shadow.dims)
+    reps = sample.representatives
+    kernel = g.stacked[g.kernel_index[0]].reshape(reps.shape[1:])
+    offsets = reps - reps[:1]
+    t = np.tensordot(offsets, kernel, axes=2)
+    return None if max_norm(offsets - t[:, None, None] * kernel) > REP_SHADOW_TOL else (kernel, t)
+
+
+def _segment_spread(sample: FiberSample, proc: LinearProcess, kernel: np.ndarray,
+                    t: np.ndarray) -> SpreadReport:
+    """The spread of representatives x_0 + t_i K: their pushed shadows are
+    S_0 + (t_i - t_0) B with B the shadow of Phi(K), so every pairwise
+    distance is |t_i - t_j| ||B||_tr."""
+    reps = sample.representatives
+    t = t[np.concatenate([np.zeros(0, bool), *(positive for _, positive in _pushed(reps, proc))])]
+    n = len(t)
+    image = from_coords(proc.matrix @ to_coords(kernel, proc.in_dims), proc.out_dims)
+    b = local_shadow_matrix(image, proc.out_dims)
+    # The bound of the pairwise case: ||S_i - S_0||_F = |t_i - t_0| ||B||_F.
+    bound = 2 * np.sqrt(b.shape[-1]) * np.linalg.norm(b) * np.abs(t - t[:1]).max(initial=0.0)
+    diameter = mean = 0.0
+    if bound > SPREAD_ZERO_TOL:
+        b_trace_norm = float(np.abs(eigvalsh(b)).sum())
+        # Sorted, gap k separates k points from n - k: it is in k(n - k) pairs.
+        gaps = np.diff(np.sort(t))
+        below = np.arange(1, n)
+        diameter = float(t.max() - t.min()) * b_trace_norm
+        mean = float(gaps @ (below * (n - below))) * b_trace_norm / (n * (n - 1) // 2)
+    return SpreadReport(n=n, diameter=diameter, mean_pairwise=mean,
+                        deterministic=diameter <= DET_TOL, excluded=len(reps) - n)
 
 
 def push_and_spread(sample: FiberSample, proc: LinearProcess) -> SpreadReport:
@@ -324,7 +402,19 @@ def push_and_spread(sample: FiberSample, proc: LinearProcess) -> SpreadReport:
     and no shadow outlives its pass.  Otherwise the shadows are kept (taken
     again if a pass was dropped before the bound broke) and each row of
     pairwise distances is one stacked eigensolve.
+
+    With one kernel direction K (``kernel_dim == 1``, two rebits) the
+    representatives are x_0 + t_i K, and the pushed shadows S_0 + (t_i -
+    t_0) B, with B the shadow of Phi(K) read from the process matrix: the
+    diameter is (t_max - t_min) ||B||_tr and the mean pairwise distance comes
+    from the sorted t, in O(n log n) and ceil(n / VALIDATION_BLOCK) + 1
+    eigensolves (the positivity passes and ||B||_tr), under the same bound.
+    Representatives off that line by more than REP_SHADOW_TOL take the
+    pairwise route.
     """
+    line = _line_coordinates(sample) if sample.kernel_dim == 1 else None
+    if line is not None:
+        return _segment_spread(sample, proc, *line)
     reps = sample.representatives
     kept, n, bound = [], 0, 0.0
     for shadows in _pushed_shadows(reps, proc):

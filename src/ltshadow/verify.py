@@ -80,12 +80,13 @@ def nondeterminism_demo_state() -> np.ndarray:
 def shadow_vs_defining_system(seed: int) -> float:
     """Largest max-norm gap between the closed-form shadow and the defining
     linear system's, over 20 random states each at (2, 2), (2, 3) and
-    (3, 3): one stacked projection and one solve per dims."""
+    (3, 3), drawn in turn from one generator per dims: one stacked
+    projection and one solve per dims."""
     worst = 0.0
     for idx, dims in enumerate(((2, 2), (2, 3), (3, 3))):
         d = dims[0] * dims[1]
-        rhos = np.stack([random_density(d, rng_from_seed(seed, 100 + idx, k))
-                         for k in range(20)])
+        rng = rng_from_seed(seed, 100 + idx)
+        rhos = np.stack([random_density(d, rng) for _ in range(20)])
         gap = local_shadow_matrix(rhos, dims) - defining_system_shadow(rhos, dims)
         worst = max(worst, float(np.abs(gap).max()))
     return worst
@@ -94,16 +95,17 @@ def shadow_vs_defining_system(seed: int) -> float:
 def kernel_invariance_deviation(seed: int) -> float:
     """Largest change of an ss coordinate of the shadow when a kernel element
     is added to a random state (kept positive), over 10 states each at
-    (2, 2) and (2, 3): one stacked lambda_min and one stacked projection per
-    dims."""
+    (2, 2) and (2, 3), each state and then its kernel coefficients drawn in
+    turn from one generator per dims: one stacked lambda_min and one stacked
+    projection per dims."""
     worst = 0.0
     for idx, dims in enumerate(((2, 2), (2, 3))):
         d = dims[0] * dims[1]
         g = grading_basis(dims)
         kernel = g.block("aa")
+        rng = rng_from_seed(seed, 300 + idx)
         rhos, kmats = [], []
-        for k in range(10):
-            rng = rng_from_seed(seed, 300 + idx, k)
+        for _ in range(10):
             rhos.append(random_density(d, rng))
             kmats.append(sum(float(c) * kb for c, kb in
                              zip(rng.standard_normal(len(kernel)), kernel)))
@@ -124,13 +126,16 @@ def random_pure_state(d: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def report_fiber_walks(seed: int) -> tuple[float, FiberSample]:
-    """The report's five fiber walks, in one stack of chains per dims.
+    """The report's five fiber samples, in one stack of chains per dims.
 
-    Two random pure states at each of (2, 2) and (2, 3) are walked with
+    Two random pure states at each of (2, 2) and (2, 3) are sampled with
     seeds seed and seed + 1 at n = 10; the first value is the largest
     trace-norm distance of a representative from its state.  The demo state
-    (:func:`nondeterminism_demo_state`) is walked in the (2, 2) stack with
-    seed and n = 40, and its sample is the second value."""
+    (:func:`nondeterminism_demo_state`) is sampled in the (2, 2) stack with
+    seed and n = 40, and its sample is the second value.  At (2, 2) the
+    fiber is a segment, so each of those three chains costs one eigensolve
+    for the segment's ends and its n uniform draws (no walk steps); the
+    (2, 3) pair walks 110 stacked steps."""
     pure22, pure23 = ([random_pure_state(dims[0] * dims[1], rng_from_seed(seed, 200 + idx, k))
                        for k in range(2)]
                       for idx, dims in enumerate(((2, 2), (2, 3))))

@@ -55,6 +55,8 @@ fiber-rank9-push300            0 fiber --shadow rank9.json --n 300 --seed 1 --ma
 fiber-rank9-2000               0 fiber --shadow rank9.json --n 2000 --seed 1
 fiber-rank4-500                0 fiber --shadow rank4.json --n 500 --seed 1
 fiber-three                    0 fiber --shadow three.json --n 100 --seed 1
+fiber-rebit-local              0 fiber --shadow rebit.json --n 100 --seed 1 --map rebit-local.json
+fiber-rebit-leaking            0 fiber --shadow rebit.json --n 10000 --seed 1 --map rebit-leaking.json
 map-parity-local-positive      2 map --check local-positive -i parity.json
 map-parity-shadow              2 map --check shadow -i parity.json
 map-huge                       3 map --check local-positive -i huge.json
@@ -100,6 +102,10 @@ CHECKS = {
     "fiber-rank9-local": lambda d, o: d["spread"]["deterministic"] is True
     and d["spread"]["diameter"] == 0,
     "fiber-rank9-leaking": lambda d, o: d["spread"]["deterministic"] is False,
+    "fiber-rebit-local": lambda d, o: d["spread"]["deterministic"] is True
+    and d["spread"]["diameter"] == 0,
+    "fiber-rebit-leaking": lambda d, o: d["spread"]["deterministic"] is False
+    and (d["kernel_dim"], d["n_accepted"]) == (1, 10000),
     **{name: lambda d, o, n=n: (d["rejected"], d["n_accepted"]) == (0, n)
        for name, n in (("fiber-rank9-2000", 2000), ("fiber-rank4-500", 500), ("fiber-three", 100))},
 }
@@ -115,6 +121,8 @@ def write_inputs(tmp) -> dict:
     inputs = {f"{name}.json": process_to_json(proc) for name, proc in {
         "local": ltshadow.random_locally_positive_process((3, 3), seed=1),
         "leaking": ltshadow.random_kernel_leaking_process((3, 3), seed=1),
+        "rebit-local": ltshadow.random_locally_positive_process((2, 2), seed=1),
+        "rebit-leaking": ltshadow.random_kernel_leaking_process((2, 2), seed=1),
         "twisted-pt": ltshadow.LinearProcess((2, 2), (2, 2), to_coords(np.stack(pt), (2, 2)).T),
         "parity": parity_breaking_map(), "map-22": ltshadow.identity_process((2, 2))}.items()} | {
         "tiles-form.json": {"dims": [3, 3], "rows": form.tolist()},
@@ -124,7 +132,8 @@ def write_inputs(tmp) -> dict:
         "huge.json": {"in_dims": [9, 9, 2], "out_dims": [1], "matrix": [[1.0]]},
         "strings.json": {"dims": [2], "rows": [["1", 0], [0, True]]},
         "sym81.json": {"dims": [9, 9], "rows": ((n81 + n81.T) / 2).tolist()}}
-    for name, dims, cols in (("rank4", (3, 3), 4), ("rank9", (3, 3), 18), ("three", (2, 2, 2), 16)):
+    for name, dims, cols in (("rank4", (3, 3), 4), ("rank9", (3, 3), 18), ("three", (2, 2, 2), 16),
+                             ("rebit", (2, 2), 8)):
         a = np.random.default_rng(0).standard_normal((int(np.prod(dims)), cols))
         shadow = ltshadow.lt_state(a @ a.T / np.trace(a @ a.T), dims).op
         inputs[f"{name}.json"] = {"dims": list(dims), "rows": shadow.tolist()}

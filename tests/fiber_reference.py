@@ -2,9 +2,11 @@
 ``ltshadow.fiber``.
 
 :func:`walk` is one chain of hit-and-run on 2-D arrays: one eigensolve of
-R^T D R per step, with Python-float chord ends.  The sampler walks a stack of
-chains with one stacked eigensolve per step, so tests require every chain to
-equal this walk bit for bit.
+R^T D R per step, with Python-float chord ends; with one kernel direction K,
+one eigensolve of R^T K R gives the fiber's segment and each point is one
+uniform draw on it.  The sampler walks a stack of chains with one stacked
+eigensolve per step, so tests require every chain to equal this walk bit for
+bit.
 
 One matrix at a time: each walk point is validated on its own (positive
 within REP_PSD_TOL, trace within REP_TRACE_TOL of the shadow's, shadow
@@ -32,7 +34,7 @@ from ltshadow.fiber import (
     _feasible_start,
     _valid_representatives,
 )
-from ltshadow.linalg import eigh, max_norm, min_eigenvalue, rng_from_seed
+from ltshadow.linalg import eigh, eigvalsh, max_norm, min_eigenvalue, rng_from_seed
 from ltshadow.shadow import local_shadow_matrix
 
 
@@ -41,31 +43,46 @@ def _chord(factor, direction):
     return mu, u, 1.0 / float(mu[-1]), -1.0 / float(mu[0])
 
 
-def walk(shadow, n, seed, burn_in=100):
-    """One hit-and-run chain of ``burn_in + n`` steps, validated as the
-    sampler validates: a FiberSample of the walk points that pass, or of the
-    start point if none does."""
-    g = grading_basis(shadow.dims)
-    kernel = g.stacked[g.kernel_index]
+def _walk_steps(kernel, factor, rng, x, points, burn_in):
+    """Hit-and-run from x: the points after the burn-in go into ``points``."""
     k = kernel.shape[0]
-    start, w, v = _feasible_start(shadow)
-    factor = _congruence_factor(w, v, EIG_FLOOR * (1.0 + max_norm(start)))
-    rng = rng_from_seed(seed, _STREAM_HIT_AND_RUN)
-    x = start
-    points = np.empty((n,) + start.shape)
-    steps = burn_in + n
+    steps = burn_in + len(points)
     for first in range(0, steps, VALIDATION_BLOCK):
         size = min(VALIDATION_BLOCK, steps - first)
         coefficients = rng.standard_normal((size, k))
         draws = rng.random(size)
         for step, c, draw in zip(range(first, first + size), coefficients, draws):
-            d_mat = (c @ kernel).reshape(start.shape)
+            d_mat = (c @ kernel).reshape(x.shape)
             mu, u, a_minus, a_plus = _chord(factor, d_mat)
             alpha = (a_minus + a_plus) * draw - a_minus
             x = x + alpha * d_mat
             factor = (factor @ u) / np.sqrt(np.maximum(1.0 + alpha * mu, _FACTOR_GUARD))
             if step >= burn_in:
                 points[step - burn_in] = x
+
+
+def walk(shadow, n, seed, burn_in=100):
+    """One hit-and-run chain of ``burn_in + n`` steps (n draws on the segment
+    at one kernel direction), validated as the sampler validates: a
+    FiberSample of the walk points that pass, or of the start point if none
+    does."""
+    g = grading_basis(shadow.dims)
+    kernel = g.stacked[g.kernel_index]
+    k = kernel.shape[0]
+    start, w, v = _feasible_start(shadow)
+    factor = _congruence_factor(w, v, EIG_FLOOR * (1.0 + max_norm(start)))
+    rng = rng_from_seed(seed, _STREAM_HIT_AND_RUN)
+    points = np.empty((n,) + start.shape)
+    if k == 1:
+        # The fiber is a segment and every chord is all of it: each point is
+        # one uniform draw on the segment, and there is nothing to burn in.
+        kernel_matrix = kernel[0].reshape(start.shape)
+        mu = eigvalsh(factor.T @ kernel_matrix @ factor)
+        a_minus, a_plus = 1.0 / float(mu[-1]), -1.0 / float(mu[0])
+        for i, draw in enumerate(rng.random(n)):
+            points[i] = start + ((a_minus + a_plus) * draw - a_minus) * kernel_matrix
+    else:
+        _walk_steps(kernel, factor, rng, start, points, burn_in)
     valid = np.concatenate([_valid_representatives(points[i:i + VALIDATION_BLOCK], shadow)
                             for i in range(0, n, VALIDATION_BLOCK)])
     accepted = int(valid.sum())

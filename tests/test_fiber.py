@@ -57,6 +57,14 @@ def demo_state():
     return 0.5 * epr_projector() + 0.5 * np.eye(4) / 4
 
 
+def non_positive_kernel_map():
+    """X -> X + <K, X> I / 2: not positive, so some images of the (2, 2)
+    demo fiber are excluded and the rest spread."""
+    kernel = grading_basis((2, 2)).block("aa")[0]
+    return process_from_function(lambda e: e + 0.5 * trace_inner(kernel, e) * np.eye(4),
+                                 (2, 2), (2, 2))
+
+
 def bare_shadow(w, dims):
     """Shadow without a kernel part (forces the oracle start)."""
     return ShadowState(op=local_shadow_matrix(w, dims), dims=dims)
@@ -236,9 +244,7 @@ def test_push_and_spread_matches_pairwise_loop(eigensolves):
 
     # A map that is not positive: some images fail positivity, the rest spread.
     sample = sample_fiber(lt_state(demo_state(), (2, 2)), n=30, seed=11)
-    kernel = grading_basis((2, 2)).block("aa")[0]
-    proc = process_from_function(lambda e: e + 0.5 * trace_inner(kernel, e) * np.eye(4),
-                                 (2, 2), (2, 2))
+    proc = non_positive_kernel_map()
     report = push_and_spread(sample, proc)
     n, excluded, diameter, mean = fiber_reference.push_and_spread(sample.representatives, proc)
     assert (report.n, report.excluded) == (n, excluded)
@@ -513,3 +519,87 @@ def test_sample_fibers_refuses_mismatched_stacks():
     with pytest.raises(ValueError, match="n must be"):
         sample_fibers([two, two], [10, 0], [1, 2])
     assert sample_fibers([], [], []) == []
+
+
+# ---------------------------------------------------------------------------
+# one kernel direction: the fiber is a segment
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("make", [lambda: random_kernel_leaking_process((2, 2), seed=14),
+                                  lambda: random_locally_positive_process((2, 2), seed=12),
+                                  non_positive_kernel_map],
+                         ids=["leaking", "locally-positive", "not-positive"])
+def test_segment_push_matches_the_pairwise_loop(make):
+    """At n = 300 the spread read off the segment equals every pairwise
+    trace-norm distance eigensolved, and a locally positive map gives 0."""
+    sample = sample_fiber(lt_state(demo_state(), (2, 2)), n=300, seed=11)
+    assert sample.kernel_dim == 1 and sample.n_accepted == 300
+    proc = make()
+    report = push_and_spread(sample, proc)
+    n, excluded, diameter, mean = fiber_reference.push_and_spread(sample.representatives, proc)
+    assert (report.n, report.excluded) == (n, excluded)
+    assert abs(report.diameter - diameter) <= 1e-12
+    assert abs(report.mean_pairwise - mean) <= 1e-12
+    if is_locally_positive(proc).locally_positive:
+        assert report.diameter == report.mean_pairwise == 0.0 and report.deterministic
+    else:
+        assert report.diameter > 0.01 and not report.deterministic
+    if make is non_positive_kernel_map:
+        assert n > 1 and excluded > 0
+
+
+@pytest.mark.parametrize("n,burn_in", [(50, 100), (2000, 0)])
+def test_segment_sample_makes_one_eigensolve_for_its_ends(n, burn_in, eigensolves, monkeypatch):
+    """The start point's eigendecomposition, one eigensolve for both ends of
+    the segment and one per validation pass, whatever the burn-in; the start
+    is the state's own, so the oracle is not called."""
+    state = lt_state(demo_state(), (2, 2))
+
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("the boxtimes oracle was called")
+
+    monkeypatch.setattr(fiber, "in_boxtimes_cone", no_oracle)
+    eigensolves["n"] = 0
+    sample = sample_fiber(state, n=n, seed=27, burn_in=burn_in)
+    assert sample.n_accepted == n and sample.rejected == 0
+    assert eigensolves["n"] == 2 + math.ceil(n / VALIDATION_BLOCK)
+
+
+@pytest.mark.parametrize("n", [50, 300, 2000])
+def test_segment_push_makes_one_eigensolve_per_pass_and_one_for_the_spread(n, eigensolves):
+    sample = sample_fiber(lt_state(demo_state(), (2, 2)), n=n, seed=28)
+    proc = random_kernel_leaking_process((2, 2), seed=29)
+    eigensolves["n"] = 0
+    report = push_and_spread(sample, proc)
+    assert report.n == n and not report.deterministic
+    assert eigensolves["n"] == math.ceil(n / VALIDATION_BLOCK) + 1
+
+
+@pytest.mark.parametrize("offset,pairwise", [(2e-8, True), (0.5e-8, False)])
+def test_points_off_the_segment_get_the_pairwise_spread(offset, pairwise, eigensolves):
+    """A hand-built sample with kernel_dim 1 whose points are off the line
+    through its first point by more than REP_SHADOW_TOL takes the pairwise
+    route, with the eigensolved spread; within it, the segment's, which
+    misses the eigensolved spread by about the offset."""
+    reps = sample_fiber(lt_state(demo_state(), (2, 2)), n=40, seed=30).representatives.copy()
+    reps[7] += offset * np.diag([1.0, -1.0, 0.0, 0.0])
+    sample = FiberSample(shadow=lt_state(demo_state(), (2, 2)), representatives=reps, seed=30,
+                         n_requested=len(reps), n_accepted=len(reps), kernel_dim=1)
+    proc = random_kernel_leaking_process((2, 2), seed=31)
+    eigensolves["n"] = 0
+    report = push_and_spread(sample, proc)
+    assert eigensolves["n"] == 1 + (len(reps) - 1 if pairwise else 1)
+    n, excluded, diameter, mean = fiber_reference.push_and_spread(reps, proc)
+    assert (report.n, report.excluded) == (n, excluded) == (40, 0)
+    tol = 1e-12 if pairwise else offset
+    assert abs(report.diameter - diameter) <= tol
+    assert abs(report.mean_pairwise - mean) <= tol
+
+
+@pytest.mark.parametrize("kernel_dim", [0, 1])
+def test_an_empty_sample_has_no_spread(kernel_dim):
+    sample = FiberSample(shadow=lt_state(demo_state(), (2, 2)), representatives=np.zeros((0, 4, 4)),
+                         seed=0, n_requested=0, n_accepted=0, kernel_dim=kernel_dim)
+    report = push_and_spread(sample, random_kernel_leaking_process((2, 2), seed=31))
+    assert (report.n, report.excluded, report.diameter, report.mean_pairwise) == (0, 0, 0.0, 0.0)
