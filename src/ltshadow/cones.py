@@ -35,6 +35,7 @@ import numpy as np
 
 from .blocks import grading_basis, operand
 from .linalg import (
+    check_seed,
     eigh,
     eigvalsh,
     max_norm,
@@ -91,6 +92,7 @@ class FeasibilityParams:
     restarts: int = 32
 
     def __post_init__(self):
+        check_seed(self.seed)
         if not self.tol > 0:
             raise ValueError("tol must be positive")
         if self.restarts < 1:
@@ -109,9 +111,10 @@ class ConeMembershipResult:
     restarts, and min's pursuit atoms (its restarts when the range criterion
     fires, 0 for an M that is not positive).  ``residual`` is -lambda_min of
     M (psd-ss, min) or of M + K (boxtimes), -Tr M or minus the separating
-    pairing (boxtimes non-members), -q_min (max), 1 minus the best product
-    overlap (range criterion) or the refit's Frobenius residual (pursuit);
-    member verdicts clip it at 0.
+    pairing (boxtimes non-members), -q_min (max members) or -q of the first
+    certified witness (max non-members, a lower bound on the depth -q_min),
+    1 minus the best product overlap (range criterion) or the refit's
+    Frobenius residual (pursuit); member verdicts clip it at 0.
     """
 
     verdict: str
@@ -366,13 +369,20 @@ def _boxtimes_barrier(m: np.ndarray, dims, lam0: float, tol: float) -> ConeMembe
 def in_max_cone(m: np.ndarray, dims, params: FeasibilityParams) -> ConeMembershipResult:
     """Heuristic test that q(x, y) >= -tol for all unit product vectors.
 
-    A negative value is an exact non-membership witness; a nonnegative
-    minimum over all restarts is only as strong as the search, so member
-    verdicts are flagged heuristic.
+    One unit product pair with q(x, y) < -tol is an exact non-membership
+    witness on its own, so the product-form search is bounded at -tol: it
+    stops after the first half-step at which its best current pair has
+    crossed the bound, and the witness is that first certified pair.  Its
+    ``quadratic_value`` is exact, and the residual, its negation, is a lower
+    bound on the depth -q_min, not the deepest value the full search would
+    reach; the verdict is the full search's.  A member never crosses the
+    bound, so its search runs to the end, and a nonnegative minimum over
+    all restarts is only as strong as that search: member verdicts are
+    flagged heuristic.
     """
     m, dims = require_shadow_support(m, dims, 2)
     val, x, y = product_form_extremum(m, dims, params, minimize=True,
-                                      stream=_STREAM_MAX_CONE)
+                                      stream=_STREAM_MAX_CONE, bound=-params.tol)
     if val < -params.tol:
         cert = {"witness_x": x, "witness_y": y, "quadratic_value": val}
         return ConeMembershipResult(NON_MEMBER, cert, params.restarts, -val)

@@ -18,6 +18,8 @@ result in the package is reproducible from the seeds recorded in its output.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .errors import DimensionMismatch
@@ -79,6 +81,19 @@ def min_eigenvalue(m: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
+def check_seed(seed) -> int:
+    """The seed as a Python int; ValueError unless a non-negative integer."""
+    if not isinstance(seed, bool):
+        try:
+            value = operator.index(seed)
+        except TypeError:
+            pass
+        else:
+            if value >= 0:
+                return value
+    raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+
+
 def rng_from_seed(seed: int, *stream: int) -> np.random.Generator:
     """Generator for an explicit 64-bit seed plus an optional stream path.
 
@@ -86,8 +101,12 @@ def rng_from_seed(seed: int, *stream: int) -> np.random.Generator:
     case, ...) come from SeedSequence spawn keys, so each stochastic
     sub-search is reproducible from (seed, stream) alone; the restarts of
     one product-form search draw their starts in order from one stream.
+    The seed must be a non-negative integer (a numpy integer will do); a
+    float, a bool or a negative number raises ValueError rather than
+    running as some other seed.
     """
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(s) for s in stream))
+    ss = np.random.SeedSequence(entropy=check_seed(seed),
+                                spawn_key=tuple(int(s) for s in stream))
     return np.random.Generator(np.random.Philox(ss))
 
 

@@ -40,6 +40,8 @@ cone-psd-ss-rank9              0 cone --cone psd-ss -i rank9.json
 cone-boxtimes-three            0 cone --cone boxtimes -i three.json
 cone-max-tiles                 0 cone --cone max --seed 3 -i tiles-form.json
 cone-min-tiles                 0 cone --cone min --seed 3 -i tiles-state.json
+cone-max-outside               0 cone --cone max --seed 3 -i outside.json
+cone-boxtimes-outside          0 cone --cone boxtimes -i outside.json
 map-local-local-positive       0 map --check local-positive -i local.json
 map-local-shadow               0 map --check shadow -i local.json
 map-local-positive             0 map --check positive --seed 3 -i local.json
@@ -85,6 +87,16 @@ def _symmetric_split(d, o) -> bool:
             and all(v <= 1e-12 * total for p, v in norms.items() if p.count("a") % 2))
 
 
+def _max_witness_replays(d, o) -> bool:
+    """A max-cone non-member's witness pair has the reported q < -tol, recomputed
+    from the input."""
+    c = d["certificate"]
+    xy = np.kron(c["witness_x"], c["witness_y"])
+    q = float(xy @ np.array(o["outside.json"]["rows"]) @ xy)
+    return (d["verdict"] == "non_member" and c["quadratic_value"] < -1e-8
+            and abs(q - c["quadratic_value"]) <= 1e-12)
+
+
 # Checks on an entry's parsed stdout d, given every input and earlier output by name in o.
 CHECKS = {
     **dict.fromkeys(("decompose-9-9", "decompose-3-3-3-3"), _symmetric_split),
@@ -97,6 +109,9 @@ CHECKS = {
     and d["certificate"]["heuristic"] is True,
     "cone-min-tiles": lambda d, o: d["verdict"] == "non_member"
     and d["certificate"]["criterion"] == "range",
+    "cone-max-outside": _max_witness_replays,
+    "cone-boxtimes-outside": lambda d, o: d["verdict"] == "non_member"
+    and d["certificate"]["pairing"] < -1e-8,
     "map-local-local-positive": lambda d, o: d["locally_positive"] is True,
     "map-leaking-local-positive": lambda d, o: d["locally_positive"] is False,
     "fiber-rank9-local": lambda d, o: d["spread"]["deterministic"] is True
@@ -137,6 +152,12 @@ def write_inputs(tmp) -> dict:
         a = np.random.default_rng(0).standard_normal((int(np.prod(dims)), cols))
         shadow = ltshadow.lt_state(a @ a.T / np.trace(a @ a.T), dims).op
         inputs[f"{name}.json"] = {"dims": list(dims), "rows": shadow.tolist()}
+    # The rank4 shadow s less (<F, s> + 0.05) F for a unit product projector F,
+    # so <F, outside> = -0.05: outside the boxtimes and the maximal cone.
+    s = np.array(inputs["rank4.json"]["rows"])
+    x, y = (v / np.linalg.norm(v) for v in np.random.default_rng(3).standard_normal((2, 3)))
+    f = np.kron(np.outer(x, x), np.outer(y, y))
+    inputs["outside.json"] = {"dims": [3, 3], "rows": (s - (np.sum(f * s) + 0.05) * f).tolist()}
     for name, payload in inputs.items():
         (Path(tmp) / name).write_text(json.dumps(payload))
     return inputs

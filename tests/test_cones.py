@@ -31,7 +31,7 @@ from ltshadow.cones import (
 from ltshadow.errors import DimensionMismatch, SupportViolation
 from ltshadow.linalg import kron, max_norm, min_eigenvalue, rng_from_seed
 from ltshadow.shadow import local_shadow_matrix
-from ltshadow.upb import upb_state
+from ltshadow.upb import separating_max_cone_form, upb_state
 
 PARAMS = FeasibilityParams(seed=101)
 J = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -349,9 +349,9 @@ def test_bounded_product_form_extremum_stops_at_the_first_half_step_past_it(eige
     assert len(eigensolve_log) > 2
 
 
-def test_only_the_positivity_check_and_the_range_criterion_bound_the_search(monkeypatch):
-    """The max cone, the UPB margin and the pursuit atoms report the search's
-    best value, so they pass no bound; the positivity check and the range
+def test_only_verdict_searches_bound_the_product_form_search(monkeypatch):
+    """The UPB margin and the pursuit atoms report the search's best value,
+    so they pass no bound; the max cone, the positivity check and the range
     criterion pass the bound their verdict compares with."""
     from ltshadow import processes, upb
 
@@ -365,7 +365,7 @@ def test_only_the_positivity_check_and_the_range_criterion_bound_the_search(monk
         monkeypatch.setattr(module, "product_form_extremum", recorded)
 
     in_max_cone(epr_shadow(), (2, 2), PARAMS)
-    assert calls == [(cones._STREAM_MAX_CONE, None)]
+    assert calls == [(cones._STREAM_MAX_CONE, -PARAMS.tol)]
     calls.clear()
     upb.unextendibility_margin(seed=0)
     assert calls == [(upb._STREAM_MARGIN, None)]
@@ -393,18 +393,27 @@ def test_max_cone_accepts_epr_shadow():
     assert res.certificate["min_quadratic"] >= -PARAMS.tol
 
 
-def test_max_cone_rejects_negative_product():
+def test_max_cone_rejects_negative_product(eigensolve_log):
+    """-F for a unit product projector F = uu^T o vv^T: the full search finds
+    the pair (u, v) itself; the oracle stops at its first half-step, whose
+    best pair already certifies q < -tol."""
     m, u, v = random_product_projector((2, 2), 36)
+    _, x, y = product_form_extremum(-m, (2, 2), PARAMS)
+    assert abs(abs(x @ u) - 1.0) <= 1e-6 and abs(abs(y @ v) - 1.0) <= 1e-6
+    eigensolve_log.clear()
     res = in_max_cone(-m, (2, 2), PARAMS)
+    assert eigensolve_log == [("eigh", PARAMS.restarts)]
     assert res.verdict == NON_MEMBER
     x, y = res.certificate["witness_x"], res.certificate["witness_y"]
     q = product_quadratic_value(-m, (2, 2), x, y)
     assert q < -PARAMS.tol
-    assert abs(abs(x @ u) - 1.0) <= 1e-6 and abs(abs(y @ v) - 1.0) <= 1e-6
+    assert abs(q - res.certificate["quadratic_value"]) <= 1e-12 * (1 + abs(q))
 
 
 def test_max_cone_heuristic_matches_grid():
-    """Dense product-grid minimum vs alternating search at (2, 2)."""
+    """Dense product-grid minimum vs the full alternating search at (2, 2);
+    the oracle's verdict is the grid's, and a member's min_quadratic is the
+    grid minimum."""
     thetas = np.linspace(0.0, np.pi, 181)
     cs = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
     for k in range(5):
@@ -414,11 +423,56 @@ def test_max_cone_heuristic_matches_grid():
         t1 = np.einsum("ijkl,ai,ak->ajl", m4, cs, cs)
         grid = np.einsum("ajl,bj,bl->ab", t1, cs, cs)
         grid_min = float(grid.min())
-        res = in_max_cone(m, (2, 2), PARAMS)
-        found = (res.certificate.get("min_quadratic")
-                 if res.verdict == MEMBER else -res.residual)
+        found = product_form_extremum(m, (2, 2), PARAMS)[0]
         assert found <= grid_min + 1e-3
         assert abs(found - grid_min) <= 1e-3
+        res = in_max_cone(m, (2, 2), PARAMS)
+        assert (res.verdict == NON_MEMBER) == (grid_min < -PARAMS.tol)
+        if res.verdict == MEMBER:
+            assert abs(res.certificate["min_quadratic"] - grid_min) <= 1e-3
+
+
+def max_cone_inputs():
+    """Shadows of rank-1 and of full-rank states, each shadow s less
+    (<F, s> + delta) F for a unit product projector F (so q = -delta at F's
+    pair), and the tiles form in the maximal cone, with their dims."""
+    inputs = []
+    for k, dims in enumerate(((2, 2), (2, 3), (3, 3))):
+        rng = rng_from_seed(47, k)
+        d = dims[0] * dims[1]
+        for rank in (1, d):
+            a = rng.standard_normal((d, rank))
+            s = local_shadow_matrix(a @ a.T / np.trace(a @ a.T), dims)
+            inputs.append((s, dims))
+            for delta in (1e-6, 1e-3, 0.05):
+                f = random_product_projector(dims, int(rng.integers(2**31)))[0]
+                inputs.append((s - (float(np.sum(f * s)) + delta) * f, dims))
+    inputs.append((separating_max_cone_form(seed=0)[0], (3, 3)))
+    return inputs
+
+
+def test_max_cone_is_the_same_with_and_without_the_bound(monkeypatch):
+    """A member's search never crosses -tol, so all its outputs keep their
+    bits; a non-member keeps its verdict, and its first certified witness
+    replays and is no deeper than the full search's."""
+    search = cones.product_form_extremum
+    for m, dims in max_cone_inputs():
+        monkeypatch.setattr(cones, "product_form_extremum", search)
+        got = in_max_cone(m, dims, PARAMS)
+        monkeypatch.setattr(cones, "product_form_extremum",
+                            extremum_reference.unbounded(search))
+        want = in_max_cone(m, dims, PARAMS)
+        assert got.verdict == want.verdict
+        if got.verdict == MEMBER:
+            assert (got.iterations, got.residual) == (want.iterations, want.residual)
+            assert_same_certificate(got.certificate, want.certificate)
+            continue
+        x, y = got.certificate["witness_x"], got.certificate["witness_y"]
+        assert abs(np.linalg.norm(x) - 1.0) <= 1e-12 and abs(np.linalg.norm(y) - 1.0) <= 1e-12
+        q = product_quadratic_value(m, dims, x, y)
+        assert q < -PARAMS.tol
+        assert abs(q - got.certificate["quadratic_value"]) <= 1e-12 * (1 + abs(q))
+        assert got.residual <= want.residual
 
 
 # ---------------------------------------------------------------------------

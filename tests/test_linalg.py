@@ -182,3 +182,21 @@ def test_linalg_is_the_only_eigensolver_caller():
     callers = sorted(path.name for path in package.glob("*.py")
                      if "np.linalg.eig" in path.read_text(encoding="utf-8"))
     assert callers == ["linalg.py"]
+
+
+@pytest.mark.parametrize("seed", [1.5, 1.0, -1, True, False, "3", None])
+def test_seeds_that_are_not_non_negative_integers_are_refused(seed):
+    """A float, a negative number, a bool, a string or None would otherwise
+    run as some other seed, or fail only at an oracle's first draw."""
+    from ltshadow.cones import FeasibilityParams
+
+    with pytest.raises(ValueError, match="seed"):
+        rng_from_seed(seed)
+    with pytest.raises(ValueError, match="seed"):
+        FeasibilityParams(seed=seed)
+
+
+def test_numpy_integer_seeds_give_the_int_seeds_bits():
+    want = rng_from_seed(7, 2).standard_normal(4)
+    for seed in (np.int64(7), np.uint32(7)):
+        assert np.array_equal(rng_from_seed(seed, 2).standard_normal(4), want)

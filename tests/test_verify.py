@@ -34,3 +34,11 @@ def test_report_is_plain_python():
     for check in report["checks"]:
         for key, value in check.items():
             assert type(value) in (bool, int, float, str, type(None)), (check["name"], key)
+
+
+def test_report_eigensolve_budget(eigensolve_log):
+    """The cli's primary metric: the full report at seed 7 makes at most 329
+    eigensolver calls on at most 3,137 matrices."""
+    verify.run_verification_report(7, include_upb=True)
+    assert len(eigensolve_log) <= 329
+    assert sum(n for _, n in eigensolve_log) <= 3137
