@@ -25,14 +25,15 @@ at once, a in [-1/mu_max, -1/mu_min], and R U diag(1 + a mu)^{-1/2} is the
 factor at the next point: one eigensolve per step.  Every walk point keeps
 x + F0 >= 0, so lambda_min(x) >= -(floor + max(0, -lambda_min(start)))
 over the whole walk, in exact arithmetic.  Each chain is sequential, but
-chains requested together (:func:`sample_fibers`, shadows of one dims) share
-each step's eigensolve: one stacked eigensolve of R_k^T D_k R_k over the
-chains still walking, with each chain's own random stream and its own
-Python-float step, so every chain is the one it would be alone, bit for bit.
-The work per representative is stacked too: a block's walk points are summed
-in one pass, the post-burn-in points of a chain go into one (n, D, D) array
-and are validated in stacked passes of VALIDATION_BLOCK points, and the push
-maps, tests and projects the representatives in passes of the same size.
+chains of one length requested together (:func:`sample_fibers`, shadows of
+one dims) share each step's eigensolve: one stacked eigensolve of
+R_k^T D_k R_k over all the chains, with each chain's own random stream and
+its own Python-float step, so every chain is the one it would be alone, bit
+for bit.  The work per representative is stacked too: a block's walk points
+are summed in one pass, the post-burn-in points of the chains go into one
+(chains, n, D, D) array, each chain is validated in stacked passes of
+VALIDATION_BLOCK points, and the push maps, tests and projects the
+representatives in passes of the same size.
 When the pushed shadows coincide to within a Frobenius bound (the locally
 positive case), the spread is reported as 0 without pairwise eigensolves,
 within SPREAD_ZERO_TOL = 1e-12 of the eigensolved value.
@@ -178,7 +179,7 @@ def sample_fiber(shadow: ShadowState, n: int, seed: int,
     One eigensolve per step, of R^T D R for the walk's congruence factor R
     (see the module docstring), with the directions and uniform draws taken
     in blocks of VALIDATION_BLOCK steps.  The chain is sequential; walks of
-    several shadows of one dims go faster together, through
+    one length on several shadows of one dims go faster together, through
     :func:`sample_fibers`, which shares each step's eigensolve.  In exact
     arithmetic every walk point has lambda_min >= -(floor + max(0,
     -lambda_min(start))).  With one kernel direction the fiber is a segment,
@@ -187,26 +188,26 @@ def sample_fiber(shadow: ShadowState, n: int, seed: int,
     start, both ends of the segment, the validation passes).  Raises
     ValueError for n < 1 or burn_in < 0.
     """
-    return sample_fibers([shadow], [n], [seed], burn_in)[0]
+    return sample_fibers([shadow], n, [seed], burn_in)[0]
 
 
-def sample_fibers(shadows, ns, seeds, burn_in: int = 100) -> list[FiberSample]:
-    """Independent hit-and-run chains on shadows of one dims, walked together.
+def sample_fibers(shadows, n: int, seeds, burn_in: int = 100) -> list[FiberSample]:
+    """Independent hit-and-run chains of one length on shadows of one dims,
+    walked together.
 
-    Chain i samples the fiber of ``shadows[i]`` with ``n = ns[i]`` and
-    ``seed = seeds[i]``, and returns what ``sample_fiber(shadows[i], ns[i],
+    Chain i samples the fiber of ``shadows[i]`` with ``n`` points and
+    ``seed = seeds[i]``, and returns what ``sample_fiber(shadows[i], n,
     seeds[i], burn_in)`` would return alone, bit for bit: each chain keeps
-    its own random stream, drawn in the same blocks, and a step takes one
-    stacked eigensolve for every chain still walking (the chains are sorted
-    longest first, so those are a prefix of the stack).  Start points and
-    validation passes are per chain.  With one kernel direction each chain
-    draws its n points on its segment with one eigensolve for the ends, and
-    there is no step to share.
+    its own random stream, drawn in the same blocks, and each of the
+    burn_in + n steps takes one stacked eigensolve for all the chains.
+    Start points and validation passes are per chain.  With one kernel
+    direction each chain draws its n points on its segment with one
+    eigensolve for the ends, and there is no step to share.
     """
-    shadows, ns, seeds = list(shadows), list(ns), list(seeds)
-    if not len(shadows) == len(ns) == len(seeds):
-        raise ValueError("sample_fibers needs one n and one seed per shadow")
-    if any(n < 1 for n in ns):
+    shadows, seeds = list(shadows), list(seeds)
+    if len(shadows) != len(seeds):
+        raise ValueError("sample_fibers needs one seed per shadow")
+    if n < 1:
         raise ValueError("n must be >= 1")
     if burn_in < 0:
         raise ValueError("burn_in must be >= 0")
@@ -218,71 +219,52 @@ def sample_fibers(shadows, ns, seeds, burn_in: int = 100) -> list[FiberSample]:
     kernel = g.stacked[g.kernel_index]
     k = kernel.shape[0]
     if k == 0:
-        return [_single_point(s, n, seed) for s, n, seed in zip(shadows, ns, seeds)]
+        return [_single_point(s, n, seed) for s, seed in zip(shadows, seeds)]
     if k == 1:
         direction = kernel[0].reshape(shadows[0].op.shape)
-        return [_segment(s, n, seed, direction) for s, n, seed in zip(shadows, ns, seeds)]
+        return [_segment(s, n, seed, direction) for s, seed in zip(shadows, seeds)]
 
-    order = sorted(range(len(shadows)), key=lambda c: -ns[c])
-    starts = [_feasible_start(shadows[c]) for c in order]
-    steps = [burn_in + ns[c] for c in order]
-    rngs = [rng_from_seed(seeds[c], _STREAM_HIT_AND_RUN) for c in order]
-    walks = [np.empty((ns[c],) + shadows[c].op.shape) for c in order]
+    starts = [_feasible_start(s) for s in shadows]
+    rngs = [rng_from_seed(seed, _STREAM_HIT_AND_RUN) for seed in seeds]
+    chains, steps = len(shadows), burn_in + n
+    walks = np.empty((chains, n) + shadows[0].op.shape)
     x = np.array([start for start, _, _ in starts])
     factor = np.array([_congruence_factor(w, v, EIG_FLOOR * (1.0 + max_norm(start)))
                        for start, w, v in starts])
-    for first in range(0, steps[0], VALIDATION_BLOCK):
-        size = min(VALIDATION_BLOCK, steps[0] - first)
-        live = sum(s > first for s in steps)
+    for first in range(0, steps, VALIDATION_BLOCK):
+        size = min(VALIDATION_BLOCK, steps - first)
         # Each chain draws its own block, as a chain walked alone does;
         # isotropic directions, since the chord is scale-free.
-        coefficients = np.zeros((size, live, 1, k))
-        draws = np.zeros((size, live))
-        for i in range(live):
-            m = min(VALIDATION_BLOCK, steps[i] - first)
-            coefficients[:m, i, 0] = rngs[i].standard_normal((m, k))
-            draws[:m, i] = rngs[i].random(m)
+        coefficients = np.empty((size, chains, 1, k))
+        draws = np.empty((size, chains))
+        for i, rng in enumerate(rngs):
+            coefficients[:, i, 0] = rng.standard_normal((size, k))
+            draws[:, i] = rng.random(size)
         # Row 0 of the block's terms is its start points, row 1 + j the
         # directions of step j, and then the steps alpha*D.  The directions
         # are a stacked gemv per chain and step, as for one chain: a gemm
         # over the rows would round differently.
-        terms = np.empty((size + 1, live) + x.shape[1:])
-        terms[0] = x[:live]
+        terms = np.empty((size + 1,) + x.shape)
+        terms[0] = x
         directions = terms[1:]
-        np.matmul(coefficients, kernel, out=directions.reshape(size, live, 1, -1))
-        alphas = np.zeros((size, live, 1))
-        factor = factor[:live]
-        lo = 0
-        # The chains are sorted longest first: the last of the first `chains`
-        # is the next to stop.
-        for chains in range(live, 0, -1):
-            hi = min(steps[chains - 1] - first, size)
-            if hi <= lo:
-                continue
-            factor = factor[:chains]
-            for d, draw, alpha in zip(directions[lo:hi, :chains], draws[lo:hi, :chains].tolist(),
-                                      alphas[lo:hi, :chains]):
-                mu, u, alpha[...] = _chord_step(factor, d, draw)
-                # A draw of exactly 0 lands on the boundary, where 1 + alpha mu
-                # is 0 up to rounding.
-                scale = np.sqrt(np.maximum(1.0 + alpha * mu, _FACTOR_GUARD))
-                factor = (factor @ u) / scale[:, None, :]
-            lo = hi
+        np.matmul(coefficients, kernel, out=directions.reshape(size, chains, 1, -1))
+        alphas = np.empty((size, chains, 1))
+        for d, draw, alpha in zip(directions, draws.tolist(), alphas):
+            mu, u, alpha[...] = _chord_step(factor, d, draw)
+            # A draw of exactly 0 lands on the boundary, where 1 + alpha mu
+            # is 0 up to rounding.
+            scale = np.sqrt(np.maximum(1.0 + alpha * mu, _FACTOR_GUARD))
+            factor = (factor @ u) / scale[:, None, :]
         # The walk points of the block, summed in step order as one chain
-        # sums them; a finished chain's rows are never read.
+        # sums them.
         directions *= alphas[..., None]
         xs = np.add.accumulate(terms, out=terms)
         x = xs[-1]
         lo = max(first, burn_in)
-        for i in range(live):
-            hi = min(first + size, steps[i])
-            if lo < hi:
-                walks[i][lo - burn_in:hi - burn_in] = xs[1 + lo - first:1 + hi - first, i]
-
-    samples = [None] * len(shadows)
-    for c, walk, (start, _, _) in zip(order, walks, starts):
-        samples[c] = _validated(shadows[c], walk, start, seeds[c], k)
-    return samples
+        if lo < first + size:
+            walks[:, lo - burn_in:first + size - burn_in] = xs[1 + lo - first:].swapaxes(0, 1)
+    return [_validated(s, walk, start, seed, k)
+            for s, walk, (start, _, _), seed in zip(shadows, walks, starts, seeds)]
 
 
 def _single_point(shadow: ShadowState, n: int, seed: int) -> FiberSample:

@@ -26,7 +26,7 @@ from .cones import (
     in_positive_ss_cone,
     replay_boxtimes_member,
 )
-from .fiber import FiberSample, push_and_spread, sample_fibers
+from .fiber import FiberSample, push_and_spread, sample_fiber, sample_fibers
 from .linalg import (
     eigh,
     eigvalsh,
@@ -126,23 +126,23 @@ def random_pure_state(d: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def report_fiber_walks(seed: int) -> tuple[float, FiberSample]:
-    """The report's five fiber samples, in one stack of chains per dims.
+    """The report's five fiber samples, in three calls.
 
     Two random pure states at each of (2, 2) and (2, 3) are sampled with
-    seeds seed and seed + 1 at n = 10; the first value is the largest
-    trace-norm distance of a representative from its state.  The demo state
-    (:func:`nondeterminism_demo_state`) is sampled in the (2, 2) stack with
-    seed and n = 40, and its sample is the second value.  At (2, 2) the
-    fiber is a segment, so each of those three chains costs one eigensolve
-    for the segment's ends and its n uniform draws (no walk steps); the
-    (2, 3) pair walks 110 stacked steps."""
+    seeds seed and seed + 1 at n = 10, as one stack of chains of one length
+    per dims; the first value is the largest trace-norm distance of a
+    representative from its state.  The demo state
+    (:func:`nondeterminism_demo_state`) is sampled alone with seed and
+    n = 40, and its sample is the second value.  At (2, 2) the fiber is a
+    segment, so each of those three chains costs one eigensolve for the
+    segment's ends and its n uniform draws (no walk steps); the (2, 3) pair
+    walks 110 stacked steps."""
     pure22, pure23 = ([random_pure_state(dims[0] * dims[1], rng_from_seed(seed, 200 + idx, k))
                        for k in range(2)]
                       for idx, dims in enumerate(((2, 2), (2, 3))))
-    demo = lt_state(nondeterminism_demo_state(), (2, 2))
-    *walked22, demo_sample = sample_fibers([lt_state(p, (2, 2)) for p in pure22] + [demo],
-                                           [10, 10, 40], [seed, seed + 1, seed])
-    walked23 = sample_fibers([lt_state(p, (2, 3)) for p in pure23], [10, 10], [seed, seed + 1])
+    walked22, walked23 = (sample_fibers([lt_state(p, dims) for p in pure], 10, [seed, seed + 1])
+                          for pure, dims in ((pure22, (2, 2)), (pure23, (2, 3))))
+    demo_sample = sample_fiber(lt_state(nondeterminism_demo_state(), (2, 2)), 40, seed)
     worst = max(float(np.abs(eigvalsh(sample.representatives - pure)).sum(axis=-1).max())
                 for pure, sample in zip(pure22 + pure23, walked22 + walked23))
     return worst, demo_sample

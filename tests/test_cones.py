@@ -168,21 +168,21 @@ def test_boxtimes_kernel_free_dims():
 
 @pytest.mark.parametrize("dims,rank", [((2, 3), r) for r in range(2, 6)]
                          + [((3, 3), r) for r in range(2, 9)])
-def test_boxtimes_decides_middle_rank_shadows(dims, rank, eigensolves):
+def test_boxtimes_decides_middle_rank_shadows(dims, rank, eigensolve_log):
     """Shadows of Wishart states of middle rank are members with a replaying
     offset, decided within a fixed eigensolve budget."""
     d = dims[0] * dims[1]
     a = rng_from_seed(36, d, rank).standard_normal((d, rank))
     m = local_shadow_matrix(a @ a.T / np.trace(a @ a.T), dims)
-    eigensolves["n"] = 0
+    eigensolve_log.clear()
     res = in_boxtimes_cone(m, dims, PARAMS)
-    assert eigensolves["n"] <= 150
+    assert len(eigensolve_log) <= 150
     assert res.verdict == MEMBER
     assert replay_boxtimes_member(m, dims, res.certificate["kernel_offset"])
 
 
 @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 2, 3), (2, 2, 2, 2)])
-def test_boxtimes_decides_shadows_of_more_factors(dims, eigensolves):
+def test_boxtimes_decides_shadows_of_more_factors(dims, eigensolve_log):
     """The barrier takes the kernel rows of the grading basis at any factor
     count: a rank-1 state's shadow is not PSD and is a member with a
     replaying offset; subtracting a product projector F past <F, M> gives a
@@ -192,9 +192,9 @@ def test_boxtimes_decides_shadows_of_more_factors(dims, eigensolves):
     a = rng.standard_normal(d)
     m = local_shadow_matrix(np.outer(a, a) / (a @ a), dims)
     assert min_eigenvalue(m) < -1e-3
-    eigensolves["n"] = 0
+    eigensolve_log.clear()
     res = in_boxtimes_cone(m, dims, PARAMS)
-    assert eigensolves["n"] <= 150
+    assert len(eigensolve_log) <= 150
     assert res.verdict == MEMBER
     assert replay_boxtimes_member(m, dims, res.certificate["kernel_offset"])
     x = functools.reduce(np.kron, [rng.standard_normal(n) for n in dims])
@@ -553,26 +553,27 @@ def test_min_cone_nnls_failure_is_undecided(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["verdict"] == UNDECIDED
 
 
-def test_min_cone_decomposes_m_once(eigensolves, monkeypatch):
+def test_min_cone_decomposes_m_once(eigensolve_log, monkeypatch):
     """One eigensolve of M serves the positivity test and the range
     criterion; every other eigensolve belongs to the product-form search."""
     searched = {"n": 0}
     search = cones.product_form_extremum
 
     def counted_search(*args, **kwargs):
-        before = eigensolves["n"]
+        before = len(eigensolve_log)
         out = search(*args, **kwargs)
-        searched["n"] += eigensolves["n"] - before
+        searched["n"] += len(eigensolve_log) - before
         return out
 
     monkeypatch.setattr(cones, "product_form_extremum", counted_search)
     for m, dims, criterion in ((epr_shadow(), (2, 2), "not_psd"),
                                (upb_state(), (3, 3), "range")):
-        eigensolves["n"] = searched["n"] = 0
+        eigensolve_log.clear()
+        searched["n"] = 0
         res = in_min_cone(m, dims, PARAMS)
         assert res.verdict == NON_MEMBER
         assert res.certificate["criterion"] == criterion
-        assert eigensolves["n"] - searched["n"] == 1
+        assert len(eigensolve_log) - searched["n"] == 1
 
 
 def min_cone_inputs():

@@ -218,7 +218,7 @@ def test_interval_is_a_point_at_low_rank_states(dims, rank):
         assert 0 <= high - low <= 1e-9
 
 
-def test_push_and_spread_matches_pairwise_loop(eigensolves):
+def test_push_and_spread_matches_pairwise_loop(eigensolve_log):
     # A kernel-leaking map spreads the fiber: every distance is eigensolved.
     state = lt_state(random_density(6, rng_from_seed(75)), (2, 3))
     sample = sample_fiber(state, n=30, seed=17)
@@ -234,9 +234,9 @@ def test_push_and_spread_matches_pairwise_loop(eigensolves):
     state = lt_state(random_density(9, rng_from_seed(77)), (3, 3))
     sample = sample_fiber(state, n=30, seed=20)
     proc = random_locally_positive_process((3, 3), seed=21)
-    eigensolves["n"] = 0
+    eigensolve_log.clear()
     report = push_and_spread(sample, proc)
-    assert eigensolves["n"] == 1  # the stacked positivity test of the images
+    assert len(eigensolve_log) == 1  # the stacked positivity test of the images
     n, excluded, diameter, mean = fiber_reference.push_and_spread(sample.representatives, proc)
     assert report.n == n == 30 and report.excluded == excluded == 0
     assert report.diameter == report.mean_pairwise == 0.0 and report.deterministic
@@ -253,22 +253,23 @@ def test_push_and_spread_matches_pairwise_loop(eigensolves):
     assert abs(report.mean_pairwise - mean) <= 1e-12
 
 
-def test_sample_fiber_eigensolves_per_step(eigensolves):
+def test_sample_fiber_eigensolves_per_step(eigensolve_log):
     state = lt_state(random_density(9, rng_from_seed(76)), (3, 3))
-    eigensolves["n"] = 0
+    eigensolve_log.clear()
     sample = sample_fiber(state, n=50, seed=19, burn_in=100)
     assert sample.n_accepted == 50
     # one per step, one for the start point, one stacked validation pass
-    assert eigensolves["n"] == 150 + 1 + math.ceil(50 / VALIDATION_BLOCK)
+    assert len(eigensolve_log) == 150 + 1 + math.ceil(50 / VALIDATION_BLOCK)
 
-    # Three chains: one stacked call per step of the longest chain, and per
+    # Three chains: one stacked call of three matrices per step, and per
     # chain one for the start point and one per validation pass.
     states = [lt_state(random_density(9, rng_from_seed(76, k)), (3, 3)) for k in range(3)]
-    ns = [50, 20, 300]
-    eigensolves["n"] = 0
-    samples = sample_fibers(states, ns, [19, 20, 21], burn_in=100)
-    assert [s.n_accepted for s in samples] == ns
-    assert eigensolves["n"] == (100 + 300) + 3 + sum(math.ceil(n / VALIDATION_BLOCK) for n in ns)
+    eigensolve_log.clear()
+    samples = sample_fibers(states, 300, [19, 20, 21], burn_in=100)
+    assert [s.n_accepted for s in samples] == [300] * 3
+    passes = math.ceil(300 / VALIDATION_BLOCK)
+    assert len(eigensolve_log) == (100 + 300) + 3 + 3 * passes
+    assert sum(m for _, m in eigensolve_log) == 3 * (100 + 300) + 3 + 3 * 300
 
 
 def test_stacked_validation_matches_serial_reference():
@@ -473,28 +474,32 @@ def test_kernel_part_off_the_slice_falls_back_to_the_oracle_start():
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (2, 2, 2)])
 def test_stacked_chains_match_the_serial_walk(dims):
     """Every chain of a stack equals the one-chain walk bit for bit: rank 1
-    and full rank, a start from the state and from the oracle, n of 10, 40
-    and 200 (110, 140 and 300 steps: the blocks end at 128 and 256), chains
-    sharing a seed (one of them twice over), in an order that is not
-    sorted."""
+    and full rank, a start from the state and from the oracle, chains
+    sharing a seed (one of them twice over).  At burn-in 100, n of 10, 40
+    and 200 walk 110, 140 and 300 steps (the blocks end at 128 and 256),
+    and n of 28 and 156 walk exactly 128 and 256; at burn-in 200 and n of
+    200 the first block keeps no point, and the end of its slice of the walk
+    would be negative."""
     d = math.prod(dims)
     full = state_of_rank(d, 2 * d, rng_from_seed(83, d))
     pure = state_of_rank(d, 1, rng_from_seed(84, d))
-    chains = [(lt_state(full, dims), 40, 5), (lt_state(pure, dims), 200, 6),
-              (bare_shadow(full, dims), 10, 5), (lt_state(full, dims), 200, 7),
-              (lt_state(full, dims), 40, 5), (lt_state(pure, dims), 10, 5)]
-    shadows, ns, seeds = zip(*chains)
-    samples = sample_fibers(shadows, ns, seeds)
-    for (shadow, n, seed), sample in zip(chains, samples):
-        alone = fiber_reference.walk(shadow, n, seed)
-        assert np.array_equal(sample.representatives, alone.representatives)
-        assert (sample.n_accepted, sample.rejected) == (alone.n_accepted, alone.rejected)
-        assert (sample.n_requested, sample.seed, sample.kernel_dim) == (n, seed, alone.kernel_dim)
-        assert sample.shadow is shadow
-    np.testing.assert_array_equal(samples[0].representatives, samples[4].representatives)
-    # The stack of one is the same walk.
-    alone = fiber_reference.walk(shadows[1], 200, 6).representatives
-    assert np.array_equal(sample_fiber(shadows[1], 200, 6).representatives, alone)
+    chains = [(lt_state(full, dims), 5), (lt_state(pure, dims), 6),
+              (bare_shadow(full, dims), 5), (lt_state(full, dims), 7),
+              (lt_state(full, dims), 5), (lt_state(pure, dims), 5)]
+    shadows, seeds = zip(*chains)
+    for n, burn_in in ((10, 100), (40, 100), (200, 100), (28, 100), (156, 100), (200, 200)):
+        samples = sample_fibers(shadows, n, seeds, burn_in)
+        for (shadow, seed), sample in zip(chains, samples):
+            alone = fiber_reference.walk(shadow, n, seed, burn_in)
+            assert np.array_equal(sample.representatives, alone.representatives)
+            assert (sample.n_accepted, sample.rejected) == (alone.n_accepted, alone.rejected)
+            assert (sample.n_requested, sample.seed, sample.kernel_dim) == (n, seed,
+                                                                             alone.kernel_dim)
+            assert sample.shadow is shadow
+        np.testing.assert_array_equal(samples[0].representatives, samples[4].representatives)
+        # The stack of one is the same walk.
+        alone = fiber_reference.walk(shadows[1], n, 6, burn_in).representatives
+        assert np.array_equal(sample_fiber(shadows[1], n, 6, burn_in).representatives, alone)
 
 
 @pytest.mark.parametrize("burn_in", [-5, -200])
@@ -505,7 +510,7 @@ def test_negative_burn_in_is_refused(burn_in):
     with pytest.raises(ValueError, match="burn_in"):
         sample_fiber(shadow, n=10, seed=1, burn_in=burn_in)
     with pytest.raises(ValueError, match="burn_in"):
-        sample_fibers([shadow, shadow], [10, 20], [1, 2], burn_in=burn_in)
+        sample_fibers([shadow, shadow], 10, [1, 2], burn_in=burn_in)
     assert sample_fiber(shadow, n=10, seed=1, burn_in=0).n_accepted == 10
 
 
@@ -513,12 +518,12 @@ def test_sample_fibers_refuses_mismatched_stacks():
     two = lt_state(demo_state(), (2, 2))
     three = lt_state(random_density(6, rng_from_seed(85)), (2, 3))
     with pytest.raises(DimensionMismatch):
-        sample_fibers([two, three], [10, 10], [1, 2])
-    with pytest.raises(ValueError, match="one n and one seed"):
-        sample_fibers([two, two], [10], [1, 2])
+        sample_fibers([two, three], 10, [1, 2])
+    with pytest.raises(ValueError, match="one seed per shadow"):
+        sample_fibers([two, two], 10, [1])
     with pytest.raises(ValueError, match="n must be"):
-        sample_fibers([two, two], [10, 0], [1, 2])
-    assert sample_fibers([], [], []) == []
+        sample_fibers([two, two], 0, [1, 2])
+    assert sample_fibers([], 10, []) == []
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +555,7 @@ def test_segment_push_matches_the_pairwise_loop(make):
 
 
 @pytest.mark.parametrize("n,burn_in", [(50, 100), (2000, 0)])
-def test_segment_sample_makes_one_eigensolve_for_its_ends(n, burn_in, eigensolves, monkeypatch):
+def test_segment_sample_makes_one_eigensolve_for_its_ends(n, burn_in, eigensolve_log, monkeypatch):
     """The start point's eigendecomposition, one eigensolve for both ends of
     the segment and one per validation pass, whatever the burn-in; the start
     is the state's own, so the oracle is not called."""
@@ -560,24 +565,24 @@ def test_segment_sample_makes_one_eigensolve_for_its_ends(n, burn_in, eigensolve
         raise AssertionError("the boxtimes oracle was called")
 
     monkeypatch.setattr(fiber, "in_boxtimes_cone", no_oracle)
-    eigensolves["n"] = 0
+    eigensolve_log.clear()
     sample = sample_fiber(state, n=n, seed=27, burn_in=burn_in)
     assert sample.n_accepted == n and sample.rejected == 0
-    assert eigensolves["n"] == 2 + math.ceil(n / VALIDATION_BLOCK)
+    assert len(eigensolve_log) == 2 + math.ceil(n / VALIDATION_BLOCK)
 
 
 @pytest.mark.parametrize("n", [50, 300, 2000])
-def test_segment_push_makes_one_eigensolve_per_pass_and_one_for_the_spread(n, eigensolves):
+def test_segment_push_makes_one_eigensolve_per_pass_and_one_for_the_spread(n, eigensolve_log):
     sample = sample_fiber(lt_state(demo_state(), (2, 2)), n=n, seed=28)
     proc = random_kernel_leaking_process((2, 2), seed=29)
-    eigensolves["n"] = 0
+    eigensolve_log.clear()
     report = push_and_spread(sample, proc)
     assert report.n == n and not report.deterministic
-    assert eigensolves["n"] == math.ceil(n / VALIDATION_BLOCK) + 1
+    assert len(eigensolve_log) == math.ceil(n / VALIDATION_BLOCK) + 1
 
 
 @pytest.mark.parametrize("offset,pairwise", [(2e-8, True), (0.5e-8, False)])
-def test_points_off_the_segment_get_the_pairwise_spread(offset, pairwise, eigensolves):
+def test_points_off_the_segment_get_the_pairwise_spread(offset, pairwise, eigensolve_log):
     """A hand-built sample with kernel_dim 1 whose points are off the line
     through its first point by more than REP_SHADOW_TOL takes the pairwise
     route, with the eigensolved spread; within it, the segment's, which
@@ -587,9 +592,9 @@ def test_points_off_the_segment_get_the_pairwise_spread(offset, pairwise, eigens
     sample = FiberSample(shadow=lt_state(demo_state(), (2, 2)), representatives=reps, seed=30,
                          n_requested=len(reps), n_accepted=len(reps), kernel_dim=1)
     proc = random_kernel_leaking_process((2, 2), seed=31)
-    eigensolves["n"] = 0
+    eigensolve_log.clear()
     report = push_and_spread(sample, proc)
-    assert eigensolves["n"] == 1 + (len(reps) - 1 if pairwise else 1)
+    assert len(eigensolve_log) == 1 + (len(reps) - 1 if pairwise else 1)
     n, excluded, diameter, mean = fiber_reference.push_and_spread(reps, proc)
     assert (report.n, report.excluded) == (n, excluded) == (40, 0)
     tol = 1e-12 if pairwise else offset
