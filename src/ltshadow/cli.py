@@ -53,6 +53,7 @@ from .errors import (
     SupportViolation,
 )
 from .fiber import push_and_spread, sample_fiber
+from .linalg import check_tol
 from .processes import (
     block_matrix,
     is_locally_positive,
@@ -99,10 +100,10 @@ def _parse_seed(text: str) -> int:
 
 
 def _parse_tol(text: str) -> float:
-    tol = float(text)
-    if not (math.isfinite(tol) and tol > 0):
-        raise argparse.ArgumentTypeError(f"tol must be finite and positive, got {text!r}")
-    return tol
+    try:
+        return check_tol(float(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"tol must be finite and positive, got {text!r}") from None
 
 
 def _read_json(path: str):

@@ -36,16 +36,16 @@ import numpy as np
 from .blocks import grading_basis, operand
 from .linalg import (
     check_seed,
+    check_tol,
     eigh,
     eigvalsh,
     max_norm,
     min_eigenvalue,
     product_vectors,
     rng_from_seed,
-    sym_part,
     trace_inner,
 )
-from .shadow import SHADOW_SUPPORT_TOL, require_shadow_support
+from .shadow import SHADOW_SUPPORT_TOL, local_shadow_matrix, require_shadow_support
 
 MEMBER = "member"
 NON_MEMBER = "non_member"
@@ -93,8 +93,7 @@ class FeasibilityParams:
 
     def __post_init__(self):
         check_seed(self.seed)
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        check_tol(self.tol)
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
 
@@ -209,6 +208,7 @@ def in_positive_ss_cone(m: np.ndarray, dims, tol: float = 1e-8) -> ConeMembershi
     is how the boxtimes cone is separated from the maximal cone.
     """
     m, dims = require_shadow_support(m, dims)
+    tol = check_tol(tol)
     w, v = eigh(m)
     lam = float(w[0])
     if lam >= -tol:
@@ -225,14 +225,13 @@ def in_positive_ss_cone(m: np.ndarray, dims, tol: float = 1e-8) -> ConeMembershi
 
 def replay_boxtimes_member(m: np.ndarray, dims, k: np.ndarray,
                            psd_tol: float = 1e-8) -> bool:
-    """Check a member certificate: K lies in the kernel_index span, up to the
-    SHADOW_SUPPORT_TOL * (1 + ||K||_max) of the support gate, and M + K is
-    PSD."""
-    g = grading_basis(dims)
-    kernel = g.stacked[g.kernel_index]
+    """Check a member certificate: K lies in the shadow kernel (symmetric,
+    with no shadow: its off-kernel part (K - K^T)/2 + local_shadow_matrix(K)
+    is at most the SHADOW_SUPPORT_TOL * (1 + ||K||_max) of the support
+    gate), and M + K is PSD."""
     k = np.asarray(k, dtype=float)
-    off_span = max_norm(k - (kernel.T @ (kernel @ k.ravel())).reshape(k.shape))
-    if off_span > SHADOW_SUPPORT_TOL * (1 + max_norm(k)):
+    off_kernel = max_norm((k - k.T) / 2 + local_shadow_matrix(k, dims))
+    if off_kernel > SHADOW_SUPPORT_TOL * (1 + max_norm(k)):
         return False
     return min_eigenvalue(np.asarray(m, dtype=float) + k) >= -psd_tol
 
@@ -241,15 +240,13 @@ def replay_separating_functional(m: np.ndarray, dims, f: np.ndarray,
                                  tol: float = 1e-8):
     """Check a non-member certificate for the boxtimes cone.
 
-    The functional is projected onto the shadow_index span (so it annihilates
-    every kernel offset exactly) and then must satisfy the sound inequality
-        <f, M> + max(0, -lambda_min(f)) * max(Tr M, 0) < -tol,
-    which rules out any PSD completion of M.  Returns (ok, f_projected,
-    pairing).
+    The functional is projected onto the shadow, fh = local_shadow_matrix(f),
+    which is symmetric and annihilates every kernel offset exactly, and then
+    must satisfy the sound inequality
+        <fh, M> + max(0, -lambda_min(fh)) * max(Tr M, 0) < -tol,
+    which rules out any PSD completion of M.  Returns (ok, fh, pairing).
     """
-    g, f = grading_basis(dims), sym_part(np.asarray(f, dtype=float))
-    shadow = g.stacked[g.shadow_index]
-    fh = (shadow.T @ (shadow @ f.ravel())).reshape(f.shape)
+    fh = local_shadow_matrix(f, dims)
     lam = min_eigenvalue(fh)
     pairing = trace_inner(fh, np.asarray(m, dtype=float))
     slack = max(0.0, -lam) * max(float(np.trace(m)), 0.0)

@@ -94,6 +94,13 @@ def check_seed(seed) -> int:
     raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
 
 
+def check_tol(tol) -> float:
+    """The tolerance as a float; ValueError unless finite and positive."""
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    return float(tol)
+
+
 def rng_from_seed(seed: int, *stream: int) -> np.random.Generator:
     """Generator for an explicit 64-bit seed plus an optional stream path.
 

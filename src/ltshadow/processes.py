@@ -110,10 +110,7 @@ def conjugation_process(q: np.ndarray, in_dims, out_dims=None) -> LinearProcess:
 def swap_process(dims) -> LinearProcess:
     """Conjugation by the tensor-swap permutation; output factors reversed."""
     da, db = factor_dims(dims, 2)
-    sigma = np.zeros((da * db, da * db))
-    for i in range(da):
-        for j in range(db):
-            sigma[j * da + i, i * db + j] = 1.0
+    sigma = np.eye(da * db).reshape(da, db, -1).transpose(1, 0, 2).reshape(da * db, -1)
     return conjugation_process(sigma, (da, db), (db, da))
 
 
@@ -132,20 +129,16 @@ def effect_functional(f: np.ndarray, dims) -> LinearProcess:
 def epsilon_functional(dims=(2, 2)) -> LinearProcess:
     """The pairing functional defined on pure tensors by a o b -> Tr(a b^T).
 
-    Its kernel matrix is sum_ij E_ij o E_ij; on the product of the two
-    antisymmetric generators of a pair of qubits it evaluates to 2, so it
-    does not vanish on the shadow kernel and is not locally positive.
+    Its kernel matrix is sum_ij E_ij o E_ij = |Omega><Omega|, Omega = vec(I);
+    on the product of the two antisymmetric generators of a pair of qubits
+    it evaluates to 2, so it does not vanish on the shadow kernel and is not
+    locally positive.
     """
     da, db = factor_dims(dims, 2)
     if da != db:
         raise DimensionMismatch("the pairing functional needs equal factor dimensions")
-    f = np.zeros((da * db, da * db))
-    for i in range(da):
-        for j in range(da):
-            e = np.zeros((da, da))
-            e[i, j] = 1.0
-            f += np.kron(e, e)
-    return effect_functional(f, (da, db))
+    omega = np.eye(da).ravel()
+    return effect_functional(np.outer(omega, omega), (da, db))
 
 
 def trace_unit_process(dims) -> LinearProcess:

@@ -142,7 +142,7 @@ def test_cone_boxtimes_needs_no_seed(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("cone", ["min", "psd-ss", "boxtimes", "max", "effect"])
-@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0", "abc"])
 def test_cone_tol_must_be_finite_and_positive(tmp_path, capsys, cone, tol):
     path = epr_shadow_file(tmp_path)
     with pytest.raises(SystemExit) as exc:

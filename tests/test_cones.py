@@ -3,6 +3,8 @@
 import functools
 import json
 import math
+import subprocess
+import sys
 
 import extremum_reference
 import numpy as np
@@ -13,6 +15,7 @@ from matrix_helpers import antisym_part, product_quadratic_value, random_ss_matr
 from nnls_reference import brute_force_nnls
 
 from ltshadow import cli, cones
+from ltshadow.blocks import grading_basis
 from ltshadow.cones import (
     MEMBER,
     NON_MEMBER,
@@ -220,6 +223,104 @@ def test_boxtimes_separating_functional_scales_linearly(c):
     assert res.certificate["pairing"] == pytest.approx(-9.44e-3 * c, rel=1e-3)
     ok, _, _ = replay_separating_functional(c * m, (2, 2), f)
     assert ok
+
+
+def member_certificate(dims, seed):
+    """A rank-1 state's shadow and its boxtimes kernel offset."""
+    if dims == (2, 2):
+        m = epr_shadow()
+    else:
+        a = rng_from_seed(seed, math.prod(dims)).standard_normal(math.prod(dims))
+        m = local_shadow_matrix(np.outer(a, a) / (a @ a), dims)
+    res = in_boxtimes_cone(m, dims, PARAMS)
+    assert res.verdict == MEMBER
+    return m, res.certificate["kernel_offset"]
+
+
+@pytest.mark.parametrize("dims,odd", [((2, 2), "sa"), ((2, 3), "sa"), ((2, 2, 2), "ssa")])
+@pytest.mark.parametrize("direction", ["identity", "odd"])
+def test_replay_refuses_offset_off_the_kernel(dims, odd, direction):
+    """An offset pushed 1e-6 along the identity (shadow) or an antisymmetric
+    basis element leaves the kernel.  M + K stays PSD, so only the kernel test
+    can refuse it."""
+    m, k = member_certificate(dims, 38)
+    assert replay_boxtimes_member(m, dims, k)
+    d = math.prod(dims)
+    step = np.eye(d) if direction == "identity" else grading_basis(dims).block(odd)[0]
+    moved = k + 1e-6 * step
+    assert min_eigenvalue(m + moved) >= -1e-8
+    assert not replay_boxtimes_member(m, dims, moved)
+
+
+def test_replay_projects_functional_onto_the_shadow():
+    """A PSD f pairing to -1/4 with the EPR shadow does not separate it: the
+    shadow is a member, and the projected fh has lambda_min = -1/4."""
+    v = np.array([1.0, 0.0, 0.0, -1.0]) / np.sqrt(2)
+    f = np.outer(v, v)
+    assert min_eigenvalue(f) >= -1e-15
+    assert np.sum(f * epr_shadow()) == pytest.approx(-0.25)
+    ok, fh, pairing = replay_separating_functional(epr_shadow(), (2, 2), f)
+    assert not ok
+    assert pairing == pytest.approx(-0.25) and min_eigenvalue(fh) == pytest.approx(-0.25)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (2, 2, 2)])
+def test_replays_do_not_use_the_grading_basis(dims, monkeypatch):
+    """Both replays keep their verdicts, on certificates of a member and of a
+    non-member, when the solver's basis is out of reach."""
+    m, k = member_certificate(dims, 39)
+    x = functools.reduce(np.kron, [rng_from_seed(39, n).standard_normal(n) for n in dims])
+    p = np.outer(x, x) / (x @ x)  # a unit product projector, orthogonal to K
+    outside = m - (float(np.sum(p * m)) + 1e-3) * p
+    res = in_boxtimes_cone(outside, dims, PARAMS)
+    assert res.verdict == NON_MEMBER
+    f = res.certificate["separating_functional"]
+
+    def verdicts():
+        return [replay_boxtimes_member(m, dims, k), replay_boxtimes_member(outside, dims, k),
+                replay_separating_functional(outside, dims, f)[0],
+                replay_separating_functional(m, dims, f)[0]]
+
+    assert verdicts() == [True, False, True, False]
+    monkeypatch.setattr(cones, "grading_basis", lambda *args: pytest.fail("basis built"))
+    assert verdicts() == [True, False, True, False]
+
+
+def test_replays_at_9_9_stay_small():
+    """A cold member replay and functional replay at (9, 9) allocate under 5 MB
+    (the dense 6561 x 6561 grading basis alone is 344 MB)."""
+    code = (
+        "import tracemalloc\n"
+        "import numpy as np\n"
+        "from ltshadow.cones import replay_boxtimes_member, replay_separating_functional\n"
+        "from ltshadow.linalg import rng_from_seed\n"
+        "from ltshadow.shadow import local_shadow_matrix\n"
+        "a = rng_from_seed(40).standard_normal(81)\n"
+        "w = np.outer(a, a) / (a @ a)\n"
+        "m = local_shadow_matrix(w, (9, 9))\n"
+        "tracemalloc.start()\n"
+        "member = replay_boxtimes_member(m, (9, 9), w - m)\n"
+        "outside = replay_separating_functional(-m, (9, 9), np.eye(81))[0]\n"
+        "print(member, outside, tracemalloc.get_traced_memory()[1])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    member, outside, peak = proc.stdout.split()
+    assert (member, outside) == ("True", "True")
+    assert int(peak) < 5 * 2**20
+
+
+@pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1.0, 0.0])
+def test_feasibility_params_refuse_bad_tol(tol):
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        FeasibilityParams(seed=0, tol=tol)
+
+
+@pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1.0, 0.0])
+def test_psd_ss_refuses_bad_tol(tol):
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        in_positive_ss_cone(-np.eye(4), (2, 2), tol=tol)
 
 
 # ---------------------------------------------------------------------------
