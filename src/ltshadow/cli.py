@@ -53,7 +53,7 @@ from .errors import (
     SupportViolation,
 )
 from .fiber import push_and_spread, sample_fiber
-from .linalg import check_tol
+from .linalg import check_seed, check_tol
 from .processes import (
     block_matrix,
     is_locally_positive,
@@ -93,10 +93,10 @@ def _parse_dims(text: str) -> tuple[int, ...]:
 
 
 def _parse_seed(text: str) -> int:
-    seed = int(text)
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"seed must be an integer >= 0, got {text!r}")
-    return seed
+    try:
+        return check_seed(int(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"seed must be an integer >= 0, got {text!r}") from None
 
 
 def _parse_tol(text: str) -> float:

@@ -69,6 +69,11 @@ PRODUCT_FORM_SWEEPS = 120
 # that moves its extreme value v by at most PRODUCT_FORM_STALL (1 + |v|).
 PRODUCT_FORM_STALL = 1e-14
 
+# Restarts of the product-form search: for the max cone, the range criterion
+# and map positivity, and for each atom of the matching pursuit.
+PRODUCT_FORM_RESTARTS = 32
+PURSUIT_RESTARTS = 8
+
 # Atom cap of the matching pursuit in the minimal cone.
 MIN_CONE_ATOMS = 50
 
@@ -85,20 +90,16 @@ _STREAM_MIN_ATOMS = 3
 
 @dataclass(frozen=True)
 class FeasibilityParams:
-    """Shared knobs for the iterative oracles.  The seed is mandatory."""
+    """The seed (mandatory) and the tolerance of the oracles, stored as
+    check_seed and check_tol return them: a Python int and a finite positive
+    float.  The product-form search's restart counts are constants above."""
 
     seed: int
     tol: float = 1e-8
-    restarts: int = 32
 
     def __post_init__(self):
-        check_seed(self.seed)
-        check_tol(self.tol)
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
-
-    def rng(self, *stream: int) -> np.random.Generator:
-        return rng_from_seed(self.seed, *stream)
+        object.__setattr__(self, "seed", check_seed(self.seed))
+        object.__setattr__(self, "tol", check_tol(self.tol))
 
 
 @dataclass
@@ -107,13 +108,14 @@ class ConeMembershipResult:
 
     ``iterations`` counts psd-ss's one eigensolve, the boxtimes barrier's
     Newton steps (0 for a negative trace, 1 for a positive M), max's
-    restarts, and min's pursuit atoms (its restarts when the range criterion
-    fires, 0 for an M that is not positive).  ``residual`` is -lambda_min of
-    M (psd-ss, min) or of M + K (boxtimes), -Tr M or minus the separating
-    pairing (boxtimes non-members), -q_min (max members) or -q of the first
-    certified witness (max non-members, a lower bound on the depth -q_min),
-    1 minus the best product overlap (range criterion) or the refit's
-    Frobenius residual (pursuit); member verdicts clip it at 0.
+    PRODUCT_FORM_RESTARTS, and min's pursuit atoms (PRODUCT_FORM_RESTARTS
+    when the range criterion fires, 0 for an M that is not positive).
+    ``residual`` is -lambda_min of M (psd-ss, min) or of M + K (boxtimes),
+    -Tr M or minus the separating pairing (boxtimes non-members), -q_min
+    (max members) or -q of the first certified witness (max non-members, a
+    lower bound on the depth -q_min), 1 minus the best product overlap
+    (range criterion) or the refit's Frobenius residual (pursuit); member
+    verdicts clip it at 0.
     """
 
     verdict: str
@@ -128,16 +130,16 @@ class ConeMembershipResult:
 # ---------------------------------------------------------------------------
 
 
-def product_form_extremum(m: np.ndarray, dims, params: FeasibilityParams,
-                          minimize: bool = True, stream: int = _STREAM_MAX_CONE,
-                          bound: float | None = None):
+def product_form_extremum(m: np.ndarray, dims, seed: int,
+                          restarts: int = PRODUCT_FORM_RESTARTS, minimize: bool = True,
+                          stream: int = _STREAM_MAX_CONE, bound: float | None = None):
     """Heuristic extremum of q(x, y) over unit product vectors.
 
     Alternating exact eigenvector half-steps (x given y, then y given x)
-    from params.restarts random starts y, drawn row by row from one
-    params.rng(stream) call, so restart k's start depends on k but not on
-    the number of restarts.  Each half-step is one stacked eigh over the
-    restarts still live.  A restart retires after the first half-step that
+    from ``restarts`` random starts y, drawn row by row from one
+    rng_from_seed(seed, stream) call, so restart k's start depends on k but
+    not on the number of restarts.  Each half-step is one stacked eigh over
+    the restarts still live.  A restart retires after the first half-step that
     moves its extreme eigenvalue by at most PRODUCT_FORM_STALL (1 + |value|),
     or after 2 * PRODUCT_FORM_SWEEPS half-steps.  Each half-step is an exact
     block minimization (maximization), and the other block was optimized
@@ -164,11 +166,11 @@ def product_form_extremum(m: np.ndarray, dims, params: FeasibilityParams,
     m_y = m4.transpose(1, 3, 0, 2).reshape(db * db, da * da)  # M[(j,l),(i,k)]
     m_x = m4.transpose(0, 2, 1, 3).reshape(da * da, db * db)  # M[(i,k),(j,l)]
     idx = 0 if minimize else -1
-    y = params.rng(stream).standard_normal((params.restarts, db))
+    y = rng_from_seed(seed, stream).standard_normal((restarts, db))
     y /= np.linalg.norm(y, axis=1, keepdims=True)
-    x = np.empty((params.restarts, da))
-    prev = np.full(params.restarts, np.nan)
-    live = np.arange(params.restarts)
+    x = np.empty((restarts, da))
+    prev = np.full(restarts, np.nan)
+    live = np.arange(restarts)
     for step in range(2 * PRODUCT_FORM_SWEEPS):
         # Even steps contract y and solve for x; odd steps the other way.
         given, solved, layout, d = (y, x, m_y, da) if step % 2 == 0 else (x, y, m_x, db)
@@ -378,13 +380,13 @@ def in_max_cone(m: np.ndarray, dims, params: FeasibilityParams) -> ConeMembershi
     flagged heuristic.
     """
     m, dims = require_shadow_support(m, dims, 2)
-    val, x, y = product_form_extremum(m, dims, params, minimize=True,
+    val, x, y = product_form_extremum(m, dims, params.seed, minimize=True,
                                       stream=_STREAM_MAX_CONE, bound=-params.tol)
     if val < -params.tol:
         cert = {"witness_x": x, "witness_y": y, "quadratic_value": val}
-        return ConeMembershipResult(NON_MEMBER, cert, params.restarts, -val)
+        return ConeMembershipResult(NON_MEMBER, cert, PRODUCT_FORM_RESTARTS, -val)
     cert = {"heuristic": True, "min_quadratic": val, "argmin_x": x, "argmin_y": y}
-    return ConeMembershipResult(MEMBER, cert, params.restarts, max(0.0, -val))
+    return ConeMembershipResult(MEMBER, cert, PRODUCT_FORM_RESTARTS, max(0.0, -val))
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +453,7 @@ def nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float, bool]:
         w[passive] = z
 
 
-def _range_criterion(w, v, dims, params):
+def _range_criterion(w, v, dims, seed):
     """Best product overlap with range(M); fires when provably < 1.
 
     If no unit product vector lies in the range of a PSD matrix M != 0, then
@@ -470,7 +472,7 @@ def _range_criterion(w, v, dims, params):
     if rank == 0 or rank == d:
         return False, {"range_rank": rank, "max_product_overlap": 1.0}
     proj = v[:, support] @ v[:, support].T
-    val, x, y = product_form_extremum(proj, dims, params, minimize=False,
+    val, x, y = product_form_extremum(proj, dims, seed, minimize=False,
                                       stream=_STREAM_MIN_RANGE,
                                       bound=1.0 - RANGE_CRITERION_DELTA)
     info = {
@@ -481,14 +483,6 @@ def _range_criterion(w, v, dims, params):
         "best_y": y,
     }
     return val < 1.0 - RANGE_CRITERION_DELTA, info
-
-
-def _best_atom(residual, dims, params, atom_index):
-    """Product projector most aligned with the residual (matching pursuit step)."""
-    sub = FeasibilityParams(seed=params.seed, tol=params.tol,
-                            restarts=max(4, params.restarts // 4))
-    return product_form_extremum(residual, dims, sub, minimize=False,
-                                 stream=_STREAM_MIN_ATOMS * 1000 + atom_index)
 
 
 def in_min_cone(m: np.ndarray, dims, params: FeasibilityParams) -> ConeMembershipResult:
@@ -511,9 +505,9 @@ def in_min_cone(m: np.ndarray, dims, params: FeasibilityParams) -> ConeMembershi
         cert = {"criterion": "not_psd", "witness_vector": v[:, 0], "eigenvalue": lam}
         return ConeMembershipResult(NON_MEMBER, cert, 0, -lam)
 
-    fired, info = _range_criterion(w, v, dims, params)
+    fired, info = _range_criterion(w, v, dims, params.seed)
     if fired:
-        return ConeMembershipResult(NON_MEMBER, info, params.restarts,
+        return ConeMembershipResult(NON_MEMBER, info, PRODUCT_FORM_RESTARTS,
                                     1.0 - info["max_product_overlap"])
 
     # Fully corrective matching pursuit over product projectors.
@@ -524,7 +518,9 @@ def in_min_cone(m: np.ndarray, dims, params: FeasibilityParams) -> ConeMembershi
     residual_mat = m
     residual = float(np.linalg.norm(m))
     for atom in range(MIN_CONE_ATOMS):
-        _, x, y = _best_atom(residual_mat, dims, params, atom)
+        # The product projector most aligned with the residual.
+        _, x, y = product_form_extremum(residual_mat, dims, params.seed, PURSUIT_RESTARTS,
+                                        minimize=False, stream=_STREAM_MIN_ATOMS * 1000 + atom)
         xs.append(x)
         ys.append(y)
         cols.append(np.kron(np.outer(x, x), np.outer(y, y)).ravel())

@@ -95,8 +95,8 @@ def check_seed(seed) -> int:
 
 
 def check_tol(tol) -> float:
-    """The tolerance as a float; ValueError unless finite and positive."""
-    if not 0 < tol < np.inf:
+    """The tolerance as a float; ValueError for a bool or a tol not finite and positive."""
+    if isinstance(tol, bool) or not 0 < tol < np.inf:
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
     return float(tol)
 

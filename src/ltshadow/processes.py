@@ -294,7 +294,7 @@ def is_positive_map_heuristic(proc: LinearProcess,
     x, not the most negative value the search could reach.
     """
     dims = (grading_basis(proc.out_dims).dim, grading_basis(proc.in_dims).dim)
-    _, _, x = product_form_extremum(choi_matrix(proc), dims, params,
+    _, _, x = product_form_extremum(choi_matrix(proc), dims, params.seed,
                                     stream=_STREAM_POSITIVITY, bound=-params.tol)
     value = min_eigenvalue(proc.apply(np.outer(x, x)))
     if value < -params.tol:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cones import FeasibilityParams, product_form_extremum
+from .cones import product_form_extremum
 from .linalg import product_vectors
 
 _STREAM_MARGIN = 21
@@ -57,11 +57,10 @@ def unextendibility_margin(seed: int) -> float:
 
     Strictly positive iff no product vector is orthogonal to the whole
     family, i.e. iff the family is unextendible.  Computed by the shared
-    alternating product-form optimizer on the span projector, with
-    MARGIN_RESTARTS restarts.
+    alternating product-form optimizer on the span projector, from
+    MARGIN_RESTARTS starts drawn from the seed.
     """
-    params = FeasibilityParams(seed=seed, restarts=MARGIN_RESTARTS)
-    val, _, _ = product_form_extremum(_span_projector(), (3, 3), params,
+    val, _, _ = product_form_extremum(_span_projector(), (3, 3), seed, MARGIN_RESTARTS,
                                       minimize=True, stream=_STREAM_MARGIN)
     return float(val)
 

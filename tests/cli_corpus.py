@@ -1,7 +1,8 @@
 """The CLI's corpus: one table of commands, the inputs they read and one runner.
 
-Without an argument, runs each command twice in fresh `python -W error -m ltshadow` processes
-and checks both runs; with a git revision, classifies each command's result against its src/.
+Without an argument, runs each command twice in fresh `python -W error` processes and checks
+both runs; with a git revision, classifies each command's result against its src/.  Each run
+also counts the eigensolver calls and matrices the command makes, and both modes print them.
 """
 
 import collections
@@ -42,6 +43,7 @@ cone-max-tiles                 0 cone --cone max --seed 3 -i tiles-form.json
 cone-min-tiles                 0 cone --cone min --seed 3 -i tiles-state.json
 cone-max-outside               0 cone --cone max --seed 3 -i outside.json
 cone-boxtimes-outside          0 cone --cone boxtimes -i outside.json
+cone-boxtimes-band             4 cone --cone boxtimes -i band.json
 map-local-local-positive       0 map --check local-positive -i local.json
 map-local-shadow               0 map --check shadow -i local.json
 map-local-positive             0 map --check positive --seed 3 -i local.json
@@ -76,6 +78,29 @@ fiber-map-22                   3 fiber --shadow rank9.json --n 10000 --seed 1 --
 """
 CORPUS = [(n, a, int(c)) for n, c, a in (e.split(None, 2) for e in TABLE.strip().splitlines())]
 CLASSES = ("values-equal", "verdicts-only", "differs")  # what classify returns, best first
+
+# `python -W error -c COUNTED counts argv...` runs `lt-shadow argv...` as `python -m ltshadow`
+# would, and writes "calls matrices" of its numpy eigh and eigvalsh calls to the file counts;
+# a stacked call on an (R, d, d) array counts R matrices.
+COUNTED = """
+import sys
+import numpy as np
+counts = [0, 0]
+def counted(solve):
+    def run(a, *args, **kwargs):
+        a = np.asarray(a)
+        counts[0] += 1
+        counts[1] += int(np.prod(a.shape[:-2]))
+        return solve(a, *args, **kwargs)
+    return run
+np.linalg.eigh, np.linalg.eigvalsh = counted(np.linalg.eigh), counted(np.linalg.eigvalsh)
+try:
+    from ltshadow.cli import main
+    sys.exit(main(sys.argv[2:]))
+finally:
+    with open(sys.argv[1], "w") as f:
+        f.write(f"{counts[0]} {counts[1]}")
+"""
 
 
 def _symmetric_split(d, o) -> bool:
@@ -112,6 +137,7 @@ CHECKS = {
     "cone-max-outside": _max_witness_replays,
     "cone-boxtimes-outside": lambda d, o: d["verdict"] == "non_member"
     and d["certificate"]["pairing"] < -1e-8,
+    "cone-boxtimes-band": lambda d, o: d["verdict"] == "undecided" and d["certificate"] is None,
     "map-local-local-positive": lambda d, o: d["locally_positive"] is True,
     "map-leaking-local-positive": lambda d, o: d["locally_positive"] is False,
     "fiber-rank9-local": lambda d, o: d["spread"]["deterministic"] is True
@@ -158,6 +184,11 @@ def write_inputs(tmp) -> dict:
     x, y = (v / np.linalg.norm(v) for v in np.random.default_rng(3).standard_normal((2, 3)))
     f = np.kron(np.outer(x, x), np.outer(y, y))
     inputs["outside.json"] = {"dims": [3, 3], "rows": (s - (np.sum(f * s) + 0.05) * f).tolist()}
+    # The EPR shadow, on the boundary of the boxtimes cone, less 5e-9 I: inside the oracle's
+    # tolerance band at tol 1e-8.
+    epr = np.outer(*[np.array([0.0, 1.0, 1.0, 0.0]) / np.sqrt(2)] * 2)
+    band = ltshadow.local_shadow_matrix(epr, (2, 2)) - 5e-9 * np.eye(4)
+    inputs["band.json"] = {"dims": [2, 2], "rows": band.tolist()}
     for name, payload in inputs.items():
         (Path(tmp) / name).write_text(json.dumps(payload))
     return inputs
@@ -175,27 +206,45 @@ def classify(a, b) -> str:
     return CLASSES[0 if type(a) is type(b) and a == b else 2]
 
 
+def run(src, argv: str, cwd):
+    """[exit code, stdout, stderr] of `lt-shadow argv` run on the ltshadow in src, from cwd,
+    and its eigensolver (calls, matrices), or None when the run wrote no count."""
+    count_file = Path(cwd) / "eigensolves.txt"
+    cmd = [sys.executable, "-W", "error", "-c", COUNTED, count_file, *argv.split()]
+    proc = subprocess.run(cmd, cwd=cwd, env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=1800)
+    made = tuple(map(int, count_file.read_text().split())) if count_file.exists() else None
+    count_file.unlink(missing_ok=True)
+    return [proc.returncode, proc.stdout, proc.stderr], made
+
+
+def _counts_text(made) -> str:
+    return "no count" if made is None else "%d/%d" % made
+
+
 def main(rev=None) -> int:
     counts = collections.Counter()
     with tempfile.TemporaryDirectory() as tmp:
-        def run(src, argv):
-            proc = subprocess.run([sys.executable, "-W", "error", "-m", "ltshadow", *argv.split()],
-                                  cwd=tmp, env={**os.environ, "PYTHONPATH": str(src)},
-                                  capture_output=True, text=True, timeout=1800)
-            return [proc.returncode, proc.stdout, proc.stderr]
         o = write_inputs(tmp)
         if rev:  # REV's src/ lands in tmp/src
             archive = subprocess.run(["git", "-C", ROOT, "archive", rev, "src"],
                                      capture_output=True, check=True).stdout
             subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+        print(f"{'class':<13} {'entry':<30} eigensolver calls/matrices"
+              + (f" at {rev} -> here" if rev else ""))
         for name, argv, code in CORPUS:
-            first, second = run(ROOT / "src", argv), run(Path(tmp if rev else ROOT) / "src", argv)
+            (first, made), (second, made_second) = (
+                run(ROOT / "src", argv, tmp), run(Path(tmp if rev else ROOT) / "src", argv, tmp))
             o[name] = json.loads(first[1] or "null")
+            eig = _counts_text(made)
             if rev:
+                eig = f"{_counts_text(made_second)} -> {eig}"
                 result = "bytes-equal" if first == second else classify(
                     *([r[0], json.loads(r[1] or "null"), r[2]] for r in (first, second)))
             elif first != second:
                 result = "FAIL: the two runs differ"
+            elif made is None or made != made_second:
+                result = "FAIL: the two runs' eigensolver counts differ or are missing"
             elif first[0] != code:
                 result = f"FAIL: exit {first[0]}, expected {code}: {first[2].strip()}"
             elif "NaN" in first[1] or "Infinity" in first[1]:
@@ -203,7 +252,7 @@ def main(rev=None) -> int:
             else:
                 result = "ok" if CHECKS.get(name, lambda d, o: True)(o[name], o) else "FAIL: check"
             counts[result.split(":")[0]] += 1
-            print(f"{result:<13} {name}", flush=True)
+            print(f"{result:<13} {name:<30} {eig}", flush=True)
     print(f"{len(CORPUS)} entries:", ", ".join(f"{n} {r}" for r, n in counts.items()))
     return 1 if counts["FAIL"] else 0
 

@@ -8,10 +8,10 @@ on ties.
 
 The per-restart arithmetic is the engine's, so tests require bitwise-equal
 (value, x, y).  The starts are the rows of one standard-normal draw of shape
-(restarts, db) from ``params.rng(stream)``, each divided by its norm.  Each
-contraction with M is the flattened outer product v v^T, as a stack of one
-row vector, times M laid out as M[(j,l),(i,k)] (to contract y) or
-M[(i,k),(j,l)] (to contract x).  A row's product is the same whether it is
+(restarts, db) from ``rng_from_seed(seed, stream)``, each divided by its
+norm.  Each contraction with M is the flattened outer product v v^T, as a
+stack of one row vector, times M laid out as M[(j,l),(i,k)] (to contract y)
+or M[(i,k),(j,l)] (to contract x).  A row's product is the same whether it is
 computed alone or inside a larger stack; a plain 2-D product of the whole
 stack is not, and would differ in the last bits.
 
@@ -22,6 +22,8 @@ for the half-step rule.
 """
 
 import numpy as np
+
+from ltshadow.linalg import rng_from_seed
 
 SWEEPS = 120
 STALL = 1e-14
@@ -69,7 +71,7 @@ def _full_sweeps(m_y, m_x, da, db, y, idx):
     return x, y
 
 
-def restart_results(m, dims, params, minimize=True, stream=1, full_sweeps=False):
+def restart_results(m, dims, seed, restarts, minimize=True, stream=1, full_sweeps=False):
     """(value, x, y) of every restart, in restart order."""
     da, db = (int(d) for d in dims)
     m4 = np.asarray(m, dtype=float).reshape(da, db, da, db)
@@ -77,9 +79,9 @@ def restart_results(m, dims, params, minimize=True, stream=1, full_sweeps=False)
     m_x = m4.transpose(0, 2, 1, 3).reshape(da * da, db * db)
     search = _full_sweeps if full_sweeps else _half_steps
     idx = 0 if minimize else -1
-    starts = params.rng(stream).standard_normal((params.restarts, db))
+    starts = rng_from_seed(seed, stream).standard_normal((restarts, db))
     results = []
-    for k in range(params.restarts):
+    for k in range(restarts):
         y0 = starts[k] / np.sqrt(np.sum(starts[k] * starts[k]))
         x, y = search(m_y, m_x, da, db, y0, idx)
         val = float((np.outer(x, x).reshape(1, 1, -1) @ m_x
@@ -88,9 +90,10 @@ def restart_results(m, dims, params, minimize=True, stream=1, full_sweeps=False)
     return results
 
 
-def product_form_extremum(m, dims, params, minimize=True, stream=1, full_sweeps=False):
+def product_form_extremum(m, dims, seed, restarts, minimize=True, stream=1,
+                          full_sweeps=False):
     """(value, x, y) of the best restart, as the engine must return it."""
-    results = restart_results(m, dims, params, minimize, stream, full_sweeps)
+    results = restart_results(m, dims, seed, restarts, minimize, stream, full_sweeps)
     if minimize:
         best = min(range(len(results)), key=lambda k: (results[k][0], k))
     else:

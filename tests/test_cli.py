@@ -171,8 +171,9 @@ def test_map_tol_must_be_finite_and_positive(capsys):
 ])
 @pytest.mark.parametrize("seed", ["-1", "1.5", "x"])
 def test_malformed_seed_exit_2_before_any_work(capsys, monkeypatch, argv, seed):
-    """A seed that is not an integer >= 0 exits 2 at parsing, whatever the
-    input (a one-factor shadow never reaches a generator)."""
+    """A seed that is not an integer >= 0 exits 2 at parsing with the seed
+    rule's message, whatever the input (a one-factor shadow never reaches a
+    generator)."""
     monkeypatch.setattr(cli, "_read_json", lambda path: pytest.fail("read input"))
     monkeypatch.setattr(cli, "run_verification_report", lambda **kw: pytest.fail("ran"))
     files = {"cone": ["-i", "in.json"], "map": ["-i", "in.json"],
@@ -182,8 +183,7 @@ def test_malformed_seed_exit_2_before_any_work(capsys, monkeypatch, argv, seed):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err and "argument --seed" in err
-    if seed == "-1":
-        assert err.splitlines()[-1].endswith("seed must be an integer >= 0, got '-1'")
+    assert err.splitlines()[-1].endswith(f"seed must be an integer >= 0, got {seed!r}")
 
 
 def test_shadow_command_projects_once(tmp_path, capsys, monkeypatch):

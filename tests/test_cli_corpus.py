@@ -2,6 +2,9 @@
 subprocess; and the replays of corpus outputs that need the library in-process."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -59,6 +62,24 @@ def test_the_writer_makes_every_input_a_command_names(inputs):
              if arg.endswith(".json")}
     assert named - set(written) == {"missing.json"}
     assert sorted(p.name for p in folder.iterdir()) == sorted(written)
+
+
+@pytest.mark.parametrize("argv", ["cone --cone boxtimes -i band.json",
+                                  "map --check positive --seed 3 -i twisted-pt.json",
+                                  "fiber --shadow rank4.json --n 10 --seed 1 --map missing.json"])
+def test_the_counting_runner_is_the_cli(inputs, argv, capsys, eigensolve_log, monkeypatch):
+    """A counted run prints what `python -W error -m ltshadow` prints and exits as it does,
+    and counts the eigensolves that the same command makes in-process."""
+    folder, _ = inputs
+    got, made = cli_corpus.run(cli_corpus.ROOT / "src", argv, folder)
+    plain = subprocess.run([sys.executable, "-W", "error", "-m", "ltshadow", *argv.split()],
+                           cwd=folder, capture_output=True, text=True, timeout=600,
+                           env={**os.environ, "PYTHONPATH": str(cli_corpus.ROOT / "src")})
+    assert got == [plain.returncode, plain.stdout, plain.stderr]
+    monkeypatch.chdir(folder)
+    eigensolve_log.clear()
+    assert cli.main(argv.split()) == got[0]
+    assert made == (len(eigensolve_log), sum(n for _, n in eigensolve_log))
 
 
 def test_cli_floats_round_trip_bit_for_bit(inputs, capsys):

@@ -1,5 +1,6 @@
 """Cone oracles: verdicts, certificates, replay, and the inclusion chain."""
 
+import dataclasses
 import functools
 import json
 import math
@@ -35,6 +36,7 @@ from ltshadow.errors import DimensionMismatch, SupportViolation
 from ltshadow.linalg import kron, max_norm, min_eigenvalue, rng_from_seed
 from ltshadow.shadow import local_shadow_matrix
 from ltshadow.upb import separating_max_cone_form, upb_state
+from ltshadow.verify import random_pure_state
 
 PARAMS = FeasibilityParams(seed=101)
 J = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -119,6 +121,32 @@ def test_boxtimes_negative_trace_non_member():
     f = res.certificate["separating_functional"]
     ok, _, pairing = replay_separating_functional(-epr_shadow(), (2, 2), f)
     assert ok and pairing < 0
+
+
+@pytest.mark.parametrize("dims,seed", [((2, 2), None), ((2, 3), 1), ((3, 3), 2)])
+def test_boxtimes_tolerance_band(dims, seed):
+    """A pure state's shadow M is on the boundary of the boxtimes cone
+    (t* = 0), so M - tI has t* = -t.  At tol 1e-8 it is a member at t = 0, a
+    non-member at t = 2e-8, and at t = 5e-9, inside the band [-tol, -tol/100),
+    undecided once roundoff reaches the smallest eigenvalue of S, before the
+    Newton-step cap."""
+    if seed is None:
+        m = epr_shadow()
+    else:
+        m = local_shadow_matrix(random_pure_state(math.prod(dims), rng_from_seed(seed)), dims)
+    eye = np.eye(len(m))
+    res = in_boxtimes_cone(m, dims, PARAMS)
+    assert res.verdict == MEMBER
+    assert replay_boxtimes_member(m, dims, res.certificate["kernel_offset"])
+    res = in_boxtimes_cone(m - 5e-9 * eye, dims, PARAMS)
+    assert (res.verdict, res.certificate) == (UNDECIDED, None)
+    assert res.iterations < cones.BOXTIMES_NEWTON_STEPS
+    assert res.residual == pytest.approx(5e-9, rel=1e-6)
+    outside = m - 2e-8 * eye
+    res = in_boxtimes_cone(outside, dims, PARAMS)
+    assert res.verdict == NON_MEMBER
+    assert replay_separating_functional(outside, dims,
+                                        res.certificate["separating_functional"])[0]
 
 
 def test_boxtimes_methods_agree_on_random_ss():
@@ -311,13 +339,24 @@ def test_replays_at_9_9_stay_small():
     assert int(peak) < 5 * 2**20
 
 
-@pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1.0, 0.0])
+@pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1.0, 0.0, True])
 def test_feasibility_params_refuse_bad_tol(tol):
     with pytest.raises(ValueError, match="tol must be finite and positive"):
         FeasibilityParams(seed=0, tol=tol)
 
 
-@pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1.0, 0.0])
+def test_feasibility_params_are_the_seed_and_the_tolerance():
+    """The restart counts are the engine's constants, not fields; the seed
+    and the tolerance are stored as their rules return them."""
+    assert [f.name for f in dataclasses.fields(FeasibilityParams)] == ["seed", "tol"]
+    with pytest.raises(TypeError):
+        FeasibilityParams(seed=0, restarts=8)
+    params = FeasibilityParams(seed=np.int64(7), tol=np.float64(1e-6))
+    assert type(params.seed) is int and params.seed == 7
+    assert type(params.tol) is float and params.tol == 1e-6
+
+
+@pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1.0, 0.0, True])
 def test_psd_ss_refuses_bad_tol(tol):
     with pytest.raises(ValueError, match="tol must be finite and positive"):
         in_positive_ss_cone(-np.eye(4), (2, 2), tol=tol)
@@ -350,10 +389,9 @@ def test_product_form_extremum_matches_serial_reference(dims):
         m = a + a.T
         for minimize in (True, False):
             for restarts in (1, 4, 32):
-                params = FeasibilityParams(seed=trial, restarts=restarts)
                 assert_same_extremum(
-                    product_form_extremum(m, dims, params, minimize=minimize),
-                    extremum_reference.product_form_extremum(m, dims, params,
+                    product_form_extremum(m, dims, trial, restarts, minimize=minimize),
+                    extremum_reference.product_form_extremum(m, dims, trial, restarts,
                                                              minimize=minimize))
 
 
@@ -365,11 +403,11 @@ def test_product_form_half_step_stop_keeps_the_full_sweep_value(dims):
     d = dims[0] * dims[1]
     for seed in range(4 if d <= 16 else 2):
         m = random_symmetric_form(dims, 100 + seed)
-        params = FeasibilityParams(seed=seed)
         for minimize in (True, False):
-            v = product_form_extremum(m, dims, params, minimize=minimize)[0]
+            v = product_form_extremum(m, dims, seed, minimize=minimize)[0]
             old = extremum_reference.product_form_extremum(
-                m, dims, params, minimize=minimize, full_sweeps=True)[0]
+                m, dims, seed, cones.PRODUCT_FORM_RESTARTS, minimize=minimize,
+                full_sweeps=True)[0]
             assert abs(v - old) <= 1e-12 * (1 + abs(old))
 
 
@@ -379,12 +417,10 @@ def test_product_form_extremum_starts_are_prefix_stable(dims):
     restarts the engine runs the first 4 starts of 32."""
     m = random_symmetric_form(dims, 39)
     for minimize in (True, False):
-        restarts = extremum_reference.restart_results(
-            m, dims, FeasibilityParams(seed=3, restarts=32), minimize)[:4]
+        restarts = extremum_reference.restart_results(m, dims, 3, 32, minimize)[:4]
         values = [r[0] for r in restarts]
         best = int(np.argmin(values) if minimize else np.argmax(values))
-        got = product_form_extremum(m, dims, FeasibilityParams(seed=3, restarts=4),
-                                    minimize=minimize)
+        got = product_form_extremum(m, dims, 3, 4, minimize=minimize)
         assert_same_extremum(got, restarts[best])
 
 
@@ -394,7 +430,7 @@ def test_product_form_extremum_value_is_q_of_its_pair(dims):
     max-cone certificate's min_quadratic recomputes it."""
     m = random_symmetric_form(dims, 40)
     for minimize in (True, False):
-        v, x, y = product_form_extremum(m, dims, PARAMS, minimize=minimize)
+        v, x, y = product_form_extremum(m, dims, PARAMS.seed, minimize=minimize)
         assert abs(v - product_quadratic_value(m, dims, x, y)) <= 1e-12 * (1 + abs(v))
 
 
@@ -402,12 +438,11 @@ def test_product_form_extremum_ties_go_to_restart_zero():
     """Equal values go to the lowest restart index.  On M = I every restart
     ends on the same pair; on diag(1, 2, 2, 1) the restarts split between
     two pairs of equal value, 1 for the minimum and 2 for the maximum."""
-    params = FeasibilityParams(seed=5, restarts=8)
     for m, dims in ((np.eye(6), (2, 3)), (np.diag([1.0, 2.0, 2.0, 1.0]), (2, 2))):
         for minimize in (True, False):
-            restarts = extremum_reference.restart_results(m, dims, params, minimize)
+            restarts = extremum_reference.restart_results(m, dims, 5, 8, minimize)
             assert len({r[0] for r in restarts}) == 1
-            got = product_form_extremum(m, dims, params, minimize=minimize)
+            got = product_form_extremum(m, dims, 5, 8, minimize=minimize)
             assert_same_extremum(got, restarts[0])
             if m.shape == (4, 4):
                 assert any(not np.array_equal(r[1], got[1]) for r in restarts[1:])
@@ -420,14 +455,12 @@ def test_bounded_product_form_extremum_crosses_its_bound_with_the_full_search(di
     bit for bit, and a value past it is q of the returned pair."""
     for seed in range(4):
         m = random_symmetric_form(dims, 200 + seed)
-        params = FeasibilityParams(seed=seed)
         for minimize in (True, False):
-            full = product_form_extremum(m, dims, params, minimize=minimize)
+            full = product_form_extremum(m, dims, seed, minimize=minimize)
             v = full[0]
             gap = 1e-9 * (1 + abs(v))
             for bound in (v - 1.0, v - 0.1, v - gap, v + gap, v + 0.1, v + 1.0):
-                got = product_form_extremum(m, dims, params, minimize=minimize,
-                                            bound=bound)
+                got = product_form_extremum(m, dims, seed, minimize=minimize, bound=bound)
                 past = got[0] < bound if minimize else got[0] >= bound
                 assert past == (v < bound if minimize else v >= bound)
                 if past:
@@ -441,12 +474,12 @@ def test_bounded_product_form_extremum_stops_at_the_first_half_step_past_it(eige
     """With a bound that the first half-step already crosses, the search
     makes one stacked eigensolve; without it, it runs to its stall."""
     m = random_symmetric_form((3, 3), 210)
-    v = product_form_extremum(m, (3, 3), PARAMS)[0]
+    v = product_form_extremum(m, (3, 3), PARAMS.seed)[0]
     eigensolve_log.clear()
-    product_form_extremum(m, (3, 3), PARAMS, bound=v + 1e3)
-    assert eigensolve_log == [("eigh", PARAMS.restarts)]
+    product_form_extremum(m, (3, 3), PARAMS.seed, bound=v + 1e3)
+    assert eigensolve_log == [("eigh", cones.PRODUCT_FORM_RESTARTS)]
     eigensolve_log.clear()
-    product_form_extremum(m, (3, 3), PARAMS)
+    product_form_extremum(m, (3, 3), PARAMS.seed)
     assert len(eigensolve_log) > 2
 
 
@@ -499,11 +532,11 @@ def test_max_cone_rejects_negative_product(eigensolve_log):
     the pair (u, v) itself; the oracle stops at its first half-step, whose
     best pair already certifies q < -tol."""
     m, u, v = random_product_projector((2, 2), 36)
-    _, x, y = product_form_extremum(-m, (2, 2), PARAMS)
+    _, x, y = product_form_extremum(-m, (2, 2), PARAMS.seed)
     assert abs(abs(x @ u) - 1.0) <= 1e-6 and abs(abs(y @ v) - 1.0) <= 1e-6
     eigensolve_log.clear()
     res = in_max_cone(-m, (2, 2), PARAMS)
-    assert eigensolve_log == [("eigh", PARAMS.restarts)]
+    assert eigensolve_log == [("eigh", cones.PRODUCT_FORM_RESTARTS)]
     assert res.verdict == NON_MEMBER
     x, y = res.certificate["witness_x"], res.certificate["witness_y"]
     q = product_quadratic_value(-m, (2, 2), x, y)
@@ -524,7 +557,7 @@ def test_max_cone_heuristic_matches_grid():
         t1 = np.einsum("ijkl,ai,ak->ajl", m4, cs, cs)
         grid = np.einsum("ajl,bj,bl->ab", t1, cs, cs)
         grid_min = float(grid.min())
-        found = product_form_extremum(m, (2, 2), PARAMS)[0]
+        found = product_form_extremum(m, (2, 2), PARAMS.seed)[0]
         assert found <= grid_min + 1e-3
         assert abs(found - grid_min) <= 1e-3
         res = in_max_cone(m, (2, 2), PARAMS)
@@ -720,7 +753,7 @@ def test_min_cone_is_the_same_with_and_without_the_range_bound(monkeypatch):
 def test_min_cone_eigensolves_on_a_product_projector(dims, calls, matrices, eigensolve_log):
     """One eigh of M; the range search stops once a product vector reaches
     the bound, one half-step at (2,2) and two above (32 matrices each); then
-    one atom of 8 restarts, stalled at its third half-step."""
+    one atom of PURSUIT_RESTARTS = 8, stalled at its third half-step."""
     m, _, _ = random_product_projector(dims, 45)
     eigensolve_log.clear()
     assert in_min_cone(m, dims, PARAMS).verdict == MEMBER
@@ -897,7 +930,7 @@ def test_boxtimes_members_pass_max_heuristic():
 
 @pytest.mark.parametrize("call", [
     lambda m: product_quadratic_value(m, (2, 2), np.ones(2), np.ones(2)),
-    lambda m: product_form_extremum(m, (2, 2), FeasibilityParams(seed=0)),
+    lambda m: product_form_extremum(m, (2, 2), 0),
     lambda m: separable_certificate_error(m, (2, 2), [1.0], [np.ones(2)], [np.ones(2)]),
 ])
 @pytest.mark.parametrize("m", [np.eye(6), np.eye(4)[:, :2], np.zeros((2, 4, 4))])

@@ -49,7 +49,7 @@ from ltshadow.processes import (
 )
 from ltshadow.shadow import local_shadow_matrix
 
-PARAMS = FeasibilityParams(seed=201, restarts=12)
+PARAMS = FeasibilityParams(seed=201)
 J = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
@@ -409,7 +409,8 @@ def test_positivity_verdict_is_the_same_with_and_without_the_bound(dims, monkeyp
 def test_positivity_search_on_a_non_positive_map_stops_at_its_first_half_step(
         dims, eigensolve_log):
     """The first half-step already finds a pair below -tol: one stacked eigh
-    over the 32 restarts, then the eigvalsh of the reported value."""
+    over the PRODUCT_FORM_RESTARTS = 32 restarts, then the eigvalsh of the
+    reported value."""
     q = random_orthogonal(grading_basis(dims).dim, rng_from_seed(68, *dims))
     proc = partial_transpose_conjugation(dims, q)
     eigensolve_log.clear()

@@ -131,9 +131,9 @@ def test_verification_report_searches_the_margin_once(monkeypatch):
     searches = []
     engine = upb.product_form_extremum
 
-    def counted(m, dims, params, **kw):
-        searches.append(params.restarts)
-        return engine(m, dims, params, **kw)
+    def counted(m, dims, seed, restarts, **kw):
+        searches.append(restarts)
+        return engine(m, dims, seed, restarts, **kw)
 
     monkeypatch.setattr(upb, "product_form_extremum", counted)
     report = verify.run_verification_report(7)
