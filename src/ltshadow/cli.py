@@ -21,7 +21,8 @@ the shadow's is refused before the walk), a factor above 9 or a product of
 factors above 81 (of a matrix or a process), or dims that are not integers
 >= 1 (``--dims 0,4``, ``"dims": [2.5, 2]`` or ``[true, 4]``, a process's
 ``"in_dims": [2.5, 2]``, a ``"dim"`` of ``true``; 2.0 counts as 2), 4
-infeasible or undecided where a decision was required, 5 internal numeric
+infeasible or undecided where a decision was required (also a ``fiber
+--map`` push in which no image is positive), 5 internal numeric
 failure (``LinAlgError``, or a non-finite number in the output).  Output is
 byte-identical across runs for identical (input, flags, seed).
 """
@@ -29,6 +30,7 @@ byte-identical across runs for identical (input, flags, seed).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -39,6 +41,7 @@ import numpy as np
 from . import __version__
 from .blocks import factor_dims, grading_basis, operand
 from .cones import (
+    DEFAULT_TOL,
     FeasibilityParams,
     UNDECIDED,
     in_boxtimes_cone,
@@ -269,14 +272,7 @@ def cmd_fiber(args) -> tuple[dict, int]:
         "rejected": sample.rejected,
     }
     if proc is not None:
-        report = push_and_spread(sample, proc)
-        payload["spread"] = {
-            "n": report.n,
-            "diameter": report.diameter,
-            "mean_pairwise": report.mean_pairwise,
-            "deterministic": report.deterministic,
-            "excluded": report.excluded,
-        }
+        payload["spread"] = dataclasses.asdict(push_and_spread(sample, proc))
     return payload, EXIT_OK
 
 
@@ -319,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--cone", required=True,
                    choices=("min", "psd-ss", "boxtimes", "max", "effect"))
-    p.add_argument("--tol", type=_parse_tol, default=1e-8)
+    p.add_argument("--tol", type=_parse_tol, default=DEFAULT_TOL)
     p.add_argument("--seed", type=_parse_seed, default=None,
                    help="required for min/max")
     p.set_defaults(func=cmd_cone)
@@ -329,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", "-o", default="-")
     p.add_argument("--check", required=True,
                    choices=("local-positive", "positive", "shadow"))
-    p.add_argument("--tol", type=_parse_tol, default=1e-8)
+    p.add_argument("--tol", type=_parse_tol, default=DEFAULT_TOL)
     p.add_argument("--seed", type=_parse_seed, default=None)
     p.set_defaults(func=cmd_map)
 

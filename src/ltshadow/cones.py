@@ -51,6 +51,10 @@ MEMBER = "member"
 NON_MEMBER = "non_member"
 UNDECIDED = "undecided"
 
+# Default tolerance of the oracles, of their certificate replays and of the
+# CLI's --tol.
+DEFAULT_TOL = 1e-8
+
 # Range-criterion guard band: the best product overlap with range(M) must
 # fall below 1 - RANGE_CRITERION_DELTA before entanglement is declared, so
 # optimizer noise cannot trip the criterion.
@@ -95,7 +99,7 @@ class FeasibilityParams:
     float.  The product-form search's restart counts are constants above."""
 
     seed: int
-    tol: float = 1e-8
+    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         object.__setattr__(self, "seed", check_seed(self.seed))
@@ -202,7 +206,7 @@ def _best_pair(x, y, m_x, minimize):
 # ---------------------------------------------------------------------------
 
 
-def in_positive_ss_cone(m: np.ndarray, dims, tol: float = 1e-8) -> ConeMembershipResult:
+def in_positive_ss_cone(m: np.ndarray, dims, tol: float = DEFAULT_TOL) -> ConeMembershipResult:
     """Membership in the cone of positive operators supported on the shadow.
 
     These are exactly the shadow effects (``lt-shadow cone --cone effect``).
@@ -226,7 +230,7 @@ def in_positive_ss_cone(m: np.ndarray, dims, tol: float = 1e-8) -> ConeMembershi
 
 
 def replay_boxtimes_member(m: np.ndarray, dims, k: np.ndarray,
-                           psd_tol: float = 1e-8) -> bool:
+                           psd_tol: float = DEFAULT_TOL) -> bool:
     """Check a member certificate: K lies in the shadow kernel (symmetric,
     with no shadow: its off-kernel part (K - K^T)/2 + local_shadow_matrix(K)
     is at most the SHADOW_SUPPORT_TOL * (1 + ||K||_max) of the support
@@ -239,7 +243,7 @@ def replay_boxtimes_member(m: np.ndarray, dims, k: np.ndarray,
 
 
 def replay_separating_functional(m: np.ndarray, dims, f: np.ndarray,
-                                 tol: float = 1e-8):
+                                 tol: float = DEFAULT_TOL):
     """Check a non-member certificate for the boxtimes cone.
 
     The functional is projected onto the shadow, fh = local_shadow_matrix(f),
@@ -312,9 +316,11 @@ def _boxtimes_barrier(m: np.ndarray, dims, lam0: float, tol: float) -> ConeMembe
     """
     d = m.shape[0]
     g = grading_basis(dims)
-    kernel = g.stacked[g.kernel_index]
-    k = len(kernel)
-    a_flat = np.concatenate([kernel, -np.eye(d).reshape(1, -1)])
+    k = len(g.kernel_index)
+    # The kernel is the stack's leading rows, so a call holds one copy of it.
+    a_flat = np.empty((k + 1, d * d))
+    kernel = np.take(g.stacked, g.kernel_index, axis=0, out=a_flat[:k])
+    a_flat[k] = -np.eye(d).ravel()
     a = a_flat.reshape(k + 1, d, d)
     scale = max_norm(m)
     x = np.zeros(k + 1)

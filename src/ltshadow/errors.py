@@ -15,4 +15,5 @@ class NotLocallyPositive(ValueError):
 
 class InfeasibleShadow(ValueError):
     """The fiber of the given shadow contains no positive global state, or the
-    boxtimes oracle could not decide that it does (verdict ``undecided``)."""
+    boxtimes oracle could not decide that it does (verdict ``undecided``), or
+    a push of fiber representatives has no positive image to measure."""

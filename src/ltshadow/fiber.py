@@ -27,16 +27,15 @@ x + F0 >= 0, so lambda_min(x) >= -(floor + max(0, -lambda_min(start)))
 over the whole walk, in exact arithmetic.  Each chain is sequential, but
 chains of one length requested together (:func:`sample_fibers`, shadows of
 one dims) share each step's eigensolve: one stacked eigensolve of
-R_k^T D_k R_k over all the chains, with each chain's own random stream and
-its own Python-float step, so every chain is the one it would be alone, bit
-for bit.  The work per representative is stacked too: a block's walk points
-are summed in one pass, the post-burn-in points of the chains go into one
-(chains, n, D, D) array, each chain is validated in stacked passes of
-VALIDATION_BLOCK points, and the push maps, tests and projects the
+R_k^T D_k R_k over all the chains.  Each chain keeps its own random stream,
+and float64 arithmetic on arrays rounds each element as it rounds a lone
+number, so every chain is the one it would be alone, bit for bit.  The work
+per representative is stacked too: a block's walk points are summed in one
+pass, the post-burn-in points of the chains go into one (chains, n, D, D)
+array, each chain is validated in stacked passes of VALIDATION_BLOCK points
+(positive within REP_PSD_TOL, the shadow's trace within REP_TRACE_TOL, its
+shadow within REP_SHADOW_TOL), and the push maps, tests and projects the
 representatives in passes of the same size.
-When the pushed shadows coincide to within a Frobenius bound (the locally
-positive case), the spread is reported as 0 without pairwise eigensolves,
-within SPREAD_ZERO_TOL = 1e-12 of the eigensolved value.
 
 With one kernel direction K (two rebits, where K = J o J / 2) the fiber is
 the segment start + aK, a in [-1/mu_max, -1/mu_min] for the extreme
@@ -147,20 +146,18 @@ def _congruence_factor(w: np.ndarray, v: np.ndarray, floor: float) -> np.ndarray
     return v / np.sqrt(np.maximum(w, floor))
 
 
-def _chord_step(factor: np.ndarray, direction: np.ndarray, draws) -> tuple:
+def _chord_step(factor: np.ndarray, direction: np.ndarray, draws: np.ndarray) -> tuple:
     """(mu, U, alpha) for (L, D, D) stacks of factors R of x + F0 and of
     directions D, and L draws in [0, 1]: R^T D R = U diag(mu) U^T per matrix,
     and alpha[i] = [(a_minus + a_plus) * draws[i] - a_minus] is the draw's
     point on the chord -a_minus <= alpha <= a_plus, a_minus = 1/mu_max,
     a_plus = -1/mu_min, where x + alpha*D + F0 is positive because it is
-    congruent to I + alpha*R^T D R (Smith's hit-and-run).  On Python floats,
-    so each chain's step rounds as it does when walked alone."""
+    congruent to I + alpha*R^T D R (Smith's hit-and-run)."""
     mu, u = eigh(factor.swapaxes(-1, -2) @ direction @ factor)
     # D is a nonzero traceless kernel element; R^T D R is congruent to it, so
     # (Sylvester's law of inertia) mu has both signs.
-    extremes = mu[:, ::mu.shape[-1] - 1].tolist()
-    return mu, u, [[(1.0 / top - 1.0 / bottom) * r - 1.0 / top]
-                   for (bottom, top), r in zip(extremes, draws)]
+    bottom, top = mu[:, :1], mu[:, -1:]
+    return mu, u, (1.0 / top - 1.0 / bottom) * np.asarray(draws)[:, None] - 1.0 / top
 
 
 def sample_fiber(shadow: ShadowState, n: int, seed: int,
@@ -171,22 +168,14 @@ def sample_fiber(shadow: ShadowState, n: int, seed: int,
     Requires the shadow to admit a positive completion (boxtimes member);
     raises InfeasibleShadow otherwise, also when the oracle is undecided.
     With an empty kernel the fiber is a single point.  Every returned
-    representative is validated: positive within 1e-9, unit trace within
-    1e-9, and shadow equal to the input within 1e-8.  Defined at any number
-    of factors: the directions are combinations of the ``kernel_index`` rows
-    of the grading basis.
-
-    One eigensolve per step, of R^T D R for the walk's congruence factor R
-    (see the module docstring), with the directions and uniform draws taken
-    in blocks of VALIDATION_BLOCK steps.  The chain is sequential; walks of
-    one length on several shadows of one dims go faster together, through
-    :func:`sample_fibers`, which shares each step's eigensolve.  In exact
-    arithmetic every walk point has lambda_min >= -(floor + max(0,
-    -lambda_min(start))).  With one kernel direction the fiber is a segment,
-    and the n points are uniform draws on it, whatever the burn-in: from the
-    state's own start that is 2 + ceil(n / VALIDATION_BLOCK) eigensolves (the
-    start, both ends of the segment, the validation passes).  Raises
-    ValueError for n < 1 or burn_in < 0.
+    representative passes the checks of the module docstring.  Defined at
+    any number of factors: the directions are combinations of the
+    ``kernel_index`` rows of the grading basis.  The directions and uniform
+    draws are taken in blocks of VALIDATION_BLOCK steps.  With one kernel
+    direction, from the state's own start, the n points cost 2 + ceil(n /
+    VALIDATION_BLOCK) eigensolves (the start, both ends of the segment, the
+    validation passes), whatever the burn-in.  Raises ValueError for n < 1
+    or burn_in < 0.
     """
     return sample_fibers([shadow], n, [seed], burn_in)[0]
 
@@ -249,7 +238,7 @@ def sample_fibers(shadows, n: int, seeds, burn_in: int = 100) -> list[FiberSampl
         directions = terms[1:]
         np.matmul(coefficients, kernel, out=directions.reshape(size, chains, 1, -1))
         alphas = np.empty((size, chains, 1))
-        for d, draw, alpha in zip(directions, draws.tolist(), alphas):
+        for d, draw, alpha in zip(directions, draws, alphas):
             mu, u, alpha[...] = _chord_step(factor, d, draw)
             # A draw of exactly 0 lands on the boundary, where 1 + alpha mu
             # is 0 up to rounding.
@@ -347,57 +336,31 @@ def _line_coordinates(sample: FiberSample) -> tuple[np.ndarray, np.ndarray] | No
     return None if max_norm(offsets - t[:, None, None] * kernel) > REP_SHADOW_TOL else (kernel, t)
 
 
-def _segment_spread(sample: FiberSample, proc: LinearProcess, kernel: np.ndarray,
-                    t: np.ndarray) -> SpreadReport:
-    """The spread of representatives x_0 + t_i K: their pushed shadows are
-    S_0 + (t_i - t_0) B with B the shadow of Phi(K), so every pairwise
-    distance is |t_i - t_j| ||B||_tr."""
-    reps = sample.representatives
+def _segment_spread(reps: np.ndarray, proc: LinearProcess, kernel: np.ndarray,
+                    t: np.ndarray) -> tuple[int, float, float]:
+    """(n, diameter, mean) of representatives x_0 + t_i K: their pushed
+    shadows are S_0 + (t_i - t_0) B with B the shadow of Phi(K), so every
+    pairwise distance is |t_i - t_j| ||B||_tr."""
     t = t[np.concatenate([np.zeros(0, bool), *(positive for _, positive in _pushed(reps, proc))])]
     n = len(t)
     image = from_coords(proc.matrix @ to_coords(kernel, proc.in_dims), proc.out_dims)
     b = local_shadow_matrix(image, proc.out_dims)
     # The bound of the pairwise case: ||S_i - S_0||_F = |t_i - t_0| ||B||_F.
     bound = 2 * np.sqrt(b.shape[-1]) * np.linalg.norm(b) * np.abs(t - t[:1]).max(initial=0.0)
-    diameter = mean = 0.0
-    if bound > SPREAD_ZERO_TOL:
-        b_trace_norm = float(np.abs(eigvalsh(b)).sum())
-        # Sorted, gap k separates k points from n - k: it is in k(n - k) pairs.
-        gaps = np.diff(np.sort(t))
-        below = np.arange(1, n)
-        diameter = float(t.max() - t.min()) * b_trace_norm
-        mean = float(gaps @ (below * (n - below))) * b_trace_norm / (n * (n - 1) // 2)
-    return SpreadReport(n=n, diameter=diameter, mean_pairwise=mean,
-                        deterministic=diameter <= DET_TOL, excluded=len(reps) - n)
+    if bound <= SPREAD_ZERO_TOL:
+        return n, 0.0, 0.0
+    b_trace_norm = float(np.abs(eigvalsh(b)).sum())
+    # Sorted, gap k separates k points from n - k: it is in k(n - k) pairs.
+    gaps = np.diff(np.sort(t))
+    below = np.arange(1, n)
+    diameter = float(t.max() - t.min()) * b_trace_norm
+    return n, diameter, float(gaps @ (below * (n - below))) * b_trace_norm / (n * (n - 1) // 2)
 
 
-def push_and_spread(sample: FiberSample, proc: LinearProcess) -> SpreadReport:
-    """Push every representative through the process and measure shadow spread.
-
-    Representatives whose image fails positivity (lambda_min below
-    -REP_PSD_TOL) are excluded and counted.  ``deterministic`` is True when
-    the trace-norm diameter of the output shadows is at most DET_TOL — the
-    locally positive case.  For D x D shadows S_i, ||S_i - S_j||_tr <=
-    sqrt(D) ||S_i - S_j||_F <= 2 sqrt(D) max_i ||S_i - S_0||_F; when that
-    bound is at most SPREAD_ZERO_TOL, diameter and mean pairwise distance
-    are reported as 0, within SPREAD_ZERO_TOL of their eigensolved values,
-    and no shadow outlives its pass.  Otherwise the shadows are kept (taken
-    again if a pass was dropped before the bound broke) and each row of
-    pairwise distances is one stacked eigensolve.
-
-    With one kernel direction K (``kernel_dim == 1``, two rebits) the
-    representatives are x_0 + t_i K, and the pushed shadows S_0 + (t_i -
-    t_0) B, with B the shadow of Phi(K) read from the process matrix: the
-    diameter is (t_max - t_min) ||B||_tr and the mean pairwise distance comes
-    from the sorted t, in O(n log n) and ceil(n / VALIDATION_BLOCK) + 1
-    eigensolves (the positivity passes and ||B||_tr), under the same bound.
-    Representatives off that line by more than REP_SHADOW_TOL take the
-    pairwise route.
-    """
-    line = _line_coordinates(sample) if sample.kernel_dim == 1 else None
-    if line is not None:
-        return _segment_spread(sample, proc, *line)
-    reps = sample.representatives
+def _pairwise_spread(reps: np.ndarray, proc: LinearProcess) -> tuple[int, float, float]:
+    """(n, diameter, mean) of the pushed shadows, with one stacked eigensolve
+    per row of pairwise distances once the bound of :func:`push_and_spread`
+    breaks."""
     kept, n, bound = [], 0, 0.0
     for shadows in _pushed_shadows(reps, proc):
         first = shadows[:1] if n == 0 else first
@@ -406,17 +369,48 @@ def push_and_spread(sample: FiberSample, proc: LinearProcess) -> SpreadReport:
         bound = max(bound, 2 * np.sqrt(shadows.shape[-1]) * offsets.max(initial=0.0))
         if bound > SPREAD_ZERO_TOL:
             kept.append(shadows)
+    if bound <= SPREAD_ZERO_TOL:
+        return n, 0.0, 0.0
+    stack = np.concatenate(kept)
+    if len(stack) < n:  # a pass was dropped before the bound broke
+        stack = np.concatenate(list(_pushed_shadows(reps, proc)))
     diameter = total = 0.0
-    if bound > SPREAD_ZERO_TOL:
-        stack = np.concatenate(kept)
-        if len(stack) < n:  # a pass was dropped before the bound broke
-            stack = np.concatenate(list(_pushed_shadows(reps, proc)))
-        for i in range(1, n):
-            # One stacked solve per row keeps memory at n matrices, not n^2.
-            norms = np.abs(eigvalsh(stack[i] - stack[:i])).sum(axis=-1)
-            diameter = max(diameter, float(norms.max()))
-            total += float(norms.sum())
-    pairs = n * (n - 1) // 2
-    mean = total / pairs if pairs else 0.0
+    for i in range(1, n):
+        # One stacked solve per row keeps memory at n matrices, not n^2.
+        norms = np.abs(eigvalsh(stack[i] - stack[:i])).sum(axis=-1)
+        diameter = max(diameter, float(norms.max()))
+        total += float(norms.sum())
+    return n, diameter, total / (n * (n - 1) // 2)
+
+
+def push_and_spread(sample: FiberSample, proc: LinearProcess) -> SpreadReport:
+    """Push every representative through the process and measure shadow spread.
+
+    Representatives whose image fails positivity (lambda_min below
+    -REP_PSD_TOL) are excluded and counted; when the sample has
+    representatives and every image is excluded, there is no spread to
+    report and InfeasibleShadow is raised.  ``deterministic`` is True when
+    the trace-norm diameter of the output shadows is at most DET_TOL, the
+    locally positive case.  For D x D shadows S_i, ||S_i - S_j||_tr <=
+    sqrt(D) ||S_i - S_j||_F <= 2 sqrt(D) max_i ||S_i - S_0||_F; when that
+    bound is at most SPREAD_ZERO_TOL, diameter and mean pairwise distance
+    are reported as 0, within SPREAD_ZERO_TOL of their eigensolved values,
+    and no shadow outlives its pass.  Otherwise the shadows are kept (taken
+    again if a pass was dropped before the bound broke) and each row of
+    pairwise distances is one stacked eigensolve.
+
+    With one kernel direction (``kernel_dim == 1``) the spread is read off
+    the segment (see the module docstring), in O(n log n) and ceil(n /
+    VALIDATION_BLOCK) + 1 eigensolves (the positivity passes and ||B||_tr),
+    under the same bound.  Representatives off the line through the first
+    one by more than REP_SHADOW_TOL take the pairwise route.
+    """
+    reps = sample.representatives
+    line = _line_coordinates(sample) if sample.kernel_dim == 1 else None
+    n, diameter, mean = (_pairwise_spread(reps, proc) if line is None
+                         else _segment_spread(reps, proc, *line))
+    if n == 0 < len(reps):
+        raise InfeasibleShadow(
+            f"no pushed representative is positive: all {len(reps)} images are excluded")
     return SpreadReport(n=n, diameter=diameter, mean_pairwise=mean,
                         deterministic=diameter <= DET_TOL, excluded=len(reps) - n)

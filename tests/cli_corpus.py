@@ -1,8 +1,9 @@
 """The CLI's corpus: one table of commands, the inputs they read and one runner.
 
 Without an argument, runs each command twice in fresh `python -W error` processes and checks
-both runs; with a git revision, classifies each command's result against its src/.  Each run
-also counts the eigensolver calls and matrices the command makes, and both modes print them.
+both runs: the same bytes and counts, the expected exit code, no traceback on stderr and the
+entry's check.  With a git revision, classifies each command's result against its src/.  Each
+run also counts the eigensolver calls and matrices the command makes, and both modes print them.
 """
 
 import collections
@@ -61,6 +62,8 @@ fiber-rank4-500                0 fiber --shadow rank4.json --n 500 --seed 1
 fiber-three                    0 fiber --shadow three.json --n 100 --seed 1
 fiber-rebit-local              0 fiber --shadow rebit.json --n 100 --seed 1 --map rebit-local.json
 fiber-rebit-leaking            0 fiber --shadow rebit.json --n 10000 --seed 1 --map rebit-leaking.json
+fiber-rank9-negated            4 fiber --shadow rank9.json --n 50 --seed 1 --map negated.json
+fiber-rebit-negated            4 fiber --shadow rebit.json --n 50 --seed 1 --map rebit-negated.json
 map-parity-local-positive      2 map --check local-positive -i parity.json
 map-parity-shadow              2 map --check shadow -i parity.json
 map-huge                       3 map --check local-positive -i huge.json
@@ -152,6 +155,11 @@ CHECKS = {
 }
 
 
+def negated_identity(dims):
+    """-identity: no positive input has a positive image."""
+    return ltshadow.LinearProcess(dims, dims, -ltshadow.identity_process(dims).matrix)
+
+
 def write_inputs(tmp) -> dict:
     """Write every input file of the corpus into tmp; return them by file name."""
     form, state, _ = ltshadow.separating_max_cone_form(seed=0)
@@ -165,6 +173,7 @@ def write_inputs(tmp) -> dict:
         "rebit-local": ltshadow.random_locally_positive_process((2, 2), seed=1),
         "rebit-leaking": ltshadow.random_kernel_leaking_process((2, 2), seed=1),
         "twisted-pt": ltshadow.LinearProcess((2, 2), (2, 2), to_coords(np.stack(pt), (2, 2)).T),
+        "negated": negated_identity((3, 3)), "rebit-negated": negated_identity((2, 2)),
         "parity": parity_breaking_map(), "map-22": ltshadow.identity_process((2, 2))}.items()} | {
         "tiles-form.json": {"dims": [3, 3], "rows": form.tolist()},
         "tiles-state.json": {"dims": [3, 3], "rows": state.tolist()},
@@ -245,6 +254,8 @@ def main(rev=None) -> int:
                 result = "FAIL: the two runs differ"
             elif made is None or made != made_second:
                 result = "FAIL: the two runs' eigensolver counts differ or are missing"
+            elif "Traceback" in first[2]:
+                result = "FAIL: a traceback on stderr"
             elif first[0] != code:
                 result = f"FAIL: exit {first[0]}, expected {code}: {first[2].strip()}"
             elif "NaN" in first[1] or "Infinity" in first[1]:

@@ -361,6 +361,28 @@ def test_fiber_command_middle_rank_shadow(tmp_path):
     assert json.loads(proc.stdout)["n_accepted"] == 100
 
 
+@pytest.mark.parametrize("dims", [(2, 2), (3, 3)], ids=["segment", "pairwise"])
+def test_fiber_push_with_no_positive_image_exit_4(tmp_path, dims):
+    """Under -identity every pushed representative fails positivity: there is
+    no spread to report, so the command exits 4 with one error line, on the
+    segment route (two rebits) and on the pairwise one."""
+    from ltshadow.processes import LinearProcess, identity_process
+    from ltshadow.shadow import lt_state
+
+    d = int(np.prod(dims))
+    a = np.random.default_rng(0).standard_normal((d, 2 * d))
+    shadow_file, map_file = tmp_path / "shadow.json", tmp_path / "negated.json"
+    shadow_file.write_text(dumps(matrix_to_json(lt_state(a @ a.T / np.trace(a @ a.T), dims).op,
+                                                dims=dims)))
+    ident = identity_process(dims)
+    map_file.write_text(dumps(process_to_json(LinearProcess(dims, dims, -ident.matrix))))
+    proc = run_cli(["fiber", "--shadow", str(shadow_file), "--n", "50", "--seed", "1",
+                    "--map", str(map_file)])
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert proc.stderr == ("error: no pushed representative is positive: "
+                           "all 50 images are excluded\n")
+
+
 @pytest.mark.parametrize("dims, kernel_dim, n_accepted", [
     pytest.param("4", 0, 1, id="4"),
     pytest.param("2,2,2", 9, 100, id="2,2,2"),

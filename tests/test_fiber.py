@@ -37,6 +37,7 @@ from ltshadow.linalg import (
 )
 from ltshadow.processes import (
     LinearProcess,
+    effect_functional,
     identity_process,
     random_kernel_leaking_process,
     random_locally_positive_process,
@@ -608,3 +609,24 @@ def test_an_empty_sample_has_no_spread(kernel_dim):
                          seed=0, n_requested=0, n_accepted=0, kernel_dim=kernel_dim)
     report = push_and_spread(sample, random_kernel_leaking_process((2, 2), seed=31))
     assert (report.n, report.excluded, report.diameter, report.mean_pairwise) == (0, 0, 0.0, 0.0)
+
+
+def negated_identity(dims):
+    ident = identity_process(dims)
+    return LinearProcess(ident.in_dims, ident.out_dims, -ident.matrix)
+
+
+@pytest.mark.parametrize("dims, make", [
+    ((2, 2), negated_identity),
+    ((3, 3), negated_identity),
+    ((3, 3), lambda dims: effect_functional(-np.eye(9), dims)),
+], ids=["segment", "pairwise", "pairwise-functional"])
+def test_a_push_with_no_positive_image_has_no_verdict(dims, make):
+    """A map that sends every representative out of the positive cone leaves
+    nothing to measure: the push raises instead of reporting a spread of 0,
+    on the segment route (two rebits) and on the pairwise one."""
+    sample = sample_fiber(lt_state(random_density(math.prod(dims), rng_from_seed(86)), dims),
+                          n=50, seed=1)
+    assert sample.n_accepted == 50 and sample.kernel_dim == (1 if dims == (2, 2) else 9)
+    with pytest.raises(InfeasibleShadow, match="all 50 images are excluded"):
+        push_and_spread(sample, make(dims))

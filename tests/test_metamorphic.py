@@ -1,7 +1,8 @@
-"""Metamorphic properties: merged code paths agree, and oracle verdicts
+"""Metamorphic properties: merged code paths agree, oracle verdicts
 respect the symmetries of the cones (positive scaling, local orthogonal
 conjugation O_1 x ... x O_n, factor permutation), at two and three factors
-(the max and min cones at two).
+(the max and min cones at two), and the push of a fiber through a map keeps
+its verdict under a local relabelling.
 
 The oracles' tol is absolute, so inputs are built with a margin m to the
 cone boundary and scaled by c in [1e-3, 1e3] (boxtimes: [1e-6, 1e3] with
@@ -38,18 +39,26 @@ from ltshadow.cones import (
     separable_certificate_error,
 )
 from ltshadow.errors import SupportViolation
+from ltshadow.fiber import push_and_spread, sample_fiber
 from ltshadow.linalg import (
     kron,
     max_norm,
     min_eigenvalue,
+    random_density,
     random_orthogonal,
     rng_from_seed,
     trace_inner,
+)
+from ltshadow.processes import (
+    conjugation_process,
+    random_kernel_leaking_process,
+    random_locally_positive_process,
 )
 from ltshadow.shadow import (
     SHADOW_SUPPORT_TOL,
     ShadowState,
     local_shadow_matrix,
+    lt_state,
     require_shadow_support,
 )
 from ltshadow.upb import upb_state
@@ -332,3 +341,29 @@ def test_min_cone_verdict_respects_symmetries(seed, dims, case, margin, c, symme
     assert_min_cone_certificate_replays(mt, dims_t, res_t)
     if expected == NON_MEMBER:
         assert res_t.certificate["criterion"] == res.certificate["criterion"]
+
+
+@settings(PROPERTY, max_examples=20)
+@given(seed=seeds, dims=st.sampled_from([(2, 3), (3, 3)]))
+def test_push_verdict_respects_local_relabelling(seed, dims):
+    """Relabel both systems by Q = O_A o O_B: the shadow s becomes Q s Q^T
+    and the map Phi becomes conj(Q) o Phi o conj(Q^T).  The fiber of the
+    relabelled shadow is the relabelled fiber and the relabelled map is
+    locally positive exactly when Phi is, so the push keeps its verdict and
+    its exclusions, and a locally positive map has no spread on either side."""
+    rng = rng_from_seed(seed)
+    rho = random_density(math.prod(dims), rng)
+    q = functools.reduce(kron, [random_orthogonal(d, rng) for d in dims])
+    shadow, relabelled = lt_state(rho, dims), lt_state(q @ rho @ q.T, dims)
+    assert max_norm(relabelled.op - q @ shadow.op @ q.T) <= 1e-15
+    conj, conj_back = conjugation_process(q, dims), conjugation_process(q.T, dims)
+    sample = sample_fiber(shadow, n=30, seed=seed)
+    sample_t = sample_fiber(relabelled, n=30, seed=seed)
+    for local, proc in ((True, random_locally_positive_process(dims, seed)),
+                        (False, random_kernel_leaking_process(dims, seed))):
+        report = push_and_spread(sample, proc)
+        report_t = push_and_spread(sample_t, conj.compose(proc.compose(conj_back)))
+        assert report.deterministic is report_t.deterministic is local
+        assert report.excluded == report_t.excluded
+        if local:
+            assert report.diameter == report_t.diameter == 0.0

@@ -1,12 +1,15 @@
-"""The package's public surface, and the names the bench tracer wraps."""
+"""The package's public surface, its default tolerance, and the names the
+bench tracer wraps."""
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
 
 import ltshadow
+from ltshadow import cli, cones
 from ltshadow.blocks import GradingBasis
 from ltshadow.processes import LinearProcess
 
@@ -80,3 +83,16 @@ def test_tracer_names_resolve():
         for part in attr.split("."):
             obj = getattr(obj, part)
         assert callable(obj), (module, attr)
+
+
+def test_every_default_tol_is_the_one_constant():
+    """The oracles, the boxtimes replays and both CLI --tol defaults read
+    cones.DEFAULT_TOL itself, not a literal of the same value."""
+    assert cones.FeasibilityParams.__dataclass_fields__["tol"].default is cones.DEFAULT_TOL
+    for function, name in ((cones.in_positive_ss_cone, "tol"),
+                           (cones.replay_boxtimes_member, "psd_tol"),
+                           (cones.replay_separating_functional, "tol")):
+        assert inspect.signature(function).parameters[name].default is cones.DEFAULT_TOL
+    parser = cli.build_parser()
+    for argv in (["cone", "--cone", "psd-ss"], ["map", "--check", "shadow"]):
+        assert parser.parse_args(argv).tol is cones.DEFAULT_TOL
