@@ -38,7 +38,6 @@ from .linalg import (
     check_seed,
     check_tol,
     eigh,
-    eigvalsh,
     max_norm,
     min_eigenvalue,
     product_vectors,
@@ -60,10 +59,12 @@ DEFAULT_TOL = 1e-8
 # optimizer noise cannot trip the criterion.
 RANGE_CRITERION_DELTA = 0.01
 
-# Newton-step cap of the boxtimes barrier solver, and the factor by which its
-# barrier weight grows after each re-centring step.
+# Newton-step cap of the boxtimes barrier solver, its first barrier weight
+# times ||M||_max, and the factor by which the weight grows after each
+# re-centring (full) step.
 BOXTIMES_NEWTON_STEPS = 100
-BARRIER_GROWTH = 50.0
+BARRIER_START = 1000.0
+BARRIER_GROWTH = 200.0
 
 # Sweep cap of each restart of the alternating product-form search: at most
 # 2 * PRODUCT_FORM_SWEEPS half-steps.
@@ -111,15 +112,17 @@ class ConeMembershipResult:
     """A verdict, its certificate (None when undecided) and two numbers.
 
     ``iterations`` counts psd-ss's one eigensolve, the boxtimes barrier's
-    Newton steps (0 for a negative trace, 1 for a positive M), max's
-    PRODUCT_FORM_RESTARTS, and min's pursuit atoms (PRODUCT_FORM_RESTARTS
-    when the range criterion fires, 0 for an M that is not positive).
-    ``residual`` is -lambda_min of M (psd-ss, min) or of M + K (boxtimes),
-    -Tr M or minus the separating pairing (boxtimes non-members), -q_min
-    (max members) or -q of the first certified witness (max non-members, a
-    lower bound on the depth -q_min), 1 minus the best product overlap
-    (range criterion) or the refit's Frobenius residual (pursuit); member
-    verdicts clip it at 0.
+    Newton steps, each of one eigensolve (0 for a negative trace, 1 for a
+    positive M), max's PRODUCT_FORM_RESTARTS, and min's pursuit atoms
+    (PRODUCT_FORM_RESTARTS when the range criterion fires, 0 for an M that is
+    not positive).  ``residual`` is -lambda_min of M (psd-ss, min) or of
+    M + K (boxtimes members, and undecided boxtimes queries stopped by
+    roundoff; at the Newton-step cap after a damped step it can be the upper
+    bound -t - 1 / Tr S^-1 of the barrier), -Tr M or minus the separating
+    pairing (boxtimes non-members), -q_min (max members) or -q of the first
+    certified witness (max non-members, a lower bound on the depth -q_min),
+    1 minus the best product overlap (range criterion) or the refit's
+    Frobenius residual (pursuit); member verdicts clip it at 0.
     """
 
     verdict: str
@@ -302,17 +305,22 @@ def in_boxtimes_cone(m: np.ndarray, dims, params: FeasibilityParams) -> ConeMemb
 def _boxtimes_barrier(m: np.ndarray, dims, lam0: float, tol: float) -> ConeMembershipResult:
     """Log-barrier path following for max t s.t. S = M + sum_i c_i K_i - t I >= 0.
 
-    Minimizes -tau t - log det S over x = (c, t) for growing tau.  Write
-    S = M + sum_a x_a A_a with A_a = K_a and A_k = -I.  With S = V diag(w) V^T
-    and R = V diag(w)^-1/2, the gradient of -log det S is -Tr(R^T A_a R) and
-    its Hessian is <R^T A_a R, R^T A_b R>, so each Newton step costs one eigh.
-    A step with Newton decrement below 1 stays inside S > 0 and is taken in
-    full, after which tau grows by BARRIER_GROWTH.  A longer step is cut back
-    along the line, where log det S is known from the eigenvalues mu of
-    R^T dS R (one eigvalsh).  At the full steps Z = R (I - R^T dS R) R^T / tau
-    is PSD, has unit trace and is orthogonal to every K_i, so <Z, M> >= t*,
-    with a gap of about D / tau (Boyd & Vandenberghe, Convex Optimization,
-    ch. 11).
+    Minimizes -tau t - log det S over x = (c, t) for growing tau, from tau =
+    BARRIER_START / ||M||_max.  Write S = M + sum_a x_a A_a with A_a = K_a and
+    A_k = -I.  For a congruence factor R of S (R^T S R = I, so S^-1 = R R^T),
+    the gradient of -log det S is -Tr(R^T A_a R) and its Hessian is
+    <R^T A_a R, R^T A_b R>.  A step with Newton decrement below 1 stays inside
+    S > 0 and is taken in full, after which tau grows by BARRIER_GROWTH and S
+    is re-factored: S = V diag(w) V^T (one eigh) gives R = V diag(w)^-1/2 and
+    lambda_min(S) = w_0.  A longer step is cut back along the line, where
+    log det S is known from R^T dS R = U diag(mu) U^T (one eigh), and U
+    updates the factor in place, R <- R U diag(1 + alpha mu)^-1/2, so that
+    every Newton step costs one eigensolve.  After such a damped step,
+    membership is tested with the bound t + 1 / Tr S^-1 <= lambda_min(M + K)
+    and confirmed by one min_eigenvalue(M + K).  At the full steps
+    Z = R (I - R^T dS R) R^T / tau is PSD, has unit trace and is orthogonal to
+    every K_i, so <Z, M> >= t*, with a gap of about D / tau (Boyd &
+    Vandenberghe, Convex Optimization, ch. 11).
     """
     d = m.shape[0]
     g = grading_basis(dims)
@@ -325,18 +333,25 @@ def _boxtimes_barrier(m: np.ndarray, dims, lam0: float, tol: float) -> ConeMembe
     scale = max_norm(m)
     x = np.zeros(k + 1)
     x[k] = lam0 - scale  # S = M - t I >= ||M||_max I at the start
-    tau = 1.0 / scale
+    tau = BARRIER_START / scale
+    refactor = True
     for step in range(1, BOXTIMES_NEWTON_STEPS + 1):
-        w, v = eigh(m + (x @ a_flat).reshape(d, d))
-        lower = x[k] + float(w[0])  # lambda_min(M + K) <= t*
+        if refactor:
+            w, v = eigh(m + (x @ a_flat).reshape(d, d))
+            lower = x[k] + float(w[0])  # lambda_min(M + K) <= t*
+        else:
+            lower = x[k] + 1.0 / float(np.vdot(r, r))  # 1 / Tr S^-1 <= lambda_min(S)
+            if lower >= -0.01 * tol:
+                lower = min_eigenvalue(m + (x[:k] @ kernel).reshape(d, d))
         # The margin tol/100 also pins down K when M + K must be singular.
         if lower >= -0.01 * tol:
             offset = (x[:k] @ kernel).reshape(d, d)
             return ConeMembershipResult(MEMBER, {"kernel_offset": offset}, step,
                                         max(0.0, -lower))
-        if w[0] <= 0.0:
-            break  # roundoff has reached the smallest eigenvalue of S
-        r = v / np.sqrt(w)
+        if refactor:
+            if w[0] <= 0.0:
+                break  # roundoff has reached the smallest eigenvalue of S
+            r = v / np.sqrt(w)
         b = r.T @ a @ r
         grad = -np.trace(b, axis1=1, axis2=2)
         grad[k] -= tau
@@ -344,7 +359,8 @@ def _boxtimes_barrier(m: np.ndarray, dims, lam0: float, tol: float) -> ConeMembe
         dx = -np.linalg.solve(flat @ flat.T, grad)
         slope = float(grad @ dx)  # minus the squared Newton decrement
         step_b = (dx @ flat).reshape(d, d)  # R^T dS R
-        if slope > -1.0:
+        refactor = slope > -1.0  # a full step: S is re-factored at the next step
+        if refactor:
             z = r @ (np.eye(d) - step_b) @ r.T / tau
             pairing = trace_inner(z, m)
             # Wait for a small gap so that the reported pairing is close to t*.
@@ -358,11 +374,12 @@ def _boxtimes_barrier(m: np.ndarray, dims, lam0: float, tol: float) -> ConeMembe
             x += dx
             tau *= BARRIER_GROWTH
             continue
-        mu = eigvalsh(step_b)
+        mu, u = eigh(step_b)
         alpha = 1.0 if mu[0] >= -1.0 else -0.9 / float(mu[0])
         while -tau * alpha * dx[k] - np.sum(np.log1p(alpha * mu)) > 0.25 * alpha * slope:
             alpha *= 0.5
         x += alpha * dx
+        r = (r @ u) / np.sqrt(1.0 + alpha * mu)
     return ConeMembershipResult(UNDECIDED, None, step, -lower)
 
 

@@ -125,6 +125,21 @@ def _max_witness_replays(d, o) -> bool:
             and abs(q - c["quadratic_value"]) <= 1e-12)
 
 
+def _offset_replays(d, o) -> bool:
+    """A boxtimes member's kernel offset replays against the rank4 input."""
+    m = o["rank4.json"]
+    return d["verdict"] == "member" and ltshadow.replay_boxtimes_member(
+        np.array(m["rows"]), tuple(m["dims"]), np.array(d["certificate"]["kernel_offset"]))
+
+
+def _functional_replays(d, o) -> bool:
+    """A boxtimes non-member's separating functional replays against the outside input."""
+    m, c = o["outside.json"], d["certificate"]
+    return d["verdict"] == "non_member" and c["pairing"] < -1e-8 and (
+        ltshadow.replay_separating_functional(
+            np.array(m["rows"]), tuple(m["dims"]), np.array(c["separating_functional"]))[0])
+
+
 # Checks on an entry's parsed stdout d, given every input and earlier output by name in o.
 CHECKS = {
     **dict.fromkeys(("decompose-9-9", "decompose-3-3-3-3"), _symmetric_split),
@@ -132,14 +147,14 @@ CHECKS = {
                     is True and all(c["pass"] is True for c in d["checks"])),
     "cone-effect-rank4": lambda d, o: d["cone"] == "effect"
     and {**d, "cone": "psd-ss"} == o["cone-psd-ss-rank4"],
+    "cone-boxtimes-rank4": _offset_replays,
     "cone-boxtimes-three": lambda d, o: d["verdict"] == "member",
     "cone-max-tiles": lambda d, o: d["verdict"] == "member"
     and d["certificate"]["heuristic"] is True,
     "cone-min-tiles": lambda d, o: d["verdict"] == "non_member"
     and d["certificate"]["criterion"] == "range",
     "cone-max-outside": _max_witness_replays,
-    "cone-boxtimes-outside": lambda d, o: d["verdict"] == "non_member"
-    and d["certificate"]["pairing"] < -1e-8,
+    "cone-boxtimes-outside": _functional_replays,
     "cone-boxtimes-band": lambda d, o: d["verdict"] == "undecided" and d["certificate"] is None,
     "map-local-local-positive": lambda d, o: d["locally_positive"] is True,
     "map-leaking-local-positive": lambda d, o: d["locally_positive"] is False,
@@ -233,6 +248,7 @@ def _counts_text(made) -> str:
 
 def main(rev=None) -> int:
     counts = collections.Counter()
+    totals = np.zeros((2, 2), dtype=int)  # calls and matrices at REV, then here
     with tempfile.TemporaryDirectory() as tmp:
         o = write_inputs(tmp)
         if rev:  # REV's src/ lands in tmp/src
@@ -248,6 +264,7 @@ def main(rev=None) -> int:
             eig = _counts_text(made)
             if rev:
                 eig = f"{_counts_text(made_second)} -> {eig}"
+                totals += [made_second or (0, 0), made or (0, 0)]
                 result = "bytes-equal" if first == second else classify(
                     *([r[0], json.loads(r[1] or "null"), r[2]] for r in (first, second)))
             elif first != second:
@@ -265,6 +282,9 @@ def main(rev=None) -> int:
             counts[result.split(":")[0]] += 1
             print(f"{result:<13} {name:<30} {eig}", flush=True)
     print(f"{len(CORPUS)} entries:", ", ".join(f"{n} {r}" for r, n in counts.items()))
+    if rev:
+        print(f"total eigensolver calls/matrices at {rev} -> here: "
+              f"{_counts_text(tuple(totals[0]))} -> {_counts_text(tuple(totals[1]))}")
     return 1 if counts["FAIL"] else 0
 
 

@@ -149,6 +149,25 @@ def test_boxtimes_tolerance_band(dims, seed):
                                         res.certificate["separating_functional"])[0]
 
 
+@pytest.mark.parametrize("dims,seed", [((2, 2), None), ((2, 3), 1), ((3, 3), 2)])
+@pytest.mark.parametrize("shift", [0.0, 2e-8, 5e-9])
+def test_boxtimes_barrier_makes_one_eigensolve_per_newton_step(dims, seed, shift,
+                                                               eigensolve_log):
+    """On a boundary member (a pure state's shadow), a non-member (less 2e-8 I)
+    and an undecided input (less 5e-9 I), the oracle makes at most
+    iterations + 2 eigensolver calls: one per Newton step, plus lambda_min(M)
+    before the barrier and one confirming or replaying solve at the exit."""
+    if seed is None:
+        m = epr_shadow()
+    else:
+        m = local_shadow_matrix(random_pure_state(math.prod(dims), rng_from_seed(seed)), dims)
+    m = m - shift * np.eye(len(m))
+    eigensolve_log.clear()
+    res = in_boxtimes_cone(m, dims, PARAMS)
+    assert res.verdict == {0.0: MEMBER, 2e-8: NON_MEMBER, 5e-9: UNDECIDED}[shift]
+    assert len(eigensolve_log) <= res.iterations + 2
+
+
 def test_boxtimes_methods_agree_on_random_ss():
     """Barrier verdicts match the exact 1-D search at (2, 2)."""
     n_checked = 0

@@ -37,8 +37,8 @@ def test_report_is_plain_python():
 
 
 def test_report_eigensolve_budget(eigensolve_log):
-    """The cli's primary metric: the full report at seed 7 makes at most 329
-    eigensolver calls on at most 3,137 matrices."""
+    """The cli's primary metric: the full report at seed 7 makes at most 310
+    eigensolver calls on at most 3,118 matrices."""
     verify.run_verification_report(7, include_upb=True)
-    assert len(eigensolve_log) <= 329
-    assert sum(n for _, n in eigensolve_log) <= 3137
+    assert len(eigensolve_log) <= 310
+    assert sum(n for _, n in eigensolve_log) <= 3118
